@@ -6,7 +6,9 @@ stdout carries only data and summaries; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -137,6 +139,9 @@ def cmd_check(args) -> int:
         plan = Plan.from_json_dict(_read_json(args.plan))
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{args.plan}: {exc}") from None
+    values = [plan.utility, *plan.rates.values(), *plan.duals.values()]
+    if not all(math.isfinite(v) for v in values):
+        raise _InputError(f"{args.plan}: plan holds a non-finite value")
     for lid in plan.duals:
         if not problem.topology.has_link(lid):
             raise _InputError(f"plan references unknown link {lid!r}")
@@ -174,15 +179,11 @@ def _resolve_scenario(args) -> Scenario:
             scenario = Scenario.from_json_dict(_read_json(args.scenario))
         except (ScenarioError, ModelError, KeyError, TypeError, ValueError) as exc:
             raise _InputError(f"{args.scenario}: {exc}") from None
-    if args.duration is not None:
-        if args.duration <= 0:
-            raise _InputError("duration must be > 0")
-        scenario.duration = args.duration
-    if args.dt is not None:
-        scenario.dt = args.dt
-    if args.gamma is not None:
-        scenario.gamma = args.gamma
-    return scenario
+    overrides = {"duration": args.duration, "dt": args.dt, "gamma": args.gamma}
+    # replace() runs Scenario's validation again on the overridden values.
+    return dataclasses.replace(
+        scenario, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def cmd_run(args) -> int:

@@ -2,13 +2,20 @@
 
 Maximizes c.x subject to A x <= b and per-variable bounds, returning both the
 primal optimum and the duals of the inequality rows.  The implementation is a
-dense two-phase tableau simplex: desk-scale instances (tens of rows, up to a
-few tens of thousands of columns) do not justify sparse machinery.
+two-phase simplex on a condensed dense tableau: it stores only the nonbasic
+columns and the right-hand side, since each basic column is a unit vector.
+On each pivot the entering and leaving columns swap places, and a full-length
+reduced-cost row keeps pricing in terms of column ids.  The pivot path is the
+one a full tableau takes: every pivot choice, and every stored entry's
+arithmetic, is the same.  Desk-scale instances do not justify sparse
+machinery.
 
 Pricing uses Dantzig's rule with index tie-breaks for speed, and switches to
 Bland's rule after a run of degenerate pivots so cycling cannot occur.  The
 pivot sequence is a pure function of the input, so repeated solves of the same
-program give bit-identical answers.
+program give bit-identical answers.  An optimal answer is verified before it
+is returned: primal feasibility, dual sign and dual feasibility, the duality
+gap, and complementary slackness.
 """
 from __future__ import annotations
 
@@ -105,19 +112,23 @@ def solve_lp(lp: LinearProgram, max_iterations: int = 50_000) -> LpSolution:
     reduced = lp.c - y_all @ a_rows  # includes upper-bound rows in the price
     objective = float(lp.c @ x)
 
-    _verify(lp, x, duals, reduced, objective, y_all, b_rows, x_shifted, a_rows)
+    _verify(lp, x, reduced, objective, y_all, b_rows)
     return LpSolution("optimal", x, objective, duals, reduced, iters)
 
 
-def _verify(lp, x, duals, reduced, objective, y_all, b_rows, x_shifted, a_rows):
+def _verify(lp, x, reduced, objective, y_all, b_rows):
     scale = 1.0 + max(
         float(np.max(np.abs(lp.b), initial=0.0)), float(np.max(np.abs(x), initial=0.0))
     )
     slack = lp.b - lp.a @ x
     if np.min(slack, initial=0.0) < -FEAS_TOL * scale:
         raise LpSolverError("primal feasibility lost in final tableau")
-    if np.min(duals, initial=0.0) < -FEAS_TOL:
+    if np.min(y_all, initial=0.0) < -FEAS_TOL:
         raise LpSolverError("negative dual in final tableau")
+    # Dual feasibility: no structural column of the internal program may still
+    # price in (its slack columns price at -y, checked just above).
+    if np.max(reduced, initial=0.0) > FEAS_TOL * scale:
+        raise LpSolverError("dual feasibility violated: a column has positive reduced cost")
     gap = abs(objective - float(y_all @ b_rows) - float(lp.c @ lp.lo))
     if gap > FEAS_TOL * (1.0 + abs(objective)) + FEAS_TOL:
         raise LpSolverError(f"strong duality gap {gap:g} exceeds tolerance")
@@ -127,7 +138,16 @@ def _verify(lp, x, duals, reduced, objective, y_all, b_rows, x_shifted, a_rows):
 
 
 def _simplex(c, a, b, max_iterations):
-    """Two-phase tableau simplex for max c.x, A x <= b, x >= 0."""
+    """Two-phase simplex for max c.x, A x <= b, x >= 0 on a condensed tableau.
+
+    Column ids follow the full layout [structural (n) | slacks (m) |
+    artificials (n_art)], but the tableau stores only the nonbasic columns
+    and the right-hand side: a basic column is a unit vector and carries no
+    information.  ``ids`` maps a stored position to its column id (the rhs
+    is id ``total``) and ``pos`` maps an id back (-1 while basic).  The
+    reduced-cost row ``z`` stays full length, indexed by id, so every pricing
+    and tie-break decision is the one the full tableau makes.
+    """
     m, n = a.shape
     # Flip rows with negative rhs and give them artificial variables.
     neg = b < 0
@@ -135,60 +155,57 @@ def _simplex(c, a, b, max_iterations):
     b = b.copy()
     a[neg] *= -1.0
     b[neg] *= -1.0
-    n_art = int(np.count_nonzero(neg))
-
-    # Column layout: [structural (n) | slacks (m) | artificials (n_art)]
+    neg_rows = np.flatnonzero(neg)
+    n_art = len(neg_rows)
     total = n + m + n_art
-    T = np.zeros((m, total + 1))
+
+    # Each flipped row starts with its artificial basic; every other row with
+    # its slack.  The nonbasic columns are the structurals and the flipped
+    # rows' slacks, which enter with -1 (it was  a.x - s = b  originally).
+    basis = n + np.arange(m)
+    basis[neg_rows] = n + m + np.arange(n_art)
+    cols = np.concatenate([np.arange(n), n + neg_rows])
+    width = n + n_art
+    T = np.zeros((m, width + 1))
     T[:, :n] = a
-    T[:, n : n + m] = np.eye(m)
-    # A flipped row's slack enters with -1 (it was  a.x - s = b  originally).
-    for i in np.flatnonzero(neg):
-        T[i, n + i] = -1.0
-    art_cols = {}
-    j = n + m
-    for i in np.flatnonzero(neg):
-        T[i, j] = 1.0
-        art_cols[i] = j
-        j += 1
+    T[neg_rows, n + np.arange(n_art)] = -1.0
     T[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = art_cols.get(i, n + i)
+    ids = np.append(cols, total)  # id of every stored column, rhs last
+    pos = np.full(total, -1)
+    pos[cols] = np.arange(width)
 
     iters = 0
 
-    def run_phase(obj, allowed, iters):
-        """Price with obj over allowed columns; pivot until optimal."""
-        z = obj[basis] @ T - _embed(obj, total + 1)
+    def run_phase(obj, blocked, iters):
+        """Price with obj over unblocked columns; pivot until optimal."""
+        z = _price(obj, T, ids, basis, total)
         stall = 0
         last_obj = -INF
         while True:
             red = -z[:total]
-            red[~allowed] = -INF
+            red[blocked] = -INF
             if stall < STALL_LIMIT:
-                col = int(np.argmax(red))
+                col = int(red.argmax())
                 if red[col] <= PIVOT_TOL:
                     return z, iters, True
             else:  # Bland: first improving index
-                pos = np.flatnonzero(red > PIVOT_TOL)
-                if len(pos) == 0:
+                improving = (red > PIVOT_TOL).nonzero()[0]
+                if len(improving) == 0:
                     return z, iters, True
-                col = int(pos[0])
-            colvec = T[:, col]
+                col = int(improving[0])
+            p = pos[col]
+            colvec = T[:, p]
             mask = colvec > PIVOT_TOL
             if not mask.any():
                 return z, iters, False  # unbounded in this phase
-            ratios = np.full(m, INF)
-            ratios[mask] = T[mask, -1] / colvec[mask]
-            best = np.min(ratios)
+            ratios = np.divide(T[:, -1], colvec, out=np.full(m, INF), where=mask)
+            best = ratios.min()
             # deterministic tie-break: smallest basis column id among ties
-            ties = np.flatnonzero(ratios <= best + 1e-12)
-            row = int(ties[np.argmin(basis[ties])])
-            _pivot(T, row, col)
-            z = z - z[col] * T[row]
+            ties = (ratios <= best + 1e-12).nonzero()[0]
+            row = int(ties[basis[ties].argmin()])
+            _swap(T, basis, ids, pos, row, col)
+            z[ids] -= z[col] * T[row]
             z[col] = 0.0  # exact after pivot
-            basis[row] = col
             iters += 1
             if iters > max_iterations:
                 raise LpSolverError("simplex iteration cap exceeded")
@@ -199,26 +216,27 @@ def _simplex(c, a, b, max_iterations):
                 stall = 0
             last_obj = cur
 
-    allowed = np.ones(total, dtype=bool)
+    blocked = np.zeros(total, dtype=bool)
     if n_art:
         phase1 = np.zeros(total)
         phase1[n + m :] = -1.0  # maximize -(sum of artificials)
-        z1, iters, ok = run_phase(phase1, allowed, iters)
+        z1, iters, _ = run_phase(phase1, blocked, iters)
         if float(z1[-1]) < -FEAS_TOL:
             return "infeasible", None, None, iters
-        # Drive any artificial still in the basis out (degenerate rows).
+        # Drive any artificial still in the basis out (degenerate rows): the
+        # entering column is the lowest structural or slack id whose entry in
+        # the row clears the pivot tolerance.
         for i in range(m):
             if basis[i] >= n + m:
-                row_vals = np.abs(T[i, : n + m])
-                cand = np.flatnonzero(row_vals > PIVOT_TOL)
+                row_vals = np.abs(T[i, :-1])
+                cand = np.flatnonzero((ids[:-1] < n + m) & (row_vals > PIVOT_TOL))
                 if len(cand):
-                    _pivot(T, i, int(cand[0]))
-                    basis[i] = int(cand[0])
-        allowed[n + m :] = False
+                    _swap(T, basis, ids, pos, i, int(np.min(ids[cand])))
+        blocked[n + m :] = True
 
     obj = np.zeros(total)
     obj[:n] = c
-    z2, iters, bounded = run_phase(obj, allowed, iters)
+    z2, iters, bounded = run_phase(obj, blocked, iters)
     if not bounded:
         return "unbounded", None, None, iters
 
@@ -232,16 +250,41 @@ def _simplex(c, a, b, max_iterations):
     return "optimal", x[:n], y, iters
 
 
-def _embed(obj, width):
-    out = np.zeros(width)
-    out[: len(obj)] = obj
-    return out
+def _price(obj, T, ids, basis, total):
+    """Reduced-cost row obj_B.T - obj over every column id and the rhs.
+
+    The product is taken on the full-width tableau, basic unit columns
+    included, so that each entry is summed in the same order, and so rounded
+    the same way, as a full tableau would sum it.
+    """
+    m = T.shape[0]
+    full = np.zeros((m, total + 1))
+    full[:, ids] = T
+    full[np.arange(m), basis] = 1.0
+    z = obj[basis] @ full
+    z[:total] -= obj
+    return z
 
 
-def _pivot(T, row, col):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
+def _swap(T, basis, ids, pos, row, col):
+    """Pivot column id ``col`` into the basis at ``row``.
+
+    The entering column leaves the stored set and the leaving column, the
+    unit vector e_row until now, takes its stored position.  Every stored
+    entry gets the arithmetic the full tableau pivot gives it.
+    """
+    p = pos[col]
+    leaving = basis[row]
+    piv = T[row, p]
+    factors = T[:, p].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[:, p] = 0.0
+    T[row, p] = 1.0
+    T[row] /= piv
+    # Rows with a zero factor would only subtract zeros.
+    nz = factors.nonzero()[0]
+    T[nz] -= factors[nz, None] * T[row]
+    basis[row] = col
+    ids[p] = leaving
+    pos[leaving] = p
+    pos[col] = -1

@@ -137,6 +137,23 @@ def _link_order(problem: PlanningProblem) -> list[str]:
     return [ln.id for ln in problem.topology.links]
 
 
+def _route_incidence(problem: PlanningProblem, flows: list[Flow]):
+    """Capacity rows of the links the flows use, in topology order.
+
+    Returns the used link positions in ``problem.topology.links`` and, for
+    every (link, flow) pair on a route, its row among them and the flow's
+    position in ``flows``.  A route never repeats a link, so no pair repeats.
+    """
+    links = problem.topology.links
+    position = {ln.id: i for i, ln in enumerate(links)}
+    pair_link = np.array([position[lid] for f in flows for lid in f.route], dtype=int)
+    pair_flow = np.repeat(np.arange(len(flows)), [len(f.route) for f in flows])
+    in_use = np.zeros(len(links), dtype=bool)
+    in_use[pair_link] = True
+    row_of_link = np.cumsum(in_use) - 1
+    return in_use.nonzero()[0], row_of_link[pair_link], pair_flow
+
+
 def inner_lp(
     problem: PlanningProblem,
     n: dict[str, int],
@@ -153,56 +170,48 @@ def inner_lp(
     flows = [f for c in active for f in problem.flows[c.id]]
     links = _link_order(problem)
     nf = len(flows)
-
-    cvec = np.zeros(nf)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    fidx = {f.id: j for j, f in enumerate(flows)}
-    link_rows: dict[str, int] = {}
-    for lid in links:
-        row = np.zeros(nf)
-        any_use = False
-        for c in active:
-            nk = n[c.id]
-            for f in problem.flows[c.id]:
-                if lid in f.route:
-                    row[fidx[f.id]] = nk
-                    any_use = True
-        if any_use:
-            link_rows[lid] = len(rows)
-            rows.append(row)
-            rhs.append(problem.topology.link(lid).capacity_mbps)
-
-    for c in active:
-        piece = c.utility.pieces[seg.pieces.get(c.id, 0)]
-        nk = n[c.id]
-        agg = np.zeros(nf)
-        for f in problem.flows[c.id]:
-            agg[fidx[f.id]] = 1.0
-        if piece.a > 0:
-            cvec += nk * piece.a * agg
-        if piece.x_lo > 0 or piece.a == 0:
-            # lower end; zero-slope pieces are pinned there (ties save capacity)
-            rows.append(-agg)
-            rhs.append(-piece.x_lo)
-        if piece.a == 0:
-            rows.append(agg.copy())
-            rhs.append(piece.x_lo)
-        elif piece.x_hi != INF:
-            rows.append(agg.copy())
-            rhs.append(piece.x_hi)
-
     if nf == 0:
         return None, flows, {}
 
-    a = np.vstack(rows) if rows else np.zeros((0, nf))
-    sol = solve_lp(LinearProgram(cvec, a, np.array(rhs)))
+    # Column range of each active class: flows are grouped by class.
+    sizes = [len(problem.flows[c.id]) for c in active]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    sessions = np.repeat([n[c.id] for c in active], sizes)
+
+    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    # Each active class adds a lower-end row, an upper-end row, both or neither.
+    pieces = [c.utility.pieces[seg.pieces.get(c.id, 0)] for c in active]
+    lower = [p.x_lo > 0 or p.a == 0 for p in pieces]
+    upper = [p.a == 0 or p.x_hi != INF for p in pieces]
+    a = np.zeros((len(used) + sum(lower) + sum(upper), nf))
+    rhs = np.empty(len(a))
+    a[pair_row, pair_flow] = sessions[pair_flow]
+    rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
+
+    cvec = np.zeros(nf)
+    r = len(used)
+    for c, piece, lo_row, hi_row, j0, j1 in zip(active, pieces, lower, upper, starts, ends):
+        if piece.a > 0:
+            cvec[j0:j1] = n[c.id] * piece.a
+        if lo_row:
+            # lower end; zero-slope pieces are pinned there (ties save capacity).
+            # The row negates the class's 0/1 aggregate: -1 on its flows, -0.0 off.
+            a[r] = -0.0
+            a[r, j0:j1] = -1.0
+            rhs[r] = -piece.x_lo
+            r += 1
+        if hi_row:
+            a[r, j0:j1] = 1.0
+            rhs[r] = piece.x_lo if piece.a == 0 else piece.x_hi
+            r += 1
+
+    sol = solve_lp(LinearProgram(cvec, a, rhs))
     if sol.status != "optimal":
         return sol, flows, {}
     duals = {lid: 0.0 for lid in links}
-    for lid, i in link_rows.items():
-        duals[lid] = float(sol.duals[i])
+    for i, li in enumerate(used):
+        duals[links[li]] = float(sol.duals[i])
     return sol, flows, duals
 
 
@@ -354,7 +363,6 @@ def _upper_concave_envelope(u: PiecewiseLinearUtility, x_lo: float, x_hi: float)
     for x in xs:
         # Use the larger one-sided value so jumps are enveloped from above.
         v = u.value(x)
-        idx = None
         for i, p in enumerate(u.pieces):
             if x == p.x_hi and i + 1 < len(u.pieces):
                 v = max(v, u.pieces[i + 1].value(x))
@@ -407,95 +415,80 @@ def mccormick_bound(
     flows = problem.all_flows()
     nf = len(flows)
     nc = len(classes)
+    for c in classes:
+        if n_box[c.id][0] > n_box[c.id][1]:
+            raise PlannerError(f"empty session box for class {c.id!r}")
 
     # variables: [x_f (nf) | z_f (nf) | n_k (nc) | u_k (nc) | t_k (nc)]
     nv = 2 * nf + 3 * nc
-    fi = {f.id: j for j, f in enumerate(flows)}
-    ci = {c.id: j for j, c in enumerate(classes)}
-
-    def col_x(f):
-        return fi[f]
-
-    def col_z(f):
-        return nf + fi[f]
-
-    def col_n(k):
-        return 2 * nf + ci[k]
-
-    def col_u(k):
-        return 2 * nf + nc + ci[k]
-
-    def col_t(k):
-        return 2 * nf + 2 * nc + ci[k]
+    sizes = [len(problem.flows[c.id]) for c in classes]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # Integer session bounds, so that -0 is 0 rather than -0.0 in the rows.
+    nl_k = np.array([n_box[c.id][0] for c in classes], dtype=np.int64)
+    nu_k = np.array([n_box[c.id][1] for c in classes], dtype=np.int64)
+    flow_class = np.repeat(np.arange(nc), sizes)
+    nl, nu = nl_k[flow_class], nu_k[flow_class]
+    xl = np.array([x_box[f.id][0] for f in flows], dtype=float)
+    xu = np.array([x_box[f.id][1] for f in flows], dtype=float)
+    jx = np.arange(nf)
+    jz = nf + jx
+    jn = 2 * nf + flow_class
 
     lo = np.zeros(nv)
     hi = np.full(nv, INF)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    lo[jx], hi[jx] = xl, xu
+    lo[2 * nf : 2 * nf + nc], hi[2 * nf : 2 * nf + nc] = nl_k, nu_k
 
-    def add(coefs: dict[int, float], b: float):
-        row = np.zeros(nv)
-        for j, v in coefs.items():
-            row[j] = v
-        rows.append(row)
-        rhs.append(b)
+    # Per class: the concave-envelope rows of u_k, then two rows for t = n*u.
+    agg_hi = [sum(x_box[f.id][1] for f in problem.flows[c.id]) for c in classes]
+    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
 
-    agg_hi: dict[str, float] = {}
-    for c in classes:
-        nl, nu = n_box[c.id]
-        if nl > nu:
-            raise PlannerError(f"empty session box for class {c.id!r}")
-        lo[col_n(c.id)], hi[col_n(c.id)] = float(nl), float(nu)
-        agg_hi[c.id] = sum(x_box[f.id][1] for f in problem.flows[c.id])
+    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    n_rows = 4 * nf + len(used) + sum(len(env) + 2 for env in envs)
+    a = np.zeros((n_rows, nv))
+    rhs = np.empty(n_rows)
 
-    for c in classes:
-        nl, nu = n_box[c.id]
-        for f in problem.flows[c.id]:
-            xl, xu = x_box[f.id]
-            lo[col_x(f.id)], hi[col_x(f.id)] = xl, xu
-            jx, jz, jn = col_x(f.id), col_z(f.id), col_n(c.id)
-            # z >= nl*x + xl*n - nl*xl   and   z >= nu*x + xu*n - nu*xu
-            add({jz: -1.0, jx: nl, jn: xl}, nl * xl)
-            add({jz: -1.0, jx: nu, jn: xu}, nu * xu)
-            # z <= nu*x + xl*n - nu*xl   and   z <= nl*x + xu*n - nl*xu
-            add({jz: 1.0, jx: -nu, jn: -xl}, -nu * xl)
-            add({jz: 1.0, jx: -nl, jn: -xu}, -nl * xu)
+    # Four McCormick rows per flow, in flow order:
+    #   z >= nl*x + xl*n - nl*xl   and   z >= nu*x + xu*n - nu*xu
+    #   z <= nu*x + xl*n - nu*xl   and   z <= nl*x + xu*n - nl*xu
+    mc = a[: 4 * nf].reshape(nf, 4, nv)  # view: [flow, row of the four, column]
+    mc[jx, :, jz] = (-1.0, -1.0, 1.0, 1.0)
+    mc[jx, :, jx] = np.array([nl, nu, -nu, -nl]).T
+    mc[jx, :, jn] = np.array([xl, xu, -xl, -xu]).T
+    rhs[: 4 * nf] = np.array([nl * xl, nu * xu, -nu * xl, -nl * xu]).T.ravel()
 
-    for ln in problem.topology.links:
-        coefs: dict[int, float] = {}
-        for f in flows:
-            if ln.id in f.route:
-                coefs[col_z(f.id)] = coefs.get(col_z(f.id), 0.0) + 1.0
-        if coefs:
-            add(coefs, ln.capacity_mbps)
+    # Capacity rows on the z (aggregate-rate) columns.
+    r = 4 * nf
+    a[r + pair_row, nf + pair_flow] = 1.0
+    rhs[r : r + len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
+    r += len(used)
 
-    for c in classes:
-        nl, nu = n_box[c.id]
-        ju, jn, jt = col_u(c.id), col_n(c.id), col_t(c.id)
+    for k, (c, env, j0, j1) in enumerate(zip(classes, envs, starts, ends)):
+        nl_c, nu_c = n_box[c.id]
+        ju, jn_c, jt = 2 * nf + nc + k, 2 * nf + k, 2 * nf + 2 * nc + k
         # u_k <= concave envelope of U_k(aggregate rate) over the box
-        agg_cols = {col_x(f.id): 1.0 for f in problem.flows[c.id]}
-        env = _upper_concave_envelope(c.utility, 0.0, agg_hi[c.id])
-        for a, b in env:
-            coefs = {ju: 1.0}
-            for j, v in agg_cols.items():
-                coefs[j] = -a * v
-            add(coefs, b)
+        for slope, intercept in env:
+            a[r, ju] = 1.0
+            a[r, j0:j1] = -slope
+            rhs[r] = intercept
+            r += 1
         u_lo = c.utility.value(0.0)
-        u_hi = max(b + a * agg_hi[c.id] for a, b in env) if env else u_lo
+        u_hi = max(b + s * agg_hi[k] for s, b in env) if env else u_lo
         lo_u = min(u_lo, 0.0)
         lo[ju] = lo_u
         hi[ju] = u_hi
         # t = n*u via McCormick over [nl,nu] x [lo_u, u_hi]
-        add({jt: 1.0, ju: -nu, jn: -lo_u}, -nu * lo_u)
-        add({jt: 1.0, ju: -nl, jn: -u_hi}, -nl * u_hi)
-        lo[jt] = min(nl * lo_u, nu * lo_u, nl * u_hi, nu * u_hi, 0.0)
+        for nk, uk in ((nu_c, lo_u), (nl_c, u_hi)):
+            a[r, jt], a[r, ju], a[r, jn_c] = 1.0, -nk, -uk
+            rhs[r] = -nk * uk
+            r += 1
+        lo[jt] = min(nl_c * lo_u, nu_c * lo_u, nl_c * u_hi, nu_c * u_hi, 0.0)
 
     cvec = np.zeros(nv)
-    for c in classes:
-        cvec[col_t(c.id)] = 1.0
+    cvec[2 * nf + 2 * nc :] = 1.0
 
-    lp = LinearProgram(cvec, np.vstack(rows), np.array(rhs), lo=lo, hi=hi)
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram(cvec, a, rhs, lo=lo, hi=hi))
     if sol.status == "unbounded":
         return INF
     if sol.status != "optimal":
@@ -586,12 +579,17 @@ class KktReport:
     skipped_flows: list[tuple[str, str]] = field(default_factory=list)
 
     def max_residual(self) -> float:
-        return max(
-            self.feasibility, self.dual_sign, self.complementary_slackness, self.gradient
+        return _worst(
+            [self.feasibility, self.dual_sign, self.complementary_slackness, self.gradient]
         )
 
     def ok(self, tol: float = KKT_TOL) -> bool:
         return self.max_residual() <= tol
+
+
+def _worst(residuals: list[float]) -> float:
+    """Largest residual, floored at 0; NaN if any residual is NaN."""
+    return float(np.max(np.array(residuals, dtype=float), initial=0.0))
 
 
 def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
@@ -599,7 +597,8 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
 
     The rate-gradient condition is checked per positive-rate flow against the
     subgradient interval of the class utility at its aggregate rate; session
-    counts are integers, so no gradient condition is checked for them.
+    counts are integers, so no gradient condition is checked for them.  A NaN
+    anywhere in the plan makes the residual it enters NaN, which fails ``ok``.
     """
     loads: dict[str, float] = {lid: 0.0 for lid in _link_order(problem)}
     for c in problem.classes:
@@ -609,22 +608,21 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
             for lid in f.route:
                 loads[lid] += nk * r
 
-    feas = 0.0
-    comp = 0.0
-    dual_sign = 0.0
+    feas: list[float] = []
+    comp: list[float] = []
+    dual_sign: list[float] = []
     for lid, load in loads.items():
         cap = problem.topology.link(lid).capacity_mbps
         lam = plan.duals.get(lid, 0.0)
-        feas = max(feas, load - cap)
-        dual_sign = max(dual_sign, -lam)
-        comp = max(comp, abs(lam * (load - cap)))
+        feas.append(load - cap)
+        dual_sign.append(-lam)
+        comp.append(abs(lam * (load - cap)))
     for c in problem.classes:
         nk = plan.n.get(c.id, 0)
-        feas = max(feas, float(nk - c.max_sessions), float(-nk))
-    for r in plan.rates.values():
-        feas = max(feas, -r)
+        feas += [float(nk - c.max_sessions), float(-nk)]
+    feas += [-r for r in plan.rates.values()]
 
-    grad = 0.0
+    grad: list[float] = []
     skipped: list[tuple[str, str]] = []
     agg = plan.aggregate_rates(problem)
     for c in problem.classes:
@@ -632,6 +630,9 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
         if nk == 0:
             for f in problem.flows[c.id]:
                 skipped.append((f.id, "class admits no sessions"))
+            continue
+        if math.isnan(agg[c.id]):
+            grad.append(math.nan)
             continue
         lo_a, hi_a = c.utility.slope_range(agg[c.id])
         for f in problem.flows[c.id]:
@@ -641,8 +642,5 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
             lam_sum = sum(plan.duals.get(lid, 0.0) for lid in f.route)
             val = nk * lam_sum
             lo_v, hi_v = nk * lo_a, (INF if hi_a == INF else nk * hi_a)
-            if val < lo_v:
-                grad = max(grad, lo_v - val)
-            elif val > hi_v:
-                grad = max(grad, val - hi_v)
-    return KktReport(max(feas, 0.0), max(dual_sign, 0.0), comp, grad, skipped)
+            grad += [lo_v - val, val - hi_v]
+    return KktReport(_worst(feas), _worst(dual_sign), _worst(comp), _worst(grad), skipped)

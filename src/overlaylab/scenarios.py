@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.resources
 import io
 import json
+import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -169,10 +170,11 @@ class Scenario:
     pinned_plan: Plan | None = None  # bypass the solver (stale-knowledge studies)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ScenarioError("duration must be > 0")
-        if self.dt <= 0:
-            raise ScenarioError("dt must be > 0")
+        # Written as "not (value > 0)" so that NaN fails too.
+        for name in ("duration", "dt", "gamma"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ScenarioError(f"{name} must be finite and > 0, got {value}")
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ScenarioError("events must be sorted by time")

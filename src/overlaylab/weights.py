@@ -12,6 +12,7 @@ further coordination.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .planner import FEAS_TOL, Plan, PlanningProblem
@@ -77,12 +78,14 @@ def compute_weights(
                 if lid not in plan.duals:
                     raise WeightError(f"flow {f.id!r}: no dual for link {lid!r}")
                 lam_sum += plan.duals[lid]
-            if lam_sum <= FEAS_TOL:
+            if not lam_sum > FEAS_TOL:  # also catches a NaN price
                 raise WeightError(
-                    f"flow {f.id!r} has positive rate but zero dual price along "
+                    f"flow {f.id!r} has positive rate but dual price {lam_sum} along "
                     f"its route; the plan does not pin it"
                 )
             weights[f.id] = nk * lam_sum * rate
+            if not math.isfinite(weights[f.id]):
+                raise WeightError(f"flow {f.id!r}: non-finite weight {weights[f.id]}")
     w_max = max(weights.values(), default=0.0)
     gain_norm = gain / w_max if w_max > 0 else gain
     sessions = {c.id: plan.n.get(c.id, 0) for c in problem.classes}

@@ -94,6 +94,27 @@ def test_zero_duration_rejected(capsys):
     assert main(["run", "--paper", "triangle-basic", "--duration", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--dt", "0"), ("--dt", "nan"), ("--gamma", "-1"), ("--duration", "inf")]
+)
+def test_invalid_override_rejected(flag, value, capsys):
+    assert main(["run", "--paper", "triangle-basic", flag, value]) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, key", [("duals", "A->C"), ("rates", "ac:0")])
+def test_check_rejects_non_finite_plan(files, capsys, field, key):
+    tmp, topo, classes = files
+    out = str(tmp / "plan.json")
+    main(["solve", "--topology", topo, "--classes", classes, "--out", out])
+    plan = json.loads((tmp / "plan.json").read_text())
+    plan[field][key] = float("nan")
+    (tmp / "plan.json").write_text(json.dumps(plan))
+    rc = main(["check", "--topology", topo, "--classes", classes, "--plan", out])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_run_requires_exactly_one_source(capsys):
     assert main(["run"]) == 2
 

@@ -10,6 +10,8 @@ from overlaylab.lp import (
     FEAS_TOL,
     LinearProgram,
     LpInputError,
+    LpSolverError,
+    _verify,
     solve_lp,
 )
 
@@ -91,6 +93,21 @@ def test_degenerate_ties_resolved():
     b = [2.0, 2.0, 3.0, 1.0, 1.5]
     sol = solve_lp(LinearProgram(c=[1.0, 1.0], a=a, b=b))
     assert sol.objective == pytest.approx(3.0)
+
+
+def test_verify_rejects_dual_infeasible_certificate():
+    # max x1 + x2  s.t.  x1 <= 1, x2 <= 1, at x = (1, 1).  y = (2, 0) is
+    # nonnegative, closes the duality gap (2 = 2) and is complementary to the
+    # zero slacks, but prices x2 at 1 - 0 > 0, so it certifies nothing.
+    prog = LinearProgram(c=[1.0, 1.0], a=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0])
+    x = np.array([1.0, 1.0])
+
+    def verify(y):
+        _verify(prog, x, prog.c - y @ prog.a, 2.0, y, prog.b)
+
+    verify(np.array([1.0, 1.0]))
+    with pytest.raises(LpSolverError, match="dual feasibility"):
+        verify(np.array([2.0, 0.0]))
 
 
 @st.composite

@@ -1,4 +1,6 @@
 """Dual-to-weight mapping tests."""
+import math
+
 import pytest
 
 from overlaylab.model import (
@@ -70,6 +72,14 @@ def test_zero_price_with_positive_rate_is_an_error():
     problem = single_link()
     plan = solve_plan(problem)
     broken = Plan(plan.n, plan.rates, {"A->B": 0.0}, plan.utility, plan.optimality)
+    with pytest.raises(WeightError):
+        compute_weights(problem, broken)
+
+
+def test_nan_price_with_positive_rate_is_an_error():
+    problem = single_link()
+    plan = solve_plan(problem)
+    broken = Plan(plan.n, plan.rates, {"A->B": math.nan}, plan.utility, plan.optimality)
     with pytest.raises(WeightError):
         compute_weights(problem, broken)
 

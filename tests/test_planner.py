@@ -5,6 +5,7 @@ each inner polytope by vertex enumeration with numpy.linalg — it shares no
 code with the tableau simplex the planner uses.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -315,3 +316,29 @@ def test_kkt_flags_wrong_duals():
         optimality=plan.optimality,
     )
     assert not check_kkt(problem, bad).ok(KKT_TOL)
+
+
+def test_kkt_fails_on_nan_plan_values():
+    # A NaN dual or rate must surface in the residuals, not drop out of them.
+    problem = triangle_problem()
+    plan = solve_plan(problem)
+    nan_duals = Plan(
+        n=dict(plan.n),
+        rates=dict(plan.rates),
+        duals={lid: math.nan for lid in plan.duals},
+        utility=plan.utility,
+        optimality=plan.optimality,
+    )
+    report = check_kkt(problem, nan_duals)
+    assert math.isnan(report.dual_sign) and math.isnan(report.gradient)
+    assert not report.ok(KKT_TOL)
+    nan_rates = Plan(
+        n=dict(plan.n),
+        rates={fid: math.nan for fid in plan.rates},
+        duals=dict(plan.duals),
+        utility=plan.utility,
+        optimality=plan.optimality,
+    )
+    report = check_kkt(problem, nan_rates)
+    assert math.isnan(report.feasibility) and math.isnan(report.gradient)
+    assert not report.ok(KKT_TOL)

@@ -203,6 +203,8 @@ class PiecewiseLinearUtility:
 
     def piece_at(self, x: float) -> Piece:
         """The piece whose value applies at x (left semantics at breakpoints)."""
+        if not math.isfinite(x):
+            raise ModelError(f"rate must be finite, got {x}")
         if x < 0:
             raise ModelError(f"rate must be >= 0, got {x}")
         for p in self.pieces:

@@ -631,7 +631,7 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
             for f in problem.flows[c.id]:
                 skipped.append((f.id, "class admits no sessions"))
             continue
-        if math.isnan(agg[c.id]):
+        if not math.isfinite(agg[c.id]):
             grad.append(math.nan)
             continue
         lo_a, hi_a = c.utility.slope_range(agg[c.id])

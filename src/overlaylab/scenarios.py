@@ -7,6 +7,7 @@ GraphML files (two are bundled under ``data/``).
 """
 from __future__ import annotations
 
+import bisect
 import importlib.resources
 import io
 import json
@@ -377,14 +378,18 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
 
     trace = sim.run(duration=scenario.duration, events=sim_events, sample_every=1.0)
 
-    # Phases partition [0, duration] at event times.
+    # Phases partition [0, duration] at event times; the last one also takes
+    # a sample at exactly t = duration.
     cuts = sorted({0.0, scenario.duration} | {e.t for e in scenario.events})
-    phase_utilities = []
-    for a, b in zip(cuts, cuts[1:]):
-        utils = [
-            r[6] for r, t in _summary_rows_with_time(trace) if a <= t < b or (b == scenario.duration and t == b)
-        ]
-        phase_utilities.append((a, b, sum(utils) / len(utils) if utils else 0.0))
+    utils: list[list[float]] = [[] for _ in cuts[1:]]
+    for r in trace.rows:
+        if r[1] == "":
+            k = bisect.bisect_right(cuts, r[0]) - 1 - (r[0] == cuts[-1])
+            if 0 <= k < len(utils):
+                utils[k].append(r[6])
+    phase_utilities = [
+        (a, b, sum(u) / len(u) if u else 0.0) for a, b, u in zip(cuts, cuts[1:], utils)
+    ]
 
     final_good = trace.final_goodputs()
     summary_rows = []
@@ -395,10 +400,6 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
                 (_route_label(scenario.topology, f), target, final_good.get(f.id, 0.0))
             )
     return ExperimentResult(scenario, trace, plans, phase_utilities, summary_rows)
-
-
-def _summary_rows_with_time(trace: SimTrace):
-    return [(r, r[0]) for r in trace.rows if r[1] == ""]
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +664,6 @@ def demand_sweep(
             dict(config.weights),
             dict(config.sessions) | {"hi": m},
             gain=config.gain,
-            gain_norm=config.gain_norm,
         )
         # Sessions beyond the planned count arrive cold, so the class starts
         # at the planned aggregate; the fluid model averages per session.

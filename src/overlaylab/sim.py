@@ -6,16 +6,20 @@ rate up by ``gain_norm * w_f`` per unit mass and the lost fraction sheds
 
     dx_f/dt = gain_norm * x_f * ((1 - p_f) * w_f - p_f * x_f)
 
-where p_f is the route loss probability.  Links drop the excess fraction of
-their offered load, ``p_l = max(0, (y_l - C_l) / y_l)``, and route loss
-composes independently across links.  Integration is explicit Euler on a fixed
-step; everything is vectorized over flows with a link-by-flow incidence
+where p_f is the route loss probability and ``gain_norm`` is the gain over
+the largest weight (the gain itself if every weight is 0).  Links drop the
+excess fraction of their offered load, ``p_l = max(y_l - C_l, 0) / max(y_l,
+C_l)``; every capacity C_l is > 0 (``Link`` and ``set_capacity`` check it), so
+the denominator never vanishes and an unsaturated link loses nothing.  Route
+loss composes independently across links.  Integration is explicit Euler on a
+fixed step; everything is vectorized over flows with a link-by-flow incidence
 matrix, and a run is a pure function of its inputs.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +31,9 @@ RATE_FLOOR = 0.001
 DEFAULT_DT = 0.01
 CONVERGENCE_WINDOW = 1.0  # seconds of simulated time
 CONVERGENCE_REL = 0.001
+
+# The step's constants as 0-d arrays, which numpy broadcasts faster than floats.
+_ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE_FLOOR))
 
 
 @dataclass
@@ -57,12 +64,7 @@ class SimTrace:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(self.CSV_HEADER + "\n")
-        for row in self.rows:
-            t, fid, send, good, cid, cgood, util = row
-            buf.write(
-                f"{_fmt(t)},{fid},{_fmt(send)},{_fmt(good)},{cid},"
-                f"{_fmt(cgood)},{_fmt(util)}\n"
-            )
+        buf.writelines(map(_CSV_ROW.__mod__, self.rows))
         return buf.getvalue()
 
     def final_goodputs(self) -> dict[str, float]:
@@ -98,6 +100,10 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+# One trace row; "%.9g" formats a float exactly as ``_fmt`` does.
+_CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
+
+
 class Simulator:
     """Fluid network with one controller per flow.
 
@@ -123,10 +129,11 @@ class Simulator:
         self.dt = float(dt)
         self.truth = truth if truth is not None else problem.topology
         self.flows = problem.all_flows()
-        self.class_of = {}
-        for c in problem.classes:
-            for f in problem.flows[c.id]:
-                self.class_of[f.id] = c
+        self._flow_ids = [f.id for f in self.flows]
+        self._class_ids = [f.class_id for f in self.flows]
+        cidx = {c.id: k for k, c in enumerate(problem.classes)}
+        self._class_idx = np.array([cidx[c] for c in self._class_ids], dtype=np.intp)
+        self._class_first = {c: j for j, c in reversed(list(enumerate(self._class_ids)))}
         self.link_ids = [ln.id for ln in self.truth.links]
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
         nf = len(self.flows)
@@ -145,8 +152,6 @@ class Simulator:
                 if f.id in initial_rates:
                     self.x[j] = max(RATE_FLOOR, initial_rates[f.id])
         self.install_config(config, reset_rates=False)
-        self._fixed_rates = self.x.copy()
-        self._history: list[np.ndarray] = []
 
     # -- configuration ----------------------------------------------------
 
@@ -163,9 +168,6 @@ class Simulator:
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
         if reset_rates:
             self.x = np.full(len(self.flows), RATE_FLOOR)
-            if self.mode == "fixed":
-                self._fixed_rates = self.x.copy()
-        self._history = []
 
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
         if not (capacity_mbps > 0):
@@ -182,23 +184,32 @@ class Simulator:
     # -- dynamics ---------------------------------------------------------
 
     def link_loss(self) -> np.ndarray:
-        y = self.incidence @ (self.n * self.x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(y > self.capacity, (y - self.capacity) / np.maximum(y, 1e-300), 0.0)
-        return p
+        y = np.dot(self.incidence, np.multiply(self.n, self.x))
+        p = np.subtract(y, self.capacity)
+        np.maximum(p, _ZERO, out=p)
+        return np.divide(p, np.maximum(y, self.capacity, out=y), p)
 
     def path_success(self) -> np.ndarray:
         p = self.link_loss()
-        return np.exp(self.incidence.T @ np.log1p(-np.minimum(p, 1.0 - 1e-12)))
+        np.minimum(p, _MAX_LOSS, out=p)
+        np.log1p(np.negative(p, p), p)
+        s = np.dot(self.incidence.T, p)
+        return np.exp(s, s)
 
     def step(self) -> None:
-        succ = self.path_success()
-        loss = 1.0 - succ
-        if self.mode == "fixed":
-            self.x = self._fixed_rates.copy()
-        else:
-            dx = self.gain_norm * self.x * (succ * self.w - loss * self.x)
-            self.x = np.maximum(RATE_FLOOR, self.x + self.dt * dx)
+        # Fixed-rate senders keep their rates, so they need no loss pass.  The
+        # rest computes dx = gain_norm * x * (succ * w - loss * x) and
+        # x = max(RATE_FLOOR, x + dt * dx) operation by operation in reused buffers.
+        if self.mode != "fixed":
+            x = self.x
+            succ = self.path_success()
+            loss = np.subtract(_ONE, succ)
+            np.subtract(np.multiply(succ, self.w, succ), np.multiply(loss, x, loss), succ)
+            dx = np.multiply(self.gain_norm, x)
+            np.multiply(dx, succ, dx)
+            np.multiply(self.dt, dx, dx)
+            np.add(x, dx, dx)
+            self.x = np.maximum(dx, _RATE_FLOOR, out=dx)
         self.t += self.dt
 
     def goodputs(self) -> np.ndarray:
@@ -206,15 +217,11 @@ class Simulator:
         return self.x * self.path_success()
 
     def utility(self) -> float:
-        good = self.goodputs()
-        per_session: dict[str, float] = {}
-        for j, f in enumerate(self.flows):
-            per_session[f.class_id] = per_session.get(f.class_id, 0.0) + float(good[j])
-        n = {}
-        for c in self.problem.classes:
-            idxs = [j for j, f in enumerate(self.flows) if f.class_id == c.id]
-            n[c.id] = int(round(self.n[idxs[0]])) if idxs else 0
-        return cumulative_utility(self.problem.classes, n, per_session)
+        classes, first, n = self.problem.classes, self._class_first, self.n.tolist()
+        sessions = {c.id: int(round(n[first[c.id]])) if c.id in first else 0 for c in classes}
+        # bincount adds in flow order, as a running sum per class would.
+        good = np.bincount(self._class_idx, weights=self.goodputs()).tolist()
+        return cumulative_utility(classes, sessions, {c.id: g for c, g in zip(classes, good)})
 
     # -- runs -------------------------------------------------------------
 
@@ -241,8 +248,9 @@ class Simulator:
         steps = 0
         self._sample(trace)
         ref = self.x.copy()
-        while self.t < horizon - 1e-12:
-            while ei < len(events) and events[ei].t <= self.t + 1e-12:
+        end, n_events = horizon - 1e-12, len(events)
+        while self.t < end:
+            while ei < n_events and events[ei].t <= self.t + 1e-12:
                 self._apply(events[ei])
                 ref = self.x.copy()
                 steps = 0
@@ -254,7 +262,7 @@ class Simulator:
             if steps % window == 0:
                 if (
                     stop_on_convergence
-                    and ei >= len(events)
+                    and ei >= n_events
                     # Strict: the max-weight flow's loss-free growth is exactly
                     # 0.1%/s (gain_norm * w_max = gain), so <= would fire mid-ramp.
                     and np.all(np.abs(self.x - ref) < CONVERGENCE_REL * np.maximum(ref, RATE_FLOOR))
@@ -279,32 +287,21 @@ class Simulator:
                 for j, f in enumerate(self.flows):
                     if f.id in ev.payload["rates"]:
                         self.x[j] = max(RATE_FLOOR, ev.payload["rates"][f.id])
-                if self.mode == "fixed":
-                    self._fixed_rates = self.x.copy()
 
     def _sample(self, trace: SimTrace) -> None:
         good = self.goodputs()
-        cg: dict[str, float] = {}
-        for j, f in enumerate(self.flows):
-            cg[f.class_id] = cg.get(f.class_id, 0.0) + float(self.n[j] * good[j])
+        session_good = self.n * good
+        # One float per class, shared by that class's rows.
+        cg = np.bincount(self._class_idx, weights=session_good).tolist()
         util = self.utility()
         t = round(self.t, 9)
         trace.times.append(t)
-        for j, f in enumerate(self.flows):
-            trace.rows.append(
-                (
-                    t,
-                    f.id,
-                    float(self.x[j]),
-                    float(good[j]),
-                    f.class_id,
-                    cg[f.class_id],
-                    util,
-                )
-            )
+        trace.rows.extend(zip(repeat(t), self._flow_ids, self.x.tolist(), good.tolist(),
+                              self._class_ids, map(cg.__getitem__, self._class_idx.tolist()),
+                              repeat(util)))
         # Summary row: aggregate (session-weighted) send rate and goodput.
         total_send = float(np.sum(self.n * self.x))
-        total_good = float(np.sum(self.n * good))
+        total_good = float(np.sum(session_good))
         trace.rows.append((t, "", total_send, total_good, "", total_good, util))
 
 

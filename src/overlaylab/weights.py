@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .planner import FEAS_TOL, Plan, PlanningProblem
+from .planner import FEAS_TOL, Plan, PlanningProblem, _worst
 
 DEFAULT_GAIN = 0.001
 
@@ -26,19 +26,21 @@ class WeightError(ValueError):
 
 @dataclass
 class TransportConfig:
-    """Per-flow controller weights plus session counts and the tuned gain."""
+    """Per-flow controller weights plus session counts and the tuned gain.
+
+    The simulator divides ``gain`` by the largest weight it runs with
+    (``Simulator.gain_norm``).
+    """
 
     weights: dict[str, float]  # flow id -> weight
     sessions: dict[str, int]  # class id -> session count
     gain: float = DEFAULT_GAIN
-    gain_norm: float = DEFAULT_GAIN
 
     def to_json_dict(self) -> dict:
         return {
             "weights": {k: self.weights[k] for k in sorted(self.weights)},
             "sessions": {k: self.sessions[k] for k in sorted(self.sessions)},
             "gain": self.gain,
-            "gain_norm": self.gain_norm,
         }
 
     def to_json(self) -> str:
@@ -50,7 +52,6 @@ class TransportConfig:
             weights={k: float(v) for k, v in obj["weights"].items()},
             sessions={k: int(v) for k, v in obj["sessions"].items()},
             gain=float(obj["gain"]),
-            gain_norm=float(obj["gain_norm"]),
         )
 
 
@@ -62,8 +63,6 @@ def compute_weights(
     Every positive-rate flow must cross at least one positively-priced link;
     otherwise its weight would be zero and the controller could not hold the
     planned rate, so that is reported as an error rather than silently mapped.
-    The gain is normalized by the largest weight (left as-is when every weight
-    is zero) to keep step sizes comparable across plans.
     """
     weights: dict[str, float] = {}
     for c in problem.classes:
@@ -86,10 +85,8 @@ def compute_weights(
             weights[f.id] = nk * lam_sum * rate
             if not math.isfinite(weights[f.id]):
                 raise WeightError(f"flow {f.id!r}: non-finite weight {weights[f.id]}")
-    w_max = max(weights.values(), default=0.0)
-    gain_norm = gain / w_max if w_max > 0 else gain
     sessions = {c.id: plan.n.get(c.id, 0) for c in problem.classes}
-    return TransportConfig(weights, sessions, gain, gain_norm)
+    return TransportConfig(weights, sessions, gain)
 
 
 @dataclass
@@ -109,10 +106,11 @@ def check_gradient_match(
     """Verify w_f = n_k * dU_k * A_f against the subgradient at the plan point.
 
     Flows with zero planned rate are skipped (their equilibrium is the floor,
-    not a utility stationary point) and listed in the report.
+    not a utility stationary point) and listed in the report.  A NaN weight,
+    rate or session count makes the residual NaN, which fails ``ok``.
     """
     agg = plan.aggregate_rates(problem)
-    worst = 0.0
+    residuals: list[float] = []
     skipped: list[tuple[str, str]] = []
     for c in problem.classes:
         nk = plan.n.get(c.id, 0)
@@ -123,11 +121,10 @@ def check_gradient_match(
                 continue
             if f.id not in config.weights:
                 raise WeightError(f"flow {f.id!r}: missing weight")
+            if not math.isfinite(agg[c.id]):
+                residuals.append(math.nan)
+                continue
             lo, hi = c.utility.slope_range(agg[c.id])
             w = config.weights[f.id]
-            lo_w, hi_w = nk * lo * rate, nk * hi * rate
-            if w < lo_w:
-                worst = max(worst, lo_w - w)
-            elif w > hi_w:
-                worst = max(worst, w - hi_w)
-    return GradientMatchReport(worst, skipped)
+            residuals += [nk * lo * rate - w, w - nk * hi * rate]
+    return GradientMatchReport(_worst(residuals), skipped)

@@ -12,6 +12,8 @@ from overlaylab.model import (
     link_id,
 )
 from overlaylab.planner import Plan, PlanningProblem, solve_plan
+from overlaylab.scenarios import build_paper_scenario
+from overlaylab.sim import Simulator
 from overlaylab.weights import (
     TransportConfig,
     WeightError,
@@ -37,7 +39,7 @@ def test_weight_is_sessions_times_price_times_rate():
     # n = 1, dual 0.2, rate 10 -> weight 2.
     assert config.weights["k:0"] == pytest.approx(2.0)
     assert config.sessions == {"k": 1}
-    assert config.gain_norm == pytest.approx(0.001 / 2.0)
+    assert Simulator(problem, config).gain_norm == pytest.approx(0.001 / 2.0)
 
 
 def test_zero_rate_flow_gets_zero_weight():
@@ -88,7 +90,7 @@ def test_gain_defaults_when_all_weights_zero():
     problem = single_link(slope=0.0001)
     zero_plan = Plan({"k": 0}, {"k:0": 0.0}, {"A->B": 0.0}, 0.0, "proved-optimal")
     config = compute_weights(problem, zero_plan, gain=0.001)
-    assert config.gain_norm == pytest.approx(0.001)
+    assert Simulator(problem, config).gain_norm == pytest.approx(0.001)
 
 
 def test_gradient_match_on_solved_plan():
@@ -96,6 +98,28 @@ def test_gradient_match_on_solved_plan():
     plan = solve_plan(problem)
     config = compute_weights(problem, plan)
     assert check_gradient_match(problem, plan, config).ok()
+
+
+def test_gradient_match_fails_on_nan_weights():
+    scenario = build_paper_scenario("triangle-basic")
+    problem = scenario.problem()
+    plan = solve_plan(problem)
+    config = compute_weights(problem, plan)
+    assert check_gradient_match(problem, plan, config).ok()
+    config.weights = {k: math.nan for k in config.weights}
+    report = check_gradient_match(problem, plan, config)
+    assert math.isnan(report.max_residual)
+    assert not report.ok()
+
+
+def test_gradient_match_fails_on_nan_rate():
+    problem = single_link()
+    plan = solve_plan(problem)
+    config = compute_weights(problem, plan)
+    broken = Plan(plan.n, {"k:0": math.nan}, plan.duals, plan.utility, plan.optimality)
+    report = check_gradient_match(problem, broken, config)
+    assert math.isnan(report.max_residual)
+    assert not report.ok()
 
 
 def test_gradient_match_flags_tampered_weight():

@@ -108,6 +108,17 @@ def test_slope_range_spans_kink():
     assert hi == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("x", [math.nan, INF, -INF])
+def test_utility_rejects_non_finite_rate(x):
+    u = PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)])
+    with pytest.raises(ModelError, match="finite"):
+        u.value(x)
+    with pytest.raises(ModelError, match="finite"):
+        u.slope_range(x)
+    with pytest.raises(ModelError, match="finite"):
+        PiecewiseLinearUtility.linear(0.2).value(x)
+
+
 def test_utility_rejects_gap_or_overlap():
     with pytest.raises(ModelError):
         PiecewiseLinearUtility(

@@ -46,8 +46,7 @@ def two_flow_problem(cap=8.0):
 
 
 def config(weights, sessions, gain=0.001):
-    w_max = max(weights.values(), default=0.0)
-    return TransportConfig(weights, sessions, gain, gain / w_max if w_max else gain)
+    return TransportConfig(weights, sessions, gain)
 
 
 def test_single_flow_fixed_point():

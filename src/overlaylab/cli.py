@@ -76,9 +76,6 @@ def _load_topology(path: str) -> Topology:
             raise _InputError(str(exc)) from None
     obj = _read_json(path)
     try:
-        if obj.pop("directed", False):
-            for e in obj["links"]:
-                e.setdefault("directed", True)
         return Topology.from_json_dict(obj)
     except (ModelError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from None
@@ -128,7 +125,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.topology, args.classes, args.max_hops)
     plan = solve_plan(problem)
     if plan.optimality != "proved-optimal":
-        print("warning: search budget exhausted; plan is best-found", file=sys.stderr)
+        print("warning: branch-and-bound node limit reached; plan is best-found", file=sys.stderr)
     _write_out(plan.to_json() + "\n", args.out)
     return EXIT_OK
 

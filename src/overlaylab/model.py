@@ -117,16 +117,19 @@ class Topology:
                 {"src": ln.src, "dst": ln.dst, "capacity_mbps": ln.capacity_mbps}
                 for ln in self.links
             ],
+            "directed": True,
         }
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Topology":
+        """Read a topology; a top-level ``directed`` is each link's default."""
         nodes = {n["id"]: n.get("kind", ROUTER) for n in obj["nodes"]}
         links: list[Link] = []
         seen: set[tuple[str, str]] = set()
+        directed = obj.get("directed", False)
         for e in obj["links"]:
             src, dst, cap = e["src"], e["dst"], float(e["capacity_mbps"])
-            if e.get("directed"):
+            if e.get("directed", directed):
                 pairs = [(src, dst)]
             else:
                 # Undirected input edges expand to two directed links.

@@ -3,10 +3,11 @@
 The planning problem maximizes sum_k n_k U_k(sum_f x_kf) over integer session
 counts n and per-session flow rates x, subject to per-link capacity
 sum n_k x_kf <= C_l.  With piecewise-linear utilities this is a bilinear
-program; fixing n and one utility piece per class leaves a plain LP, so the
-solver enumerates (n, piece) candidates exactly when the candidate count fits
-a budget and otherwise falls back to best-first branch-and-bound over n-boxes
-with a McCormick-relaxation bound.
+program; fixing n and one utility piece per class leaves a plain LP.  The
+solver is a best-first branch-and-bound over boxes of session counts, bounded
+by a McCormick relaxation, whose leaves solve every utility piece's inner LP.
+Its only limit is a node count; the test suite checks it against exhaustive
+(n, piece) enumeration in ``tests/enum_ref.py``.
 
 Classes whose utility is linear through the origin are handled by the exact
 substitution z = n*x, which removes their session count from the problem; they
@@ -118,13 +119,12 @@ class Plan:
 
 @dataclass
 class PlannerConfig:
-    enumeration_budget: int = 1_000_000
     bb_node_limit: int = 20_000
 
 
 @dataclass
 class SegmentAssignment:
-    """Chosen utility piece index per enumerated class."""
+    """Chosen utility piece index per class with sessions."""
 
     pieces: dict[str, int]
 
@@ -287,64 +287,6 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
     )
 
 
-def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
-    """Exact solve of the admission + rate problem; deterministic tie-breaks.
-
-    Equal-utility candidates resolve to the smallest total session count, then
-    the lexicographically smallest session vector by class id, then the
-    lexicographically smallest rate vector by flow id.
-    """
-    config = config or PlannerConfig()
-    scalable = [
-        c
-        for c in problem.classes
-        if c.utility.is_linear_through_origin() and c.max_sessions >= 1
-    ]
-    scalable_ids = {c.id for c in scalable}
-    general = [c for c in problem.classes if c.id not in scalable_ids]
-
-    count = 1
-    for c in general:
-        count *= 1 + c.max_sessions * len(c.utility.pieces)
-        if count > config.enumeration_budget:
-            break
-
-    if count <= config.enumeration_budget:
-        best = _enumerate(problem, general, scalable)
-        best.optimality = "proved-optimal"
-        return best
-    return _branch_and_bound(problem, general, scalable, config)
-
-
-def _enumerate(problem, general, scalable) -> Plan:
-    per_class: list[list[tuple[str, int, int]]] = []
-    for c in general:
-        opts = [(c.id, 0, 0)]
-        for nk in range(1, c.max_sessions + 1):
-            for pi in range(len(c.utility.pieces)):
-                opts.append((c.id, nk, pi))
-        per_class.append(opts)
-
-    best: Plan | None = None
-    best_key = None
-    for combo in itertools.product(*per_class) if per_class else [()]:
-        n = {cid: nk for cid, nk, _ in combo}
-        seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
-        plan = _candidate_plan(problem, n, seg, scalable)
-        if plan is None:
-            continue
-        key = _plan_sort_key(plan, problem)
-        if best is None or key < best_key:
-            best, best_key = plan, key
-    if best is None:
-        return _zero_plan(problem)
-    if best.utility < 0.0:
-        zero = _zero_plan(problem)
-        if _plan_sort_key(zero, problem) < best_key:
-            return zero
-    return best
-
-
 # ---------------------------------------------------------------------------
 # McCormick relaxation and branch-and-bound
 
@@ -496,8 +438,28 @@ def mccormick_bound(
     return float(sol.objective)
 
 
-def _branch_and_bound(problem, general, scalable, config: PlannerConfig) -> Plan:
-    """Best-first search over session-count boxes for the enumerated classes."""
+def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
+    """Exact solve of the admission + rate problem; deterministic tie-breaks.
+
+    Classes whose utility is linear through the origin ride along at their
+    maximum session count.  The others are searched best-first over boxes of
+    session counts (Land & Doig), each box bounded by its McCormick
+    relaxation; a box narrowed to one session vector is a leaf whose utility
+    pieces are solved exactly by the inner LP.  The root box is expanded
+    unconditionally, so it gets no relaxation LP.  Equal-utility candidates
+    resolve to the smallest total session count, then the lexicographically
+    smallest session vector by class id, then the lexicographically smallest
+    rate vector by flow id.  A search stopped by ``config.bb_node_limit``
+    returns its incumbent labelled "best-found".
+    """
+    config = config or PlannerConfig()
+    scalable = [
+        c
+        for c in problem.classes
+        if c.utility.is_linear_through_origin() and c.max_sessions >= 1
+    ]
+    scalable_ids = {c.id for c in scalable}
+    general = [c for c in problem.classes if c.id not in scalable_ids]
     x_box = default_rate_boxes(problem)
     root = {c.id: (0, c.max_sessions) for c in problem.classes}
 
@@ -526,8 +488,7 @@ def _branch_and_bound(problem, general, scalable, config: PlannerConfig) -> Plan
         return best
 
     counter = itertools.count()
-    bound0 = mccormick_bound(problem, root, x_box)
-    heap = [(-bound0, next(counter), root)]
+    heap = [(-INF, next(counter), root)]
     nodes = 0
     exhausted = True
     while heap:

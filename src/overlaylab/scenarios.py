@@ -207,7 +207,7 @@ class Scenario:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "topology": self.topology.to_json_dict() | {"directed": True},
+            "topology": self.topology.to_json_dict(),
             "classes": [
                 {
                     "id": c.id,
@@ -239,12 +239,7 @@ class Scenario:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Scenario":
-        topo_obj = dict(obj["topology"])
-        directed = topo_obj.pop("directed", False)
-        if directed:
-            for e in topo_obj["links"]:
-                e.setdefault("directed", True)
-        topology = Topology.from_json_dict(topo_obj)
+        topology = Topology.from_json_dict(obj["topology"])
         classes = [
             TrafficClass(
                 c["id"],

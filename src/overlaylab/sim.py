@@ -170,11 +170,15 @@ class Simulator:
             self.x = np.full(len(self.flows), RATE_FLOOR)
 
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
+        if lid not in self._lidx:
+            raise ValueError(f"unknown link id {lid!r}")
         if not (capacity_mbps > 0):
             raise ValueError(f"capacity must be > 0, got {capacity_mbps}")
         self.capacity[self._lidx[lid]] = capacity_mbps
 
     def set_sessions(self, class_id: str, n: int) -> None:
+        if not any(c.id == class_id for c in self.problem.classes):
+            raise ValueError(f"unknown class id {class_id!r}")
         if n < 0:
             raise ValueError("session count must be >= 0")
         for j, f in enumerate(self.flows):

@@ -1,0 +1,62 @@
+"""The planner's previous exhaustive search, kept as the reference for
+``overlaylab.planner.solve_plan``.
+
+``enum_ref`` evaluates every (session vector, utility piece) candidate of the
+classes that are not linear through the origin with the planner's own inner
+LP and keeps the smallest ``_plan_sort_key``; it prunes nothing.  Its cost is
+the product over classes of 1 + N_k * pieces_k inner LPs, so it is only for
+small instances.  Branch-and-bound must return the same plan, duals and
+labels included, so the tests compare with ``==`` and on ``to_json()`` bytes.
+"""
+import itertools
+
+from overlaylab.planner import (
+    Plan,
+    PlanningProblem,
+    SegmentAssignment,
+    _candidate_plan,
+    _plan_sort_key,
+    _zero_plan,
+)
+
+
+def enum_ref(problem: PlanningProblem) -> Plan:
+    scalable = [
+        c
+        for c in problem.classes
+        if c.utility.is_linear_through_origin() and c.max_sessions >= 1
+    ]
+    scalable_ids = {c.id for c in scalable}
+    general = [c for c in problem.classes if c.id not in scalable_ids]
+    best = _enumerate(problem, general, scalable)
+    best.optimality = "proved-optimal"
+    return best
+
+
+def _enumerate(problem, general, scalable) -> Plan:
+    per_class: list[list[tuple[str, int, int]]] = []
+    for c in general:
+        opts = [(c.id, 0, 0)]
+        for nk in range(1, c.max_sessions + 1):
+            for pi in range(len(c.utility.pieces)):
+                opts.append((c.id, nk, pi))
+        per_class.append(opts)
+
+    best: Plan | None = None
+    best_key = None
+    for combo in itertools.product(*per_class) if per_class else [()]:
+        n = {cid: nk for cid, nk, _ in combo}
+        seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
+        plan = _candidate_plan(problem, n, seg, scalable)
+        if plan is None:
+            continue
+        key = _plan_sort_key(plan, problem)
+        if best is None or key < best_key:
+            best, best_key = plan, key
+    if best is None:
+        return _zero_plan(problem)
+    if best.utility < 0.0:
+        zero = _zero_plan(problem)
+        if _plan_sort_key(zero, problem) < best_key:
+            return zero
+    return best

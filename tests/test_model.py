@@ -69,6 +69,27 @@ def test_topology_json_round_trip(triangle):
     assert t2.nodes == triangle.nodes
 
 
+def test_topology_json_round_trip_unpatched(triangle):
+    # to_json_dict marks its links directed, so from_json_dict reads them back
+    # one way each instead of expanding them into duplicates.
+    obj = triangle.to_json_dict()
+    assert obj["directed"] is True
+    t2 = Topology.from_json_dict(obj)
+    assert t2.links == triangle.links
+    assert t2.nodes == triangle.nodes and t2.name == triangle.name
+    assert t2.to_json_dict() == obj
+
+
+def test_link_directed_flag_overrides_topology_default():
+    obj = {
+        "directed": True,
+        "nodes": [{"id": "A", "kind": "site"}, {"id": "B", "kind": "site"}],
+        "links": [{"src": "A", "dst": "B", "capacity_mbps": 5, "directed": False}],
+    }
+    t = Topology.from_json_dict(obj)
+    assert t.has_link("A->B") and t.has_link("B->A")
+
+
 def test_undirected_json_edges_expand_both_ways():
     obj = {
         "name": "t",

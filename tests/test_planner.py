@@ -2,7 +2,8 @@
 
 The oracle enumerates (session-vector, utility-piece) candidates and solves
 each inner polytope by vertex enumeration with numpy.linalg — it shares no
-code with the tableau simplex the planner uses.
+code with the tableau simplex the planner uses.  Exact agreement with the
+planner's previous exhaustive search is in ``test_planner_oracle.py``.
 """
 import itertools
 import math
@@ -23,7 +24,6 @@ from overlaylab.model import (
 from overlaylab.planner import (
     KKT_TOL,
     Plan,
-    PlannerConfig,
     PlanningProblem,
     check_kkt,
     solve_plan,
@@ -203,39 +203,6 @@ def test_determinism():
     a = solve_plan(triangle_problem())
     b = solve_plan(triangle_problem())
     assert a == b
-
-
-# -- branch and bound vs enumeration ----------------------------------------
-
-
-def test_branch_and_bound_matches_enumeration():
-    problem = single_link(utility=U_A, max_sessions=20)
-    enum = solve_plan(problem)
-    bb = solve_plan(problem, PlannerConfig(enumeration_budget=1))
-    assert bb.utility == pytest.approx(enum.utility, abs=1e-9)
-    assert bb.n == enum.n
-    assert bb.rates["k:0"] == pytest.approx(enum.rates["k:0"])
-
-
-def test_branch_and_bound_matches_on_two_classes():
-    topo = Topology(
-        "two",
-        {"A": "site", "B": "site"},
-        [L("A", "B", 6.0)],
-    )
-    classes = [
-        TrafficClass("p", "A", "B", 3, U_A),
-        TrafficClass("q", "A", "B", 2, U_B),
-    ]
-    flows = {
-        "p": [Flow("p:0", "p", ("A->B",))],
-        "q": [Flow("q:0", "q", ("A->B",))],
-    }
-    problem = PlanningProblem(topo, classes, flows)
-    enum = solve_plan(problem)
-    bb = solve_plan(problem, PlannerConfig(enumeration_budget=1))
-    assert bb.utility == pytest.approx(enum.utility, abs=1e-9)
-    assert bb.n == enum.n
 
 
 # -- oracle equivalence -----------------------------------------------------

@@ -1,4 +1,6 @@
 """Scenario engine, GraphML ingestion, and study tests."""
+import json
+
 import pytest
 
 from overlaylab.scenarios import (
@@ -77,6 +79,13 @@ def test_paper_scenarios_build_and_round_trip(name):
     s = build_paper_scenario(name)
     again = Scenario.from_json_dict(s.to_json_dict())
     assert again.to_json() == s.to_json()
+
+
+def test_scenario_from_json_leaves_its_input_alone():
+    obj = build_paper_scenario("triangle-basic").to_json_dict()
+    before = json.dumps(obj, sort_keys=True)
+    Scenario.from_json_dict(obj)
+    assert json.dumps(obj, sort_keys=True) == before
 
 
 def test_unknown_scenario_name():

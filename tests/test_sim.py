@@ -169,6 +169,23 @@ def test_set_capacity_event_moves_equilibrium():
     assert trace is not None
 
 
+def test_set_sessions_rejects_unknown_class():
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match="'typo'"):
+        sim.set_sessions("typo", 3)
+    with pytest.raises(ValueError, match="'typo'"):
+        sim.run(duration=1.0, events=[SimEvent(0.5, "set-sessions", {"class": "typo", "n": 3})])
+    sim.set_sessions("k", 3)
+    assert sim.n[0] == 3.0
+
+
+def test_set_capacity_rejects_unknown_link():
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match="'X->Y'"):
+        sim.set_capacity("X->Y", 1.0)
+    assert sim.capacity[0] == 10.0
+
+
 def test_trace_csv_shape_and_summary_rows():
     sim = Simulator(two_flow_problem(8.0), config({"p:0": 1.0, "q:0": 3.0}, {"p": 1, "q": 1}))
     trace = sim.run(duration=2.0, sample_every=1.0)

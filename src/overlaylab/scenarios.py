@@ -30,7 +30,7 @@ from .model import (
     sample_random_paths,
 )
 from .planner import Plan, PlannerConfig, PlanningProblem, solve_plan
-from .sim import SimEvent, SimTrace, Simulator, _fmt
+from .sim import Event, SimTrace, Simulator, _fmt
 from .weights import TransportConfig, compute_weights
 
 PAPER_SCENARIOS = (
@@ -133,29 +133,6 @@ def add_sites(
 
 
 @dataclass
-class ScenarioEvent:
-    """Timeline entry; ``rerun-planner`` re-solves and installs mid-run."""
-
-    t: float
-    kind: str  # set-capacity | set-sessions | rerun-planner | install-config
-    payload: dict = field(default_factory=dict)
-
-    KINDS = ("set-capacity", "set-sessions", "rerun-planner", "install-config")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ScenarioError(f"unknown event kind {self.kind!r}")
-        if self.kind == "set-capacity" and not (self.payload.get("capacity_mbps", 0) > 0):
-            raise ScenarioError("set-capacity requires capacity_mbps > 0")
-        if self.kind == "set-sessions" and self.payload.get("n", -1) < 0:
-            raise ScenarioError("set-sessions requires n >= 0")
-        if self.kind == "rerun-planner" and self.payload.get(
-            "knowledge", "current-truth"
-        ) not in ("current-truth", "stale"):
-            raise ScenarioError("rerun-planner knowledge must be current-truth|stale")
-
-
-@dataclass
 class Scenario:
     """A full experiment description: who talks, over what, and what changes."""
 
@@ -164,7 +141,7 @@ class Scenario:
     classes: list[TrafficClass]
     flows: dict[str, list[Flow]]
     estimate_overrides: dict[str, float] = field(default_factory=dict)
-    events: list[ScenarioEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     duration: float = 200.0
     dt: float = 0.01
     gamma: float = 0.001
@@ -187,10 +164,8 @@ class Scenario:
         for e in self.events:
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
-            if e.kind == "set-sessions" and e.payload["class"] not in {
-                c.id for c in self.classes
-            }:
-                raise ScenarioError(f"event references unknown class")
+            if e.kind == "set-sessions" and e.payload["class"] not in {c.id for c in self.classes}:
+                raise ScenarioError(f"event references unknown class {e.payload['class']!r}")
 
     def estimated_topology(self) -> Topology:
         return self.topology.with_capacities(self.estimate_overrides)
@@ -255,7 +230,7 @@ class Scenario:
             for k, fl in obj["flows"].items()
         }
         events = [
-            ScenarioEvent(float(e["t"]), e["kind"], dict(e.get("payload", {})))
+            Event(float(e["t"]), e["kind"], dict(e.get("payload", {})))
             for e in obj.get("events", [])
         ]
         return Scenario(
@@ -330,58 +305,38 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
     plans: list[tuple[float, Plan]] = [(0.0, plan)]
 
     truth_problem = scenario.problem(scenario.topology)
-    sim = Simulator(
-        truth_problem,
-        config,
-        truth=scenario.topology,
-        dt=scenario.dt,
-        initial_rates=plan.rates,
-    )
+    sim = Simulator(truth_problem, config, dt=scenario.dt, initial_rates=plan.rates)
 
-    sim_events: list[SimEvent] = []
+    # Every event reaches the simulator as it is, except that a re-plan
+    # becomes the install of its new plan's config and rates.
+    events: list[Event] = []
     current_truth = scenario.topology
     for ev in scenario.events:
         if ev.kind == "set-capacity":
             current_truth = current_truth.with_capacities(
                 {ev.payload["link"]: ev.payload["capacity_mbps"]}
             )
-            sim_events.append(SimEvent(ev.t, "set-capacity", dict(ev.payload)))
-        elif ev.kind == "set-sessions":
-            sim_events.append(
-                SimEvent(ev.t, "set-sessions", {"class": ev.payload["class"], "n": ev.payload["n"]})
-            )
-        elif ev.kind == "install-config":
-            sim_events.append(SimEvent(ev.t, "install-config", dict(ev.payload)))
-        else:  # rerun-planner
-            knowledge = ev.payload.get("knowledge", "current-truth")
-            topo = (
-                scenario.estimated_topology()
-                if knowledge == "stale"
-                else current_truth
-            )
-            prob = scenario.problem(topo)
-            new_plan = solve_plan(prob, planner_config)
-            new_config = compute_weights(prob, new_plan, gain=scenario.gamma)
-            plans.append((ev.t, new_plan))
-            sim_events.append(
-                SimEvent(
-                    ev.t,
-                    "install-config",
-                    {"config": new_config, "rates": dict(new_plan.rates)},
-                )
-            )
+        if ev.kind != "rerun-planner":
+            events.append(ev)
+            continue
+        stale = ev.payload.get("knowledge") == "stale"
+        prob = scenario.problem(scenario.estimated_topology() if stale else current_truth)
+        new_plan = solve_plan(prob, planner_config)
+        plans.append((ev.t, new_plan))
+        new_config = compute_weights(prob, new_plan, gain=scenario.gamma)
+        payload = {"config": new_config, "rates": dict(new_plan.rates)}
+        events.append(Event(ev.t, "install-config", payload))
 
-    trace = sim.run(duration=scenario.duration, events=sim_events, sample_every=1.0)
+    trace = sim.run(duration=scenario.duration, events=events, sample_every=1.0)
 
     # Phases partition [0, duration] at event times; the last one also takes
     # a sample at exactly t = duration.
     cuts = sorted({0.0, scenario.duration} | {e.t for e in scenario.events})
     utils: list[list[float]] = [[] for _ in cuts[1:]]
-    for r in trace.rows:
-        if r[1] == "":
-            k = bisect.bisect_right(cuts, r[0]) - 1 - (r[0] == cuts[-1])
-            if 0 <= k < len(utils):
-                utils[k].append(r[6])
+    for t, u in zip(trace.times, trace.utility):
+        k = bisect.bisect_right(cuts, t) - 1 - (t == cuts[-1])
+        if 0 <= k < len(utils):
+            utils[k].append(u)
     phase_utilities = [
         (a, b, sum(u) / len(u) if u else 0.0) for a, b, u in zip(cuts, cuts[1:], utils)
     ]
@@ -438,8 +393,8 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         topo = triangle_topology()
         classes, flows = _triangle_classes()
         events = [
-            ScenarioEvent(60.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.0}),
-            ScenarioEvent(140.0, "rerun-planner", {"knowledge": "current-truth"}),
+            Event(60.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.0}),
+            Event(140.0, "rerun-planner", {"knowledge": "current-truth"}),
         ]
         return Scenario("failure-triangle", topo, classes, flows, events=events, duration=220.0)
 
@@ -449,9 +404,9 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
         dead = _links_of_busiest_routers(base, count=2)
         events = [
-            ScenarioEvent(40.0, "set-capacity", {"link": lid, "capacity_mbps": 0.001})
+            Event(40.0, "set-capacity", {"link": lid, "capacity_mbps": 0.001})
             for lid in dead
-        ] + [ScenarioEvent(150.0, "rerun-planner", {"knowledge": "current-truth"})]
+        ] + [Event(150.0, "rerun-planner", {"knowledge": "current-truth"})]
         events.sort(key=lambda e: e.t)
         return Scenario(
             "failure-large", topo, classes, flows, events=events, duration=240.0, dt=0.05
@@ -627,17 +582,10 @@ def robustness_sweep(
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
     rows = []
     for cap in capacities:
-        truth = scenario.topology.with_capacities({"A->B": cap})
+        truth_problem = scenario.problem(scenario.topology.with_capacities({"A->B": cap}))
         utils = []
         for mode in ("weighted", "fixed", "unit"):
-            sim = Simulator(
-                scenario.problem(truth),
-                config,
-                truth=truth,
-                mode=mode,
-                dt=scenario.dt,
-                initial_rates=plan.rates,
-            )
+            sim = Simulator(truth_problem, config, mode=mode, dt=scenario.dt, initial_rates=plan.rates)
             sim.run(duration=scenario.duration, sample_every=scenario.duration)
             utils.append(sim.utility())
         rows.append((cap, utils[0], utils[1], utils[2]))
@@ -665,13 +613,7 @@ def demand_sweep(
         init = dict(plan.rates)
         if m > n_planned:
             init["hi:0"] = plan.rates["hi:0"] * n_planned / m
-        sim = Simulator(
-            scenario.problem(scenario.topology),
-            cfg,
-            truth=scenario.topology,
-            dt=scenario.dt,
-            initial_rates=init,
-        )
+        sim = Simulator(scenario.problem(scenario.topology), cfg, dt=scenario.dt, initial_rates=init)
         sim.run(duration=scenario.duration, sample_every=scenario.duration)
         cg = {}
         good = sim.goodputs()

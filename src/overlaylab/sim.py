@@ -13,17 +13,19 @@ C_l)``; every capacity C_l is > 0 (``Link`` and ``set_capacity`` check it), so
 the denominator never vanishes and an unsaturated link loses nothing.  Route
 loss composes independently across links.  Integration is explicit Euler on a
 fixed step; everything is vectorized over flows with a link-by-flow incidence
-matrix, and a run is a pure function of its inputs.
+matrix, and a run is a pure function of its inputs.  ``Event`` is the one
+timed change, shared with the scenario engine; ``SimTrace`` stores per sample.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .model import Topology, cumulative_utility
+from .model import cumulative_utility
 from .planner import PlanningProblem
 from .weights import TransportConfig
 
@@ -37,62 +39,92 @@ _ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE
 
 
 @dataclass
-class SimEvent:
-    """A timed change applied to the running simulation."""
+class Event:
+    """A timed change to the network or its controllers.
+
+    Payloads: ``set-capacity`` {"link", "capacity_mbps" > 0}; ``set-sessions``
+    {"class", "n": int >= 0}; ``install-config`` {"config": TransportConfig,
+    optional "rates" and "reset_rates"}; ``rerun-planner`` {"knowledge":
+    "current-truth" | "stale"} re-plans mid-run, and ``run_experiment`` turns
+    it into an ``install-config`` (the simulator rejects it).
+    """
 
     t: float
-    kind: str  # "set-capacity" | "set-sessions" | "install-config"
-    payload: dict
+    kind: str
+    payload: dict = field(default_factory=dict)
+
+    # Each kind with the payload keys it requires.
+    KINDS = {"set-capacity": ("link", "capacity_mbps"), "set-sessions": ("class", "n"),
+             "install-config": ("config",), "rerun-planner": ()}
 
     def __post_init__(self):
-        if self.kind not in ("set-capacity", "set-sessions", "install-config"):
+        p = self.payload
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"event time must be finite and >= 0, got {self.t}")
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
+        missing = [k for k in self.KINDS[self.kind] if k not in p]
+        if missing:
+            raise ValueError(f"{self.kind} payload lacks {', '.join(missing)}")
+        # Written as "not (c > 0)" so that NaN fails too.
+        if self.kind == "set-capacity" and not (p["capacity_mbps"] > 0):
+            raise ValueError("set-capacity requires capacity_mbps > 0")
+        # type() rather than isinstance(), so that a JSON true is not 1 session.
+        if self.kind == "set-sessions" and not (type(p["n"]) is int and p["n"] >= 0):
+            raise ValueError(f"set-sessions requires an integer n >= 0, got {p['n']!r}")
+        if self.kind == "install-config" and not isinstance(p["config"], TransportConfig):
+            raise ValueError("install-config requires a TransportConfig")
+        knowledge = p.get("knowledge", "current-truth")
+        if self.kind == "rerun-planner" and knowledge not in ("current-truth", "stale"):
+            raise ValueError("rerun-planner knowledge must be current-truth|stale")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
-    """Sampled time series; one row per (sample time, flow)."""
+    """Sampled time series, one entry per sample.
 
+    Flow and class ids are stored once.  Each sample keeps its time, every
+    flow's send rate and per-session goodput, the session counts and the
+    utility; ``rows`` expands them into one tuple per (sample, flow) plus one
+    aggregate row per sample.
+    """
+
+    flow_ids: list[str]
+    class_ids: list[str]
+    class_idx: np.ndarray  # per flow, the index of its class
     times: list[float] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
+    send: list[np.ndarray] = field(default_factory=list)
+    good: list[np.ndarray] = field(default_factory=list)
+    sessions: list[np.ndarray] = field(default_factory=list)
+    utility: list[float] = field(default_factory=list)
     converged_at: float | None = None
 
-    CSV_HEADER = (
-        "t,flow_id,send_rate_mbps,goodput_mbps,class_id,class_goodput_mbps,utility"
-    )
+    CSV_HEADER = "t,flow_id,send_rate_mbps,goodput_mbps,class_id,class_goodput_mbps,utility"
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(self._iter_rows())
+
+    def _iter_rows(self):
+        cidx = self.class_idx.tolist()
+        for t, x, good, n, util in zip(self.times, self.send, self.good, self.sessions, self.utility):
+            session_good = n * good
+            # bincount adds in flow order, as a running sum per class would.
+            cg = np.bincount(self.class_idx, weights=session_good).tolist()
+            yield from zip(repeat(t), self.flow_ids, x.tolist(), good.tolist(),
+                           self.class_ids, map(cg.__getitem__, cidx), repeat(util))
+            # Summary row: aggregate (session-weighted) send rate and goodput.
+            total_good = float(np.sum(session_good))
+            yield (t, "", float(np.sum(n * x)), total_good, "", total_good, util)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(self.CSV_HEADER + "\n")
-        buf.writelines(map(_CSV_ROW.__mod__, self.rows))
+        buf.writelines(map(_CSV_ROW.__mod__, self._iter_rows()))
         return buf.getvalue()
 
     def final_goodputs(self) -> dict[str, float]:
-        if not self.times:
-            return {}
-        t_last = self.times[-1]
-        return {r[1]: r[3] for r in self.rows if r[0] == t_last and r[1]}
-
-    def final_send_rates(self) -> dict[str, float]:
-        if not self.times:
-            return {}
-        t_last = self.times[-1]
-        return {r[1]: r[2] for r in self.rows if r[0] == t_last and r[1]}
-
-    def final_class_goodputs(self) -> dict[str, float]:
-        if not self.times:
-            return {}
-        t_last = self.times[-1]
-        return {r[4]: r[5] for r in self.rows if r[0] == t_last and r[4]}
-
-    def final_utility(self) -> float:
-        if not self.times:
-            return 0.0
-        t_last = self.times[-1]
-        for r in self.rows:
-            if r[0] == t_last:
-                return r[6]
-        return 0.0
+        return dict(zip(self.flow_ids, self.good[-1].tolist())) if self.good else {}
 
 
 def _fmt(x: float) -> str:
@@ -117,7 +149,6 @@ class Simulator:
         self,
         problem: PlanningProblem,
         config: TransportConfig,
-        truth: Topology | None = None,
         mode: str = "weighted",
         dt: float = DEFAULT_DT,
         initial_rates: dict[str, float] | None = None,
@@ -127,14 +158,13 @@ class Simulator:
         self.problem = problem
         self.mode = mode
         self.dt = float(dt)
-        self.truth = truth if truth is not None else problem.topology
         self.flows = problem.all_flows()
         self._flow_ids = [f.id for f in self.flows]
         self._class_ids = [f.class_id for f in self.flows]
         cidx = {c.id: k for k, c in enumerate(problem.classes)}
         self._class_idx = np.array([cidx[c] for c in self._class_ids], dtype=np.intp)
         self._class_first = {c: j for j, c in reversed(list(enumerate(self._class_ids)))}
-        self.link_ids = [ln.id for ln in self.truth.links]
+        self.link_ids = [ln.id for ln in problem.topology.links]
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
         nf = len(self.flows)
         nl = len(self.link_ids)
@@ -142,9 +172,7 @@ class Simulator:
         for j, f in enumerate(self.flows):
             for lid in f.route:
                 self.incidence[self._lidx[lid], j] = 1.0
-        self.capacity = np.array(
-            [self.truth.link(lid).capacity_mbps for lid in self.link_ids]
-        )
+        self.capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
         self.t = 0.0
         self.x = np.full(nf, RATE_FLOOR)
         if initial_rates:
@@ -232,7 +260,7 @@ class Simulator:
     def run(
         self,
         duration: float | None = None,
-        events: list[SimEvent] | None = None,
+        events: list[Event] | None = None,
         sample_every: float = 1.0,
         stop_on_convergence: bool = False,
         max_time: float = 10_000.0,
@@ -244,7 +272,7 @@ class Simulator:
         have fired), or at ``max_time``.
         """
         events = sorted(events or [], key=lambda e: e.t)
-        trace = SimTrace()
+        trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
         horizon = self.t + duration if duration is not None else max_time
         ei = 0
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
@@ -278,47 +306,24 @@ class Simulator:
             self._sample(trace)
         return trace
 
-    def _apply(self, ev: SimEvent) -> None:
+    def _apply(self, ev: Event) -> None:
         if ev.kind == "set-capacity":
             self.set_capacity(ev.payload["link"], ev.payload["capacity_mbps"])
         elif ev.kind == "set-sessions":
             self.set_sessions(ev.payload["class"], ev.payload["n"])
-        else:
-            cfg = ev.payload["config"]
-            self.install_config(cfg, reset_rates=ev.payload.get("reset_rates", False))
+        elif ev.kind == "install-config":
+            self.install_config(ev.payload["config"], reset_rates=ev.payload.get("reset_rates", False))
             if "rates" in ev.payload:
                 # Abrupt switch to the new plan's starting rates.
                 for j, f in enumerate(self.flows):
                     if f.id in ev.payload["rates"]:
                         self.x[j] = max(RATE_FLOOR, ev.payload["rates"][f.id])
+        else:
+            raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 
     def _sample(self, trace: SimTrace) -> None:
-        good = self.goodputs()
-        session_good = self.n * good
-        # One float per class, shared by that class's rows.
-        cg = np.bincount(self._class_idx, weights=session_good).tolist()
-        util = self.utility()
-        t = round(self.t, 9)
-        trace.times.append(t)
-        trace.rows.extend(zip(repeat(t), self._flow_ids, self.x.tolist(), good.tolist(),
-                              self._class_ids, map(cg.__getitem__, self._class_idx.tolist()),
-                              repeat(util)))
-        # Summary row: aggregate (session-weighted) send rate and goodput.
-        total_send = float(np.sum(self.n * self.x))
-        total_good = float(np.sum(session_good))
-        trace.rows.append((t, "", total_send, total_good, "", total_good, util))
-
-
-def run_to_equilibrium(
-    problem: PlanningProblem,
-    config: TransportConfig,
-    truth: Topology | None = None,
-    mode: str = "weighted",
-    dt: float = DEFAULT_DT,
-    max_time: float = 10_000.0,
-    initial_rates: dict[str, float] | None = None,
-) -> SimTrace:
-    """Convenience wrapper: simulate until send rates settle."""
-    sim = Simulator(problem, config, truth=truth, mode=mode, dt=dt,
-                    initial_rates=initial_rates)
-    return sim.run(stop_on_convergence=True, max_time=max_time)
+        trace.times.append(round(self.t, 9))
+        trace.send.append(self.x.copy())
+        trace.good.append(self.goodputs())
+        trace.sessions.append(self.n.copy())
+        trace.utility.append(self.utility())

@@ -2,7 +2,9 @@
 rewrite, kept as the reference for ``overlaylab.sim``.
 
 ``RefSimulator`` is the previous ``Simulator`` with its dead attributes
-removed; ``to_csv`` and ``phase_utilities`` are the previous trace writer and
+removed; it writes the previous ``SimTrace``, a list of row tuples, which has
+the ``utility`` and ``final_goodputs`` accessors ``run_experiment`` reads.
+``to_csv`` and ``phase_utilities`` are the previous trace writer and
 ``run_experiment``'s previous phase means.  The rewrite must produce the same
 bits, so the tests compare arrays with ``np.array_equal`` and text with
 ``==``, never with a tolerance.
@@ -12,19 +14,39 @@ import io
 import numpy as np
 
 from overlaylab.model import cumulative_utility
-from overlaylab.sim import CONVERGENCE_REL, CONVERGENCE_WINDOW, DEFAULT_DT, RATE_FLOOR, SimTrace
+from overlaylab.sim import CONVERGENCE_REL, CONVERGENCE_WINDOW, DEFAULT_DT, RATE_FLOOR
+
+
+class SimTrace:
+    """One row per (sample time, flow) plus one aggregate row per sample."""
+
+    CSV_HEADER = "t,flow_id,send_rate_mbps,goodput_mbps,class_id,class_goodput_mbps,utility"
+
+    def __init__(self):
+        self.times = []
+        self.rows = []
+        self.converged_at = None
+
+    @property
+    def utility(self):
+        return [r[6] for r in self.rows if r[1] == ""]
+
+    def final_goodputs(self):
+        if not self.times:
+            return {}
+        t_last = self.times[-1]
+        return {r[1]: r[3] for r in self.rows if r[0] == t_last and r[1]}
 
 
 class RefSimulator:
-    def __init__(self, problem, config, truth=None, mode="weighted", dt=DEFAULT_DT, initial_rates=None):
+    def __init__(self, problem, config, mode="weighted", dt=DEFAULT_DT, initial_rates=None):
         if mode not in ("weighted", "unit", "fixed"):
             raise ValueError(f"unknown mode {mode!r}")
         self.problem = problem
         self.mode = mode
         self.dt = float(dt)
-        self.truth = truth if truth is not None else problem.topology
         self.flows = problem.all_flows()
-        self.link_ids = [ln.id for ln in self.truth.links]
+        self.link_ids = [ln.id for ln in problem.topology.links]
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
         nf = len(self.flows)
         nl = len(self.link_ids)
@@ -33,7 +55,7 @@ class RefSimulator:
             for lid in f.route:
                 self.incidence[self._lidx[lid], j] = 1.0
         self.capacity = np.array(
-            [self.truth.link(lid).capacity_mbps for lid in self.link_ids]
+            [problem.topology.link(lid).capacity_mbps for lid in self.link_ids]
         )
         self.t = 0.0
         self.x = np.full(nf, RATE_FLOOR)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from overlaylab.cli import main
+from overlaylab.scenarios import build_paper_scenario
 
 TOPOLOGY = {
     "name": "tri",
@@ -113,6 +114,24 @@ def test_check_rejects_non_finite_plan(files, capsys, field, key):
     rc = main(["check", "--topology", topo, "--classes", classes, "--plan", out])
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        # A JSON scenario cannot carry a TransportConfig: install-config is library-only.
+        ("install-config", {"config": {"weights": {}, "sessions": {}, "gain": 0.001}},
+         "install-config requires a TransportConfig"),
+        ("set-sessions", {"class": "bc", "n": 2.5}, "set-sessions requires an integer n >= 0"),
+    ],
+)
+def test_run_scenario_with_bad_event_is_input_error(tmp_path, capsys, kind, payload, message):
+    obj = build_paper_scenario("triangle-basic").to_json_dict()
+    obj["events"] = [{"t": 10.0, "kind": kind, "payload": payload}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_requires_exactly_one_source(capsys):

@@ -88,6 +88,28 @@ def test_scenario_from_json_leaves_its_input_alone():
     assert json.dumps(obj, sort_keys=True) == before
 
 
+@pytest.mark.parametrize(
+    "kind, payload, match",
+    [
+        ("no-such-kind", {}, "unknown event kind"),
+        ("set-capacity", {"link": "A->B", "capacity_mbps": 0}, "capacity_mbps > 0"),
+        ("set-capacity", {"link": "A->B", "capacity_mbps": float("nan")}, "capacity_mbps > 0"),
+        ("set-sessions", {"class": "bc", "n": -1}, "integer n >= 0"),
+        ("set-sessions", {"class": "bc", "n": 2.5}, "integer n >= 0"),
+        ("set-sessions", {"class": "bc", "n": True}, "integer n >= 0"),
+        ("set-sessions", {"n": 1}, "lacks class"),
+        ("set-sessions", {"class": "typo", "n": 1}, "unknown class 'typo'"),
+        ("rerun-planner", {"knowledge": "oracle"}, "knowledge"),
+        ("install-config", {"config": {"weights": {}, "sessions": {}, "gain": 0.001}}, "TransportConfig"),
+    ],
+)
+def test_scenario_rejects_bad_event(kind, payload, match):
+    obj = build_paper_scenario("triangle-basic").to_json_dict()
+    obj["events"] = [{"t": 10.0, "kind": kind, "payload": payload}]
+    with pytest.raises(ValueError, match=match):
+        Scenario.from_json_dict(obj)
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ScenarioError):
         build_paper_scenario("missing-scenario")

@@ -13,7 +13,7 @@ import pytest
 import sim_ref
 from overlaylab import scenarios
 from overlaylab.planner import solve_plan
-from overlaylab.sim import SimEvent, Simulator
+from overlaylab.sim import Event, Simulator
 from overlaylab.weights import compute_weights
 
 
@@ -99,17 +99,16 @@ def test_events_and_sampling_match_reference(mode):
     config = compute_weights(scenario.problem(), plan, gain=scenario.gamma)
     other = dataclasses.replace(config, weights={k: 2.0 * v + 0.5 for k, v in config.weights.items()})
     events = [
-        SimEvent(30.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.5}),
-        SimEvent(60.0, "set-sessions", {"class": "bc", "n": 3}),
-        SimEvent(90.0, "install-config", {"config": other, "rates": {"ab:0": 6.0}}),
-        SimEvent(120.0, "install-config", {"config": config, "reset_rates": True}),
-        SimEvent(150.0, "install-config", {"config": other}),
+        Event(30.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.5}),
+        Event(60.0, "set-sessions", {"class": "bc", "n": 3}),
+        Event(90.0, "install-config", {"config": other, "rates": {"ab:0": 6.0}}),
+        Event(120.0, "install-config", {"config": config, "reset_rates": True}),
+        Event(150.0, "install-config", {"config": other}),
     ]
     traces = []
     sims = []
     for cls in (Simulator, sim_ref.RefSimulator):
-        sims.append(cls(problem, config, truth=scenario.topology, mode=mode, dt=0.05,
-                        initial_rates=plan.rates))
+        sims.append(cls(problem, config, mode=mode, dt=0.05, initial_rates=plan.rates))
         traces.append(sims[-1].run(duration=200.0, events=events, sample_every=0.25))
     assert_same_state(*sims)
     assert traces[0].rows == traces[1].rows

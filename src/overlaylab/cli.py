@@ -125,7 +125,11 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.topology, args.classes, args.max_hops)
     plan = solve_plan(problem)
     if plan.optimality != "proved-optimal":
-        print("warning: branch-and-bound node limit reached; plan is best-found", file=sys.stderr)
+        print(
+            "warning: branch-and-bound node limit reached; "
+            f"plan is best-found, gap {plan.gap:.6g}",
+            file=sys.stderr,
+        )
     _write_out(plan.to_json() + "\n", args.out)
     return EXIT_OK
 

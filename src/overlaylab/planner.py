@@ -4,10 +4,14 @@ The planning problem maximizes sum_k n_k U_k(sum_f x_kf) over integer session
 counts n and per-session flow rates x, subject to per-link capacity
 sum n_k x_kf <= C_l.  With piecewise-linear utilities this is a bilinear
 program; fixing n and one utility piece per class leaves a plain LP.  The
-solver is a best-first branch-and-bound over boxes of session counts, bounded
-by a McCormick relaxation, whose leaves solve every utility piece's inner LP.
-Its only limit is a node count; the test suite checks it against exhaustive
-(n, piece) enumeration in ``tests/enum_ref.py``.
+solver is a best-first branch-and-bound over boxes of session counts, whose
+leaves solve every utility piece's inner LP.  A box is bounded by the
+perspective relaxation (Gunluk & Linderoth): with z = n*x, the term
+n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
+min_i(a_i Z + b_i n), linear in (Z, n).  Boxes that cannot beat the incumbent,
+ties included, are dropped, so equal-utility bands are not searched.  Its only
+limit is a node count; the test suite checks it against exhaustive (n, piece)
+enumeration in ``tests/enum_ref.py``.
 
 Classes whose utility is linear through the origin are handled by the exact
 substitution z = n*x, which removes their session count from the problem; they
@@ -87,6 +91,9 @@ class Plan:
     duals: dict[str, float]  # link id -> capacity dual
     utility: float
     optimality: str  # "proved-optimal" | "best-found"
+    # Largest open relaxation bound minus utility when the search stopped
+    # early; 0 when proved.  Not part of the plan's JSON or equality.
+    gap: float = field(default=0.0, compare=False)
 
     def aggregate_rates(self, problem: PlanningProblem) -> dict[str, float]:
         return {
@@ -237,15 +244,10 @@ def _candidate_plan(
     # for linear-through-origin U, so collapse to one session (or zero).
     n_out = dict(n)
     for c in scalable:
-        agg = sum(rates[f.id] for f in problem.flows[c.id])
-        if agg > FEAS_TOL and c.max_sessions >= 1:
-            n_out[c.id] = 1
+        n_out[c.id] = int(sum(rates[f.id] for f in problem.flows[c.id]) > FEAS_TOL)
+        if n_out[c.id]:
             for f in problem.flows[c.id]:
                 rates[f.id] *= c.max_sessions
-        else:
-            n_out[c.id] = 0
-            for f in problem.flows[c.id]:
-                rates[f.id] = 0.0
     for c in problem.classes:
         if n_out.get(c.id, 0) == 0:
             for f in problem.flows[c.id]:
@@ -288,7 +290,7 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# McCormick relaxation and branch-and-bound
+# Perspective relaxation and branch-and-bound
 
 
 def _upper_concave_envelope(u: PiecewiseLinearUtility, x_lo: float, x_hi: float):
@@ -342,95 +344,70 @@ def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float
     return out
 
 
+def _perspective_lp(problem: PlanningProblem, x_box: dict[str, tuple[float, float]]):
+    """The perspective relaxation's LP over [z_f (nf) | n_k (nc) | t_k (nc)].
+
+    z_f = n_k*x_f is a flow's aggregate rate and t_k = n_k*U_k(x_k).  Each
+    segment of U_k's concave envelope on [0, agg_hi_k] gives a row
+    t_k <= a_i*Z_k + b_i*n_k with Z_k = sum_f z_f, and Z_k <= agg_hi_k*n_k
+    forces Z_k = 0 at n_k = 0.  Only the bounds on n depend on the box.
+    """
+    classes, flows = problem.classes, problem.all_flows()
+    nf, nc = len(flows), len(classes)
+    flow_class = np.repeat(np.arange(nc), [len(problem.flows[c.id]) for c in classes])
+    agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in flows], minlength=nc)
+    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
+    seg_class = np.repeat(np.arange(nc), [len(env) for env in envs])
+    slope, intercept = np.array([s for env in envs for s in env]).reshape(-1, 2).T
+    segs = np.arange(len(seg_class))
+
+    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    a = np.zeros((len(used) + len(segs) + nc, nf + 2 * nc))
+    rhs = np.zeros(len(a))
+    a[pair_row, pair_flow] = 1.0  # capacity rows on z
+    rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
+    seg = a[len(used) : len(used) + len(segs)]  # t_k - a_i*Z_k - b_i*n_k <= 0
+    seg[:, :nf] = np.where(flow_class == seg_class[:, None], -slope[:, None], 0.0)
+    seg[segs, nf + seg_class] = -intercept
+    seg[segs, nf + nc + seg_class] = 1.0
+    agg = a[len(used) + len(segs) :]  # Z_k - agg_hi_k*n_k <= 0
+    agg[flow_class, np.arange(nf)] = 1.0
+    agg[np.arange(nc), nf + np.arange(nc)] = -agg_hi
+
+    c = np.zeros(nf + 2 * nc)
+    c[nf + nc :] = 1.0
+    # A concave envelope is smallest at an end of its interval, so t_k is
+    # never below N_k * min(env(0), env(agg_hi)) when that is negative.
+    lo = np.zeros(nf + 2 * nc)
+    for k, (cls, env, h) in enumerate(zip(classes, envs, agg_hi)):
+        lo[nf + nc + k] = min(0.0, cls.max_sessions * min(min(b, s * h + b) for s, b in env))
+    return LinearProgram(c, a, rhs, lo=lo, hi=np.full(nf + 2 * nc, INF))
+
+
 def mccormick_bound(
     problem: PlanningProblem,
     n_box: dict[str, tuple[int, int]],
     x_box: dict[str, tuple[float, float]] | None = None,
+    *,
+    relaxation: LinearProgram | None = None,
 ) -> float:
     """Upper bound on achievable utility over a box of session counts.
 
-    Bilinear terms z = n*x are replaced by their McCormick envelopes and each
-    utility by its concave envelope over the box, all inside one LP.
+    Solves the perspective relaxation over the box; ``solve_plan`` passes
+    the ``relaxation`` LP it built once for ``x_box``.  The name is kept from
+    the McCormick relaxation this replaced (``tests/mccormick_ref.py``), which
+    is never tighter.
     """
-    x_box = x_box or default_rate_boxes(problem)
-    classes = problem.classes
-    flows = problem.all_flows()
-    nf = len(flows)
-    nc = len(classes)
-    for c in classes:
+    if relaxation is None:
+        relaxation = _perspective_lp(problem, x_box or default_rate_boxes(problem))
+    for c in problem.classes:
         if n_box[c.id][0] > n_box[c.id][1]:
             raise PlannerError(f"empty session box for class {c.id!r}")
-
-    # variables: [x_f (nf) | z_f (nf) | n_k (nc) | u_k (nc) | t_k (nc)]
-    nv = 2 * nf + 3 * nc
-    sizes = [len(problem.flows[c.id]) for c in classes]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    # Integer session bounds, so that -0 is 0 rather than -0.0 in the rows.
-    nl_k = np.array([n_box[c.id][0] for c in classes], dtype=np.int64)
-    nu_k = np.array([n_box[c.id][1] for c in classes], dtype=np.int64)
-    flow_class = np.repeat(np.arange(nc), sizes)
-    nl, nu = nl_k[flow_class], nu_k[flow_class]
-    xl = np.array([x_box[f.id][0] for f in flows], dtype=float)
-    xu = np.array([x_box[f.id][1] for f in flows], dtype=float)
-    jx = np.arange(nf)
-    jz = nf + jx
-    jn = 2 * nf + flow_class
-
-    lo = np.zeros(nv)
-    hi = np.full(nv, INF)
-    lo[jx], hi[jx] = xl, xu
-    lo[2 * nf : 2 * nf + nc], hi[2 * nf : 2 * nf + nc] = nl_k, nu_k
-
-    # Per class: the concave-envelope rows of u_k, then two rows for t = n*u.
-    agg_hi = [sum(x_box[f.id][1] for f in problem.flows[c.id]) for c in classes]
-    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
-
-    used, pair_row, pair_flow = _route_incidence(problem, flows)
-    n_rows = 4 * nf + len(used) + sum(len(env) + 2 for env in envs)
-    a = np.zeros((n_rows, nv))
-    rhs = np.empty(n_rows)
-
-    # Four McCormick rows per flow, in flow order:
-    #   z >= nl*x + xl*n - nl*xl   and   z >= nu*x + xu*n - nu*xu
-    #   z <= nu*x + xl*n - nu*xl   and   z <= nl*x + xu*n - nl*xu
-    mc = a[: 4 * nf].reshape(nf, 4, nv)  # view: [flow, row of the four, column]
-    mc[jx, :, jz] = (-1.0, -1.0, 1.0, 1.0)
-    mc[jx, :, jx] = np.array([nl, nu, -nu, -nl]).T
-    mc[jx, :, jn] = np.array([xl, xu, -xl, -xu]).T
-    rhs[: 4 * nf] = np.array([nl * xl, nu * xu, -nu * xl, -nl * xu]).T.ravel()
-
-    # Capacity rows on the z (aggregate-rate) columns.
-    r = 4 * nf
-    a[r + pair_row, nf + pair_flow] = 1.0
-    rhs[r : r + len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
-    r += len(used)
-
-    for k, (c, env, j0, j1) in enumerate(zip(classes, envs, starts, ends)):
-        nl_c, nu_c = n_box[c.id]
-        ju, jn_c, jt = 2 * nf + nc + k, 2 * nf + k, 2 * nf + 2 * nc + k
-        # u_k <= concave envelope of U_k(aggregate rate) over the box
-        for slope, intercept in env:
-            a[r, ju] = 1.0
-            a[r, j0:j1] = -slope
-            rhs[r] = intercept
-            r += 1
-        u_lo = c.utility.value(0.0)
-        u_hi = max(b + s * agg_hi[k] for s, b in env) if env else u_lo
-        lo_u = min(u_lo, 0.0)
-        lo[ju] = lo_u
-        hi[ju] = u_hi
-        # t = n*u via McCormick over [nl,nu] x [lo_u, u_hi]
-        for nk, uk in ((nu_c, lo_u), (nl_c, u_hi)):
-            a[r, jt], a[r, ju], a[r, jn_c] = 1.0, -nk, -uk
-            rhs[r] = -nk * uk
-            r += 1
-        lo[jt] = min(nl_c * lo_u, nu_c * lo_u, nl_c * u_hi, nu_c * u_hi, 0.0)
-
-    cvec = np.zeros(nv)
-    cvec[2 * nf + 2 * nc :] = 1.0
-
-    sol = solve_lp(LinearProgram(cvec, a, rhs, lo=lo, hi=hi))
+    # The program was validated when built; a box changes only n's bounds.
+    nv, nc = len(relaxation.c), len(problem.classes)
+    relaxation.lo[nv - 2 * nc : nv - nc] = [n_box[c.id][0] for c in problem.classes]
+    relaxation.hi[nv - 2 * nc : nv - nc] = [n_box[c.id][1] for c in problem.classes]
+    sol = solve_lp(relaxation)
     if sol.status == "unbounded":
         return INF
     if sol.status != "optimal":
@@ -438,19 +415,34 @@ def mccormick_bound(
     return float(sol.objective)
 
 
+# Relative slack on a relaxation bound for the LP's float error, added before
+# the bound is quantised like a utility.  It must stay well below
+# UTILITY_TIE_TOL, or a bound that ties the incumbent would never prune.
+BOUND_SLACK = 1e-12
+
+
 def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
     """Exact solve of the admission + rate problem; deterministic tie-breaks.
 
     Classes whose utility is linear through the origin ride along at their
     maximum session count.  The others are searched best-first over boxes of
-    session counts (Land & Doig), each box bounded by its McCormick
+    session counts (Land & Doig), each box bounded by its perspective
     relaxation; a box narrowed to one session vector is a leaf whose utility
     pieces are solved exactly by the inner LP.  The root box is expanded
     unconditionally, so it gets no relaxation LP.  Equal-utility candidates
     resolve to the smallest total session count, then the lexicographically
     smallest session vector by class id, then the lexicographically smallest
-    rate vector by flow id.  A search stopped by ``config.bb_node_limit``
-    returns its incumbent labelled "best-found".
+    rate vector by flow id.
+
+    A box is dropped when pushed, and again when popped, if its bound
+    quantised as in ``_plan_sort_key`` cannot beat the incumbent's utility
+    and no leaf in it can win the tie: its sum(n_lo) exceeds the incumbent's
+    session total, or equals it with no scalable class and a lower corner
+    (the only leaf with that total) sorting at or after the incumbent's
+    session vector.  Equal bounds pop smallest sum(n_lo) first, so the
+    fewest-session incumbent appears before a tied band is searched.  A
+    search stopped by ``config.bb_node_limit`` returns its incumbent labelled
+    "best-found", with ``gap`` the largest open bound above its utility.
     """
     config = config or PlannerConfig()
     scalable = [
@@ -461,51 +453,56 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     scalable_ids = {c.id for c in scalable}
     general = [c for c in problem.classes if c.id not in scalable_ids]
     x_box = default_rate_boxes(problem)
+    relaxation = _perspective_lp(problem, x_box) if general else None
     root = {c.id: (0, c.max_sessions) for c in problem.classes}
+    by_id = sorted(c.id for c in problem.classes)
 
     incumbent = _zero_plan(problem)
     inc_key = _plan_sort_key(incumbent, problem)
 
     def leaf(nvals: dict[str, int]) -> Plan | None:
-        per_class = []
-        for c in general:
-            if nvals[c.id] == 0:
-                per_class.append([(c.id, 0, 0)])
-            else:
-                per_class.append(
-                    [(c.id, nvals[c.id], pi) for pi in range(len(c.utility.pieces))]
-                )
-        best, best_key = None, None
-        for combo in itertools.product(*per_class) if per_class else [()]:
-            n = {cid: nk for cid, nk, _ in combo}
-            seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
-            plan = _candidate_plan(problem, n, seg, scalable)
-            if plan is None:
-                continue
-            key = _plan_sort_key(plan, problem)
-            if best is None or key < best_key:
-                best, best_key = plan, key
-        return best
+        options = [range(len(c.utility.pieces)) if nvals[c.id] else [0] for c in general]
+        plans = (
+            _candidate_plan(
+                problem,
+                nvals,
+                SegmentAssignment({c.id: pi for c, pi in zip(general, pieces) if nvals[c.id]}),
+                scalable,
+            )
+            for pieces in itertools.product(*options)
+        )
+        # min keeps the first of equal keys, in (class, piece) order.
+        return min(
+            (p for p in plans if p is not None),
+            key=lambda p: _plan_sort_key(p, problem),
+            default=None,
+        )
+
+    def dominated(bound: float, lo_sum: int, box) -> bool:
+        """No leaf in the box can sort before the incumbent."""
+        if bound == INF:
+            return False
+        level = round((bound + BOUND_SLACK * (1.0 + abs(bound))) / UTILITY_TIE_TOL)
+        if level != -inc_key[0]:
+            return level < -inc_key[0]
+        if lo_sum != inc_key[1]:
+            return lo_sum > inc_key[1]
+        return not scalable and tuple(box[k][0] for k in by_id) >= inc_key[2]
 
     counter = itertools.count()
-    heap = [(-INF, next(counter), root)]
+    heap = [(-INF, 0, next(counter), root)]
     nodes = 0
-    exhausted = True
     while heap:
-        neg_bound, _, box = heapq.heappop(heap)
-        # Keep nodes whose bound merely ties the incumbent: a tied candidate
-        # can still win on the session-count and rate tie-breaks.
-        if -neg_bound < incumbent.utility - 1e-9:
+        neg_bound, lo_sum, _, box = heapq.heappop(heap)
+        if dominated(-neg_bound, lo_sum, box):
             continue
         nodes += 1
         if nodes > config.bb_node_limit:
-            exhausted = False
-            break
-        wide = [
-            (c.id, box[c.id][1] - box[c.id][0])
-            for c in general
-            if box[c.id][1] > box[c.id][0]
-        ]
+            # Popped best-first, this box holds the largest open bound.
+            incumbent.optimality = "best-found"
+            incumbent.gap = max(-neg_bound - incumbent.utility, 0.0)
+            return incumbent
+        wide = [c.id for c in general if box[c.id][1] > box[c.id][0]]
         if not wide:
             plan = leaf({c.id: box[c.id][0] for c in general})
             if plan is not None:
@@ -513,17 +510,17 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
                 if key < inc_key:
                     incumbent, inc_key = plan, key
             continue
-        wide.sort(key=lambda t: (-t[1], t[0]))
-        cid = wide[0][0]
+        # Split the widest class, the smallest id among equals.
+        cid = min(wide, key=lambda k: (box[k][0] - box[k][1], k))
         nl, nu = box[cid]
         mid = (nl + nu) // 2
         for sub in ((nl, mid), (mid + 1, nu)):
             child = dict(box)
             child[cid] = sub
-            b = mccormick_bound(problem, child, x_box)
-            if b >= incumbent.utility - 1e-9:
-                heapq.heappush(heap, (-b, next(counter), child))
-    incumbent.optimality = "proved-optimal" if exhausted else "best-found"
+            child_lo = lo_sum + sub[0] - nl
+            b = mccormick_bound(problem, child, x_box, relaxation=relaxation)
+            if not dominated(b, child_lo, child):
+                heapq.heappush(heap, (-b, child_lo, next(counter), child))
     return incumbent
 
 

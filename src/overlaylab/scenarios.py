@@ -180,6 +180,12 @@ class Scenario:
     # -- JSON round trip ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        for i, e in enumerate(self.events):
+            if e.kind == "install-config":
+                # Scenario JSON has no form for a TransportConfig payload.
+                raise ScenarioError(
+                    f"event #{i} (install-config at t={e.t}) cannot be written as JSON"
+                )
         return {
             "name": self.name,
             "topology": self.topology.to_json_dict(),

@@ -249,10 +249,13 @@ class Simulator:
         return self.x * self.path_success()
 
     def utility(self) -> float:
+        return self._utility(self.goodputs())
+
+    def _utility(self, goodputs: np.ndarray) -> float:
         classes, first, n = self.problem.classes, self._class_first, self.n.tolist()
         sessions = {c.id: int(round(n[first[c.id]])) if c.id in first else 0 for c in classes}
         # bincount adds in flow order, as a running sum per class would.
-        good = np.bincount(self._class_idx, weights=self.goodputs()).tolist()
+        good = np.bincount(self._class_idx, weights=goodputs).tolist()
         return cumulative_utility(classes, sessions, {c.id: g for c, g in zip(classes, good)})
 
     # -- runs -------------------------------------------------------------
@@ -324,6 +327,7 @@ class Simulator:
     def _sample(self, trace: SimTrace) -> None:
         trace.times.append(round(self.t, 9))
         trace.send.append(self.x.copy())
-        trace.good.append(self.goodputs())
+        good = self.goodputs()
+        trace.good.append(good)
         trace.sessions.append(self.n.copy())
-        trace.utility.append(self.utility())
+        trace.utility.append(self._utility(good))

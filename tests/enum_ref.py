@@ -10,6 +10,7 @@ labels included, so the tests compare with ``==`` and on ``to_json()`` bytes.
 """
 import itertools
 
+from overlaylab.model import INF
 from overlaylab.planner import (
     Plan,
     PlanningProblem,
@@ -34,22 +35,9 @@ def enum_ref(problem: PlanningProblem) -> Plan:
 
 
 def _enumerate(problem, general, scalable) -> Plan:
-    per_class: list[list[tuple[str, int, int]]] = []
-    for c in general:
-        opts = [(c.id, 0, 0)]
-        for nk in range(1, c.max_sessions + 1):
-            for pi in range(len(c.utility.pieces)):
-                opts.append((c.id, nk, pi))
-        per_class.append(opts)
-
     best: Plan | None = None
     best_key = None
-    for combo in itertools.product(*per_class) if per_class else [()]:
-        n = {cid: nk for cid, nk, _ in combo}
-        seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
-        plan = _candidate_plan(problem, n, seg, scalable)
-        if plan is None:
-            continue
+    for _, plan in _candidates(problem, general, scalable):
         key = _plan_sort_key(plan, problem)
         if best is None or key < best_key:
             best, best_key = plan, key
@@ -59,4 +47,31 @@ def _enumerate(problem, general, scalable) -> Plan:
         zero = _zero_plan(problem)
         if _plan_sort_key(zero, problem) < best_key:
             return zero
+    return best
+
+
+def _candidates(problem, general, scalable):
+    """Every feasible (session vector of ``general``, plan) candidate."""
+    per_class: list[list[tuple[str, int, int]]] = []
+    for c in general:
+        opts = [(c.id, 0, 0)]
+        for nk in range(1, c.max_sessions + 1):
+            for pi in range(len(c.utility.pieces)):
+                opts.append((c.id, nk, pi))
+        per_class.append(opts)
+
+    for combo in itertools.product(*per_class) if per_class else [()]:
+        n = {cid: nk for cid, nk, _ in combo}
+        seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
+        plan = _candidate_plan(problem, n, seg, scalable)
+        if plan is not None:
+            yield tuple(nk for _, nk, _ in combo), plan
+
+
+def leaf_utilities(problem: PlanningProblem) -> dict[tuple[int, ...], float]:
+    """Best utility at each session vector, for a problem with no class
+    linear through the origin; vectors follow ``problem.classes``."""
+    best: dict[tuple[int, ...], float] = {}
+    for n, plan in _candidates(problem, problem.classes, []):
+        best[n] = max(best.get(n, -INF), plan.utility)
     return best

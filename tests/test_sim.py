@@ -4,6 +4,7 @@ A single controller with weight w on a link of capacity C settles at
 x* = (C + sqrt(C^2 + 4 C w)) / 2: the fixed point of (1-p) w = p x with
 p = (x - C) / x.  Its goodput is exactly C whenever the link is saturated.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,10 @@ from overlaylab.model import (
     TrafficClass,
     link_id,
 )
-from overlaylab.planner import PlanningProblem
+from overlaylab.planner import PlanningProblem, solve_plan
+from overlaylab.scenarios import build_paper_scenario
 from overlaylab.sim import RATE_FLOOR, Event, Simulator
-from overlaylab.weights import TransportConfig
+from overlaylab.weights import TransportConfig, compute_weights
 
 
 def L(src, dst, cap):
@@ -182,6 +184,64 @@ def test_set_sessions_rejects_unknown_class():
         sim.run(duration=1.0, events=[Event(0.5, "set-sessions", {"class": "typo", "n": 3})])
     sim.set_sessions("k", 3)
     assert sim.n[0] == 3.0
+
+
+@pytest.mark.parametrize("n", [float("nan"), 2.0, True, -1])
+def test_set_sessions_requires_an_integer_count(n):
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match="integer"):
+        sim.set_sessions("k", n)
+    assert sim.n[0] == 1.0
+
+
+@pytest.mark.parametrize("dt", [-0.1, 0.0, float("nan"), float("inf")])
+def test_dt_must_be_finite_and_positive(dt):
+    # run() would loop forever at dt < 0 and fail at 0 or NaN.
+    with pytest.raises(ValueError, match="dt must be"):
+        Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}), dt=dt)
+
+
+@pytest.mark.parametrize("every", [-1.0, 0.0, float("nan"), float("inf")])
+def test_sample_every_must_be_finite_and_positive(every):
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match="sample_every must be"):
+        sim.run(duration=1.0, sample_every=every)
+    assert sim.t == 0.0
+
+
+def fast_one_flow(cls=Simulator, **kwargs):
+    # Gain 0.1 reaches an exact fixed point at t = 52 s.
+    return cls(
+        one_flow_problem(10.0),
+        config({"k:0": 2.0}, {"k": 1}, gain=0.1),
+        initial_rates={"k:0": 5.0},
+        **kwargs,
+    )
+
+
+def test_fixed_at_marks_the_last_freeze():
+    trace = fast_one_flow().run(duration=100.0, sample_every=10.0)
+    assert 50.0 < trace.fixed_at < 100.0
+    frozen = [x for t, x in zip(trace.times, trace.send) if t >= trace.fixed_at]
+    assert len(frozen) >= 4 and all(np.array_equal(x, frozen[0]) for x in frozen)
+    # Not part of the CSV.
+    assert dataclasses.replace(trace, fixed_at=None).to_csv() == trace.to_csv()
+    # An event on the frozen run clears it; the run refreezes later, if at all.
+    cut = [Event(90.0, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})]
+    assert fast_one_flow().run(duration=100.0, events=cut, sample_every=10.0).fixed_at is None
+    assert fast_one_flow().run(duration=300.0, events=cut, sample_every=10.0).fixed_at > 100.0
+
+
+def test_fixed_at_is_none_on_a_robustness_weighted_run():
+    # At gain 0.001 the robustness sweep's weighted run is still converging.
+    scenario = build_paper_scenario("robustness-sweep")
+    problem = scenario.problem()
+    plan = solve_plan(problem)
+    cfg = compute_weights(problem, plan, gain=scenario.gamma)
+    truth = scenario.problem(scenario.topology.with_capacities({"A->B": 7.0}))
+    sim = Simulator(truth, cfg, dt=scenario.dt, initial_rates=plan.rates)
+    trace = sim.run(duration=scenario.duration, sample_every=scenario.duration)
+    assert trace.fixed_at is None
 
 
 def test_rerun_planner_event_is_rejected():

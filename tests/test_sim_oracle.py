@@ -15,6 +15,8 @@ from overlaylab import scenarios
 from overlaylab.planner import solve_plan
 from overlaylab.sim import Event, Simulator
 from overlaylab.weights import compute_weights
+from test_acceptance import _random_mapping_instance
+from test_sim import fast_one_flow
 
 
 def recording(monkeypatch, cls):
@@ -128,3 +130,88 @@ def test_convergence_stop_matches_reference():
     assert trace.converged_at == want.converged_at
     assert_same_state(sim, ref)
     assert trace.to_csv() == sim_ref.to_csv(want)
+
+
+# -- the exact freeze ---------------------------------------------------------
+# ``Simulator.run`` stops stepping once a step leaves the rates bit for bit
+# unchanged; ``RefSimulator`` steps to the end.  The two must still agree.
+
+
+def run_both(make, **run_kwargs):
+    """``make(cls)`` builds each simulator; returns (sim, trace, ref, ref_trace)."""
+    sim, ref = make(Simulator), make(sim_ref.RefSimulator)
+    return sim, sim.run(**run_kwargs), ref, ref.run(**run_kwargs)
+
+
+def assert_same_run(sim, trace, ref, want):
+    assert_same_state(sim, ref)
+    assert trace.times == want.times
+    assert trace.rows == want.rows
+    assert trace.to_csv() == sim_ref.to_csv(want)
+
+
+def test_freeze_long_past_the_fixed_point_matches_reference():
+    sim, trace, ref, want = run_both(fast_one_flow, duration=600.0, sample_every=0.3)
+    assert trace.fixed_at is not None and trace.fixed_at < 100.0
+    assert_same_run(sim, trace, ref, want)
+    assert len(trace.times) > 2000
+
+
+def test_events_after_the_freeze_thaw_it_as_the_reference_moves():
+    events = [
+        Event(100.0, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0}),
+        Event(250.0, "set-sessions", {"class": "k", "n": 3}),
+    ]
+    # Each event lands on a frozen run, which must move again.
+    for t_end, fired in ((100.0, 0), (250.0, 1)):
+        trace = fast_one_flow().run(duration=t_end, events=events[:fired])
+        assert trace.fixed_at < events[fired].t
+    sim, trace, ref, want = run_both(fast_one_flow, duration=500.0, events=events, sample_every=0.5)
+    assert trace.fixed_at > 250.0
+    assert_same_run(sim, trace, ref, want)
+    times = np.array(trace.times)
+    at = [trace.send[np.abs(times - t).argmin()][0] for t in (100.0, 150.0, 250.0, 300.0)]
+    assert at[0] != at[1] != at[2] != at[3]
+
+
+def test_long_fixed_mode_run_matches_reference():
+    scenario = scenarios.build_paper_scenario("robustness-sweep")
+    problem = scenario.problem()
+    plan = solve_plan(problem)
+    config = compute_weights(problem, plan, gain=scenario.gamma)
+    sim, trace, ref, want = run_both(
+        lambda cls: cls(problem, config, mode="fixed", dt=scenario.dt, initial_rates=plan.rates),
+        duration=5000.0, sample_every=2.5,
+    )
+    assert trace.fixed_at == pytest.approx(1.0)
+    assert_same_run(sim, trace, ref, want)
+
+
+@pytest.mark.parametrize("mode", ["weighted", "fixed"])
+def test_convergence_stop_after_a_freeze_matches_reference(mode):
+    # The event fires on a frozen run; the stop waits for it and then for
+    # the rates to settle again.
+    events = [Event(100.0, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})]
+    sim, trace, ref, want = run_both(
+        lambda cls: fast_one_flow(cls, mode=mode),
+        events=events, sample_every=0.5, stop_on_convergence=True, max_time=3000.0,
+    )
+    assert trace.converged_at == want.converged_at
+    assert trace.converged_at is not None and trace.converged_at > 100.0
+    assert_same_run(sim, trace, ref, want)
+
+
+def test_acceptance_2_instance_freezes_and_matches_reference():
+    # Seed 9 is one of acceptance 2's instances: 5 flows on 5 links, each
+    # positive-rate flow priced at one link.  It freezes near t = 917 s.
+    problem = _random_mapping_instance(9)
+    plan = solve_plan(problem)
+    assert plan.utility > 1e-9
+    config = compute_weights(problem, plan)
+    sim, trace, ref, want = run_both(
+        lambda cls: cls(problem, config, dt=0.05, initial_rates=plan.rates),
+        duration=8000.0, sample_every=8000.0,
+    )
+    assert len(sim.flows) == 5
+    assert trace.fixed_at is not None and trace.fixed_at < 2000.0
+    assert_same_run(sim, trace, ref, want)

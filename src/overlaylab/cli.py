@@ -8,18 +8,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
-from .lp import LpSolverError
+from .lp import LpInputError, LpSolverError
 from .model import (
     ModelError,
     Flow,
-    PiecewiseLinearUtility,
     Topology,
     TrafficClass,
     enumerate_paths,
+    json_object,
 )
 from .planner import (
     KKT_TOL,
@@ -42,6 +41,7 @@ from .scenarios import (
     run_experiment,
     study_csv,
 )
+from .weights import WeightError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,64 +53,52 @@ class _InputError(Exception):
     pass
 
 
-def _read_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
+
+
+def _load(path: str, reader):
+    """``reader`` applied to the JSON object in ``path``; bad input is an _InputError."""
     try:
-        return json.loads(text)
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from None
+    try:
+        return reader(json_object(obj, "the top-level value"))
+    except (KeyError, TypeError, ValueError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise _InputError(f"{path}: {why}") from None
 
 
 def _load_topology(path: str) -> Topology:
     if path.endswith(".graphml"):
-        try:
-            with open(path) as fh:
-                return parse_graphml(fh.read())
-        except OSError as exc:
-            raise _InputError(f"cannot read {path}: {exc}") from None
-        except ScenarioError as exc:
-            raise _InputError(str(exc)) from None
-    obj = _read_json(path)
-    try:
-        return Topology.from_json_dict(obj)
-    except (ModelError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        return parse_graphml(_read(path))
+    return _load(path, Topology.from_json_dict)
 
 
 def _load_problem(topology_path: str, classes_path: str, max_hops: int) -> PlanningProblem:
     topo = _load_topology(topology_path)
-    obj = _read_json(classes_path)
-    try:
-        classes = [
-            TrafficClass(
-                c["id"],
-                c["src"],
-                c["dst"],
-                int(c.get("max_sessions", 1)),
-                PiecewiseLinearUtility.from_json_dict(c["utility"]),
-            )
-            for c in obj.get("classes", [])
-        ]
-        flows: dict[str, list[Flow]] = {}
-        explicit = obj.get("flows", {})
-        for c in classes:
-            if c.id in explicit:
-                flows[c.id] = [
-                    Flow(f"{c.id}:{i}", c.id, tuple(route))
-                    for i, route in enumerate(explicit[c.id])
-                ]
-            else:
-                routes = enumerate_paths(topo, c.src, c.dst, max_hops)
-                flows[c.id] = [
-                    Flow(f"{c.id}:{i}", c.id, route) for i, route in enumerate(routes)
-                ]
+
+    def read(obj: dict) -> PlanningProblem:
+        classes = [TrafficClass.from_json_dict(c) for c in obj.get("classes", [])]
+        explicit = json_object(obj.get("flows", {}), "flows")
+        routes = {
+            c.id: explicit[c.id]
+            if c.id in explicit
+            else enumerate_paths(topo, c.src, c.dst, max_hops)
+            for c in classes
+        } | explicit  # PlanningProblem rejects a key that is not a class id
+        flows = {
+            k: [Flow(f"{k}:{i}", k, tuple(route)) for i, route in enumerate(rs)]
+            for k, rs in routes.items()
+        }
         return PlanningProblem(topo, classes, flows)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{classes_path}: {exc}") from None
+
+    return _load(classes_path, read)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -136,13 +124,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     problem = _load_problem(args.topology, args.classes, args.max_hops)
-    try:
-        plan = Plan.from_json_dict(_read_json(args.plan))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{args.plan}: {exc}") from None
-    values = [plan.utility, *plan.rates.values(), *plan.duals.values()]
-    if not all(math.isfinite(v) for v in values):
-        raise _InputError(f"{args.plan}: plan holds a non-finite value")
+    plan = _load(args.plan, Plan.from_json_dict)
     for lid in plan.duals:
         if not problem.topology.has_link(lid):
             raise _InputError(f"plan references unknown link {lid!r}")
@@ -171,15 +153,9 @@ def _resolve_scenario(args) -> Scenario:
     if bool(args.scenario) == bool(args.paper):
         raise _InputError("provide exactly one of --scenario or --paper")
     if args.paper:
-        try:
-            scenario = build_paper_scenario(args.paper, seed=args.seed)
-        except ScenarioError as exc:
-            raise _InputError(str(exc)) from None
+        scenario = build_paper_scenario(args.paper, seed=args.seed)
     else:
-        try:
-            scenario = Scenario.from_json_dict(_read_json(args.scenario))
-        except (ScenarioError, ModelError, KeyError, TypeError, ValueError) as exc:
-            raise _InputError(f"{args.scenario}: {exc}") from None
+        scenario = _load(args.scenario, Scenario.from_json_dict)
     overrides = {"duration": args.duration, "dt": args.dt, "gamma": args.gamma}
     # replace() runs Scenario's validation again on the overridden values.
     return dataclasses.replace(
@@ -205,11 +181,7 @@ def cmd_run(args) -> int:
 
 def cmd_paths(args) -> int:
     topo = _load_topology(args.topology)
-    try:
-        routes = enumerate_paths(topo, args.src, args.dst, args.max_hops)
-    except ModelError as exc:
-        raise _InputError(str(exc)) from None
-    for route in routes:
+    for route in enumerate_paths(topo, args.src, args.dst, args.max_hops):
         print(" ".join(route))
     return EXIT_OK
 
@@ -221,10 +193,7 @@ def _study_topologies(names: list[str]) -> dict[str, Topology]:
             base = _load_topology(name)
             key = base.name
         else:
-            try:
-                base = load_bundled_topology(name)
-            except ScenarioError as exc:
-                raise _InputError(str(exc)) from None
+            base = load_bundled_topology(name)
             key = name
         out[key] = add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
     return out
@@ -251,6 +220,14 @@ def cmd_randpaths(args) -> int:
     return EXIT_OK
 
 
+# Options that several subcommands take; each declares only those it reads.
+SHARED_FLAGS = {
+    "--seed": dict(type=int, default=7),
+    "--max-hops": dict(type=int, default=2),
+    "--out": dict(default=None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overlaylab",
@@ -258,22 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--max-hops", type=int, default=2)
-        p.add_argument("--out", default=None)
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
 
     p = sub.add_parser("solve", help="solve the planning problem")
     p.add_argument("--topology", required=True)
     p.add_argument("--classes", required=True)
-    common(p)
+    common(p, "--max-hops", "--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="verify a plan against optimality conditions")
     p.add_argument("--topology", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--plan", required=True)
-    common(p)
+    common(p, "--max-hops")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("run", help="run a scenario end to end")
@@ -282,26 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--duration", type=float, default=None)
-    common(p)
+    common(p, "--seed", "--out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("paths", help="enumerate overlay routes")
     p.add_argument("--topology", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    common(p)
+    common(p, "--max-hops")
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("hops", help="optimal utility per hop limit")
     p.add_argument("topologies", nargs="+")
-    common(p)
+    common(p, "--seed", "--max-hops")
     p.set_defaults(func=cmd_hops)
 
     p = sub.add_parser("randpaths", help="utility using k random indirect paths")
     p.add_argument("topologies", nargs=1)
     p.add_argument("--k", type=int, nargs="+", default=[0, 1, 2, 4])
     p.add_argument("--trials", type=int, default=10)
-    common(p)
+    common(p, "--seed", "--max-hops")
     p.set_defaults(func=cmd_randpaths)
 
     return parser
@@ -311,13 +287,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, ModelError, ScenarioError, WeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ModelError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (LpSolverError, PlannerError) as exc:
+    except (LpInputError, LpSolverError, PlannerError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

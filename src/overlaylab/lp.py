@@ -79,12 +79,11 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None  # y_i >= 0 per inequality row
-    reduced_costs: np.ndarray | None = None  # c_j - y.A_j per variable
     iterations: int = 0
 
 
 def solve_lp(lp: LinearProgram, max_iterations: int = 50_000) -> LpSolution:
-    """Solve the program; optimal solutions carry row duals and reduced costs.
+    """Solve the program; optimal solutions carry row duals.
 
     Raises LpSolverError instead of returning a silently wrong answer when the
     iteration cap is hit or the final tableau fails verification.
@@ -113,7 +112,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int = 50_000) -> LpSolution:
     objective = float(lp.c @ x)
 
     _verify(lp, x, reduced, objective, y_all, b_rows)
-    return LpSolution("optimal", x, objective, duals, reduced, iters)
+    return LpSolution("optimal", x, objective, duals, iters)
 
 
 def _verify(lp, x, reduced, objective, y_all, b_rows):

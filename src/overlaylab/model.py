@@ -6,7 +6,6 @@ module is safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -33,10 +32,27 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise ModelError(f"link {self.id!r}: self-loop {self.src!r}")
-        if not (self.capacity_mbps > 0):
-            raise ModelError(
-                f"link {self.id!r}: capacity must be > 0, got {self.capacity_mbps}"
-            )
+        check_capacity(self.capacity_mbps, f"link {self.id!r}")
+
+
+def check_capacity(value: float, owner: str) -> None:
+    """The one capacity rule: a number that is finite (so not NaN) and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ModelError(f"{owner} requires a finite capacity_mbps > 0, got {value!r}")
+
+
+def check_sessions(n: int, owner: str, name: str = "n") -> None:
+    """The one session-count rule: an int >= 0."""
+    # type() rather than isinstance(), so that a bool (JSON true) is not 1 session.
+    if not (type(n) is int and n >= 0):
+        raise ModelError(f"{owner} requires an integer {name} >= 0, got {n!r}")
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; the JSON readers call this before ``.get``."""
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def link_id(src: str, dst: str) -> str:
@@ -85,17 +101,11 @@ class Topology:
     def sites(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k == SITE)
 
-    def routers(self) -> list[str]:
-        return sorted(n for n, k in self.nodes.items() if k == ROUTER)
-
     def out_neighbors(self, node: str) -> list[tuple[str, Link]]:
         return sorted(
             ((ln.dst, ln) for ln in self.links if ln.src == node),
             key=lambda t: t[0],
         )
-
-    def capacities(self) -> dict[str, float]:
-        return {ln.id: ln.capacity_mbps for ln in self.links}
 
     def with_capacities(self, overrides: dict[str, float]) -> "Topology":
         """A copy with some link capacities replaced."""
@@ -141,10 +151,6 @@ class Topology:
                 links.append(Link(link_id(a, b), a, b, cap))
         return Topology(obj.get("name", "unnamed"), nodes, links)
 
-    @staticmethod
-    def from_json(text: str) -> "Topology":
-        return Topology.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -180,6 +186,8 @@ class PiecewiseLinearUtility:
         for p in pieces:
             if not p.x_lo < p.x_hi:
                 raise ModelError("empty piece")
+            if not (math.isfinite(p.a) and math.isfinite(p.b)):
+                raise ModelError(f"slope and intercept must be finite, got {p.a}, {p.b}")
             if p.a < 0:
                 raise ModelError("utility must be non-decreasing (slope < 0)")
         for p, q in zip(pieces, pieces[1:]):
@@ -187,8 +195,6 @@ class PiecewiseLinearUtility:
             right_limit = q.value(p.x_hi)
             if right_limit < left - 1e-12:
                 raise ModelError("downward jump at breakpoint")
-        if not math.isfinite(pieces[0].value(0.0)):
-            raise ModelError("U(0) must be finite")
         self.pieces = list(pieces)
 
     @staticmethod
@@ -268,10 +274,31 @@ class TrafficClass:
     utility: PiecewiseLinearUtility
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ModelError(f"class id must be a string, got {self.id!r}")
         if self.src == self.dst:
             raise ModelError(f"class {self.id!r}: src == dst")
-        if self.max_sessions < 0:
-            raise ModelError(f"class {self.id!r}: max_sessions < 0")
+        check_sessions(self.max_sessions, f"class {self.id!r}", "max_sessions")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "src": self.src,
+            "dst": self.dst,
+            "max_sessions": self.max_sessions,
+            "utility": self.utility.to_json_dict(),
+        }
+
+    @staticmethod
+    def from_json_dict(obj: dict) -> "TrafficClass":
+        """Read a class; ``max_sessions`` is optional and defaults to 1."""
+        return TrafficClass(
+            obj["id"],
+            obj["src"],
+            obj["dst"],
+            obj.get("max_sessions", 1),
+            PiecewiseLinearUtility.from_json_dict(obj["utility"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -283,21 +310,16 @@ class Flow:
     route: tuple[str, ...]
 
     def validate(self, topology: Topology, cls: TrafficClass) -> None:
-        if not self.route:
-            raise ModelError(f"flow {self.id!r}: empty route")
-        if len(set(self.route)) != len(self.route):
-            raise ModelError(f"flow {self.id!r}: route repeats a link")
-        nodes = [topology.link(self.route[0]).src]
-        for lid in self.route:
-            ln = topology.link(lid)
-            if ln.src != nodes[-1]:
-                raise ModelError(f"flow {self.id!r}: route is not connected")
-            nodes.append(ln.dst)
-        sites = [n for n in nodes if topology.nodes[n] == SITE]
-        if len(set(sites)) != len(sites):
-            raise ModelError(f"flow {self.id!r}: route revisits a site")
-        if nodes[0] != cls.src or nodes[-1] != cls.dst:
-            raise ModelError(f"flow {self.id!r}: route does not join class endpoints")
+        if not isinstance(self.id, str):
+            raise ModelError(f"flow id must be a string, got {self.id!r}")
+        fault = _route_fault(topology, self.route)
+        if fault is None and (
+            topology.link(self.route[0]).src != cls.src
+            or topology.link(self.route[-1]).dst != cls.dst
+        ):
+            fault = "route does not join class endpoints"
+        if fault is not None:
+            raise ModelError(f"flow {self.id!r}: {fault}")
 
 
 def eval_utility(u: PiecewiseLinearUtility, x: float) -> float:
@@ -367,7 +389,6 @@ def enumerate_paths(
     src: str,
     dst: str,
     max_overlay_hops: int,
-    site_set: list[str] | None = None,
 ) -> list[tuple[str, ...]]:
     """All simple routes from src to dst with at most the given overlay hops.
 
@@ -378,8 +399,7 @@ def enumerate_paths(
     """
     if max_overlay_hops < 1:
         raise ModelError("max_overlay_hops must be >= 1")
-    sites = sorted(site_set) if site_set is not None else topology.sites()
-    intermediates = [s for s in sites if s not in (src, dst)]
+    intermediates = [s for s in topology.sites() if s not in (src, dst)]
 
     legs: dict[tuple[str, str], list[str] | None] = {}
 
@@ -406,7 +426,7 @@ def enumerate_paths(
             if part is None:
                 return
             route.extend(part)
-        if not route or not _is_simple(topology, route):
+        if _route_fault(topology, route) is not None:
             return
         key = tuple(route)
         if key in seen_routes:
@@ -419,22 +439,27 @@ def enumerate_paths(
     return [r for _, _, r in results]
 
 
-def _is_simple(topology: Topology, route: list[str]) -> bool:
-    """Overlay-simple: connected, no repeated directed link, no repeated site.
+def _route_fault(topology: Topology, route) -> str | None:
+    """Why a route is not overlay-simple, or None if it is.
 
-    Routers may repeat — relaying through an intermediate site necessarily
-    re-crosses the relay's router on the way back to the core.
+    Overlay-simple: non-empty, connected, no repeated directed link, no
+    repeated site.  Routers may repeat — relaying through an intermediate site
+    necessarily re-crosses the relay's router on the way back to the core.
     """
-    if not route or len(set(route)) != len(route):
-        return False
+    if not route:
+        return "empty route"
+    if len(set(route)) != len(route):
+        return "route repeats a link"
     nodes = [topology.link(route[0]).src]
     for lid in route:
         ln = topology.link(lid)
         if ln.src != nodes[-1]:
-            return False
+            return "route is not connected"
         nodes.append(ln.dst)
     sites = [n for n in nodes if topology.nodes[n] == SITE]
-    return len(set(sites)) == len(sites)
+    if len(set(sites)) != len(sites):
+        return "route revisits a site"
+    return None
 
 
 def sample_random_paths(

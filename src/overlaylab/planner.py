@@ -36,7 +36,9 @@ from .model import (
     PiecewiseLinearUtility,
     Topology,
     TrafficClass,
+    check_sessions,
     cumulative_utility,
+    json_object,
 )
 
 FEAS_TOL = 1e-7
@@ -59,6 +61,9 @@ class PlanningProblem:
         by_id = {c.id: c for c in self.classes}
         if len(by_id) != len(self.classes):
             raise ModelError("duplicate class id")
+        for c in self.classes:
+            if c.src not in self.topology.nodes or c.dst not in self.topology.nodes:
+                raise ModelError(f"class {c.id!r}: src or dst is not a topology node")
         for k, fl in self.flows.items():
             if k not in by_id:
                 raise ModelError(f"flows for unknown class {k!r}")
@@ -115,13 +120,16 @@ class Plan:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Plan":
-        return Plan(
-            n={k: int(v) for k, v in obj["n"].items()},
-            rates={k: float(v) for k, v in obj["rates"].items()},
-            duals={k: float(v) for k, v in obj["duals"].items()},
-            utility=float(obj["utility"]),
-            optimality=obj["optimality"],
-        )
+        """Read a plan; session counts follow ``check_sessions``, numbers must be finite."""
+        n = json_object(obj["n"], "plan n")
+        for k, v in n.items():
+            check_sessions(v, f"plan class {k!r}")
+        rates = {k: float(v) for k, v in json_object(obj["rates"], "plan rates").items()}
+        duals = {k: float(v) for k, v in json_object(obj["duals"], "plan duals").items()}
+        utility = float(obj["utility"])
+        if not all(map(math.isfinite, [utility, *rates.values(), *duals.values()])):
+            raise ModelError("plan holds a non-finite value")
+        return Plan(n, rates, duals, utility, obj["optimality"])
 
 
 @dataclass

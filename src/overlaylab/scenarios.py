@@ -21,11 +21,11 @@ from .model import (
     SITE,
     Flow,
     Link,
-    ModelError,
     PiecewiseLinearUtility,
     Topology,
     TrafficClass,
     enumerate_paths,
+    json_object,
     link_id,
     sample_random_paths,
 )
@@ -159,8 +159,8 @@ class Scenario:
         for e in self.events:
             if not (0 <= e.t <= self.duration):
                 raise ScenarioError(f"event at t={e.t} outside [0, duration]")
-        for lid in self.estimate_overrides:
-            self.topology.link(lid)
+        # Checks the overrides, and the classes and flows against the topology.
+        self.problem()
         for e in self.events:
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
@@ -189,16 +189,7 @@ class Scenario:
         return {
             "name": self.name,
             "topology": self.topology.to_json_dict(),
-            "classes": [
-                {
-                    "id": c.id,
-                    "src": c.src,
-                    "dst": c.dst,
-                    "max_sessions": c.max_sessions,
-                    "utility": c.utility.to_json_dict(),
-                }
-                for c in self.classes
-            ],
+            "classes": [c.to_json_dict() for c in self.classes],
             "flows": {
                 k: [{"id": f.id, "route": list(f.route)} for f in fl]
                 for k, fl in sorted(self.flows.items())
@@ -221,19 +212,10 @@ class Scenario:
     @staticmethod
     def from_json_dict(obj: dict) -> "Scenario":
         topology = Topology.from_json_dict(obj["topology"])
-        classes = [
-            TrafficClass(
-                c["id"],
-                c["src"],
-                c["dst"],
-                int(c["max_sessions"]),
-                PiecewiseLinearUtility.from_json_dict(c["utility"]),
-            )
-            for c in obj["classes"]
-        ]
+        classes = [TrafficClass.from_json_dict(c) for c in obj["classes"]]
         flows = {
             k: [Flow(f["id"], k, tuple(f["route"])) for f in fl]
-            for k, fl in obj["flows"].items()
+            for k, fl in json_object(obj["flows"], "flows").items()
         }
         events = [
             Event(float(e["t"]), e["kind"], dict(e.get("payload", {})))
@@ -245,7 +227,10 @@ class Scenario:
             classes=classes,
             flows=flows,
             estimate_overrides={
-                k: float(v) for k, v in obj.get("estimate_overrides", {}).items()
+                k: float(v)
+                for k, v in json_object(
+                    obj.get("estimate_overrides", {}), "estimate_overrides"
+                ).items()
             },
             events=events,
             duration=float(obj.get("duration", 200.0)),
@@ -279,18 +264,10 @@ class ExperimentResult:
     summary_rows: list[tuple[str, float, float]]  # (path, target, actual)
 
     def summary_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("path,target_mbps,actual_mbps\n")
-        for path, target, actual in self.summary_rows:
-            buf.write(f"{path},{_fmt(target)},{_fmt(actual)}\n")
-        return buf.getvalue()
+        return study_csv(self.summary_rows, "path,target_mbps,actual_mbps")
 
     def phase_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("phase_start,phase_end,mean_utility\n")
-        for a, b, u in self.phase_utilities:
-            buf.write(f"{_fmt(a)},{_fmt(b)},{_fmt(u)}\n")
-        return buf.getvalue()
+        return study_csv(self.phase_utilities, "phase_start,phase_end,mean_utility")
 
 
 def _route_label(topology: Topology, flow: Flow) -> str:
@@ -349,12 +326,11 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
 
     final_good = trace.final_goodputs()
     summary_rows = []
-    for c in scenario.classes:
-        for f in scenario.flows[c.id]:
-            target = plans[-1][1].rates.get(f.id, 0.0)
-            summary_rows.append(
-                (_route_label(scenario.topology, f), target, final_good.get(f.id, 0.0))
-            )
+    for f in truth_problem.all_flows():
+        target = plans[-1][1].rates.get(f.id, 0.0)
+        summary_rows.append(
+            (_route_label(scenario.topology, f), target, final_good.get(f.id, 0.0))
+        )
     return ExperimentResult(scenario, trace, plans, phase_utilities, summary_rows)
 
 

@@ -35,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import cumulative_utility
+from .model import check_capacity, check_sessions, cumulative_utility
 from .planner import PlanningProblem
 from .weights import TransportConfig
 
@@ -52,11 +52,12 @@ _ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE
 class Event:
     """A timed change to the network or its controllers.
 
-    Payloads: ``set-capacity`` {"link", "capacity_mbps" > 0}; ``set-sessions``
-    {"class", "n": int >= 0}; ``install-config`` {"config": TransportConfig,
-    optional "rates" and "reset_rates"}; ``rerun-planner`` {"knowledge":
-    "current-truth" | "stale"} re-plans mid-run, and ``run_experiment`` turns
-    it into an ``install-config`` (the simulator rejects it).
+    Payloads: ``set-capacity`` {"link", "capacity_mbps": finite and > 0};
+    ``set-sessions`` {"class", "n": int >= 0}; ``install-config`` {"config":
+    TransportConfig, optional "rates" and "reset_rates"}; ``rerun-planner``
+    {"knowledge": "current-truth" | "stale"} re-plans mid-run, and
+    ``run_experiment`` turns it into an ``install-config`` (the simulator
+    rejects it).
     """
 
     t: float
@@ -76,12 +77,10 @@ class Event:
         missing = [k for k in self.KINDS[self.kind] if k not in p]
         if missing:
             raise ValueError(f"{self.kind} payload lacks {', '.join(missing)}")
-        # Written as "not (c > 0)" so that NaN fails too.
-        if self.kind == "set-capacity" and not (p["capacity_mbps"] > 0):
-            raise ValueError("set-capacity requires capacity_mbps > 0")
-        # type() rather than isinstance(), so that a JSON true is not 1 session.
-        if self.kind == "set-sessions" and not (type(p["n"]) is int and p["n"] >= 0):
-            raise ValueError(f"set-sessions requires an integer n >= 0, got {p['n']!r}")
+        if self.kind == "set-capacity":
+            check_capacity(p["capacity_mbps"], "set-capacity")
+        if self.kind == "set-sessions":
+            check_sessions(p["n"], "set-sessions")
         if self.kind == "install-config" and not isinstance(p["config"], TransportConfig):
             raise ValueError("install-config requires a TransportConfig")
         knowledge = p.get("knowledge", "current-truth")
@@ -217,16 +216,13 @@ class Simulator:
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
         if lid not in self._lidx:
             raise ValueError(f"unknown link id {lid!r}")
-        if not (capacity_mbps > 0):
-            raise ValueError(f"capacity must be > 0, got {capacity_mbps}")
+        check_capacity(capacity_mbps, f"link {lid!r}")
         self.capacity[self._lidx[lid]] = capacity_mbps
 
     def set_sessions(self, class_id: str, n: int) -> None:
         if not any(c.id == class_id for c in self.problem.classes):
             raise ValueError(f"unknown class id {class_id!r}")
-        # The rule ``Event`` applies: type() so that a bool or float (NaN too) fails.
-        if not (type(n) is int and n >= 0):
-            raise ValueError(f"session count must be an integer >= 0, got {n!r}")
+        check_sessions(n, f"class {class_id!r}")
         for j, f in enumerate(self.flows):
             if f.class_id == class_id:
                 self.n[j] = float(n)
@@ -301,6 +297,12 @@ class Simulator:
         """
         if not (math.isfinite(sample_every) and sample_every > 0):
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
+        # A NaN or negative duration would end the run at t = 0 without a
+        # step; an infinite max_time without a duration would never end.
+        if not (duration is None or (math.isfinite(duration) and duration >= 0)):
+            raise ValueError(f"duration must be None or finite and >= 0, got {duration}")
+        if not (math.isfinite(max_time) and max_time > 0):
+            raise ValueError(f"max_time must be finite and > 0, got {max_time}")
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
         horizon = self.t + duration if duration is not None else max_time

@@ -1,10 +1,15 @@
 """Command-line interface tests (exit codes, data-only stdout, determinism)."""
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlaylab import cli
 from overlaylab.cli import main
+from overlaylab.lp import LpInputError
 from overlaylab.planner import PlannerConfig, solve_plan
 from overlaylab.scenarios import build_paper_scenario
 
@@ -200,3 +205,200 @@ def test_solve_determinism(files, capsys):
         main(["solve", "--topology", topo, "--classes", classes])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def _edited(doc, edits):
+    """A deep copy of ``doc`` with each (path, value) set; value None deletes."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _write(path, doc) -> str:
+    # json.dumps writes an infinity as Infinity; the holes below use 1e400.
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    return str(path)
+
+
+def _scenario(name, *edits):
+    return _edited(build_paper_scenario(name).to_json_dict(), edits)
+
+
+MAX_SESSIONS = ("classes", 0, "max_sessions")
+
+# (input kind, document, a fragment of the error) for inputs that used to
+# crash with exit 1 or be silently accepted.
+HOLES = {
+    "classes-top-level-list": ("classes", [1, 2], "must be a JSON object"),
+    "infinite-capacity": (
+        "topology", _edited(TOPOLOGY, [(("links", 0, "capacity_mbps"), "1e400")]),
+        "finite capacity_mbps > 0",
+    ),
+    "infinite-set-capacity-event": (
+        "scenario",
+        _scenario("failure-triangle", (("events", 0, "payload", "capacity_mbps"), "1e400")),
+        "finite capacity_mbps > 0",
+    ),
+    "infinite-slope": (
+        "classes",
+        _edited(CLASSES, [(("classes", 0, "utility"),
+                           {"pieces": [[0.0, 1.0, 0.2, 0.0], [1.0, None, "inf", 0.0]]})]),
+        "slope and intercept must be finite",
+    ),
+    "fractional-max-sessions": (
+        "classes", _edited(CLASSES, [(MAX_SESSIONS, 2.5)]), "integer max_sessions >= 0"
+    ),
+    "bool-max-sessions": (
+        "classes", _edited(CLASSES, [(MAX_SESSIONS, True)]), "integer max_sessions >= 0"
+    ),
+    "fractional-max-sessions-scenario": (
+        "scenario", _scenario("triangle-basic", (MAX_SESSIONS, 2.5)), "integer max_sessions >= 0"
+    ),
+    "bool-max-sessions-scenario": (
+        "scenario", _scenario("triangle-basic", (MAX_SESSIONS, True)), "integer max_sessions >= 0"
+    ),
+    "flows-for-unknown-class": (
+        "classes", _edited(CLASSES, [(("flows",), {"zz": [["A->C"]]})]),
+        "flows for unknown class 'zz'",
+    ),
+    "class-dst-not-a-node": (
+        "classes", _edited(CLASSES, [(("classes", 0, "dst"), "Z")]), "not a topology node"
+    ),
+    "pinned-plan-nan-utility": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "utility"), "nan")), "non-finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_malformed_input_exits_2_with_one_error_line(name, files, capsys):
+    tmp, topo, classes = files
+    kind, doc, fragment = HOLES[name]
+    path = _write(tmp / f"{kind}-bad.json", doc)
+    argv = {
+        "topology": ["solve", "--topology", path, "--classes", classes],
+        "classes": ["solve", "--topology", topo, "--classes", path],
+        "scenario": ["run", "--scenario", path, "--out", str(tmp)],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err and "Traceback" not in err
+
+
+def test_lp_input_error_is_internal(files, capsys, monkeypatch):
+    def bad_lp(problem):
+        raise LpInputError("NaN or Inf in program data")
+
+    monkeypatch.setattr(cli, "solve_plan", bad_lp)
+    _, topo, classes = files
+    assert main(["solve", "--topology", topo, "--classes", classes]) == 3
+    assert capsys.readouterr().err == "internal error: NaN or Inf in program data\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hops", "abilene", "--out", "x.csv"],
+        ["paths", "--topology", "t.json", "--src", "A", "--dst", "B", "--seed", "1"],
+        ["run", "--paper", "triangle-basic", "--max-hops", "3"],
+    ],
+)
+def test_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# -- loader fuzzing ---------------------------------------------------------
+
+FUZZ_CLASSES = {
+    "classes": [
+        {"id": "ac", "src": "A", "dst": "C", "max_sessions": 2,
+         "utility": {"pieces": [[0.0, 1.0, 0.2, 0.0], [1.0, None, 0.05, 0.15]]}},
+        {"id": "bc", "src": "B", "dst": "C", "utility": {"linear": 0.1}},
+    ],
+    "flows": {"bc": [["B->C"], ["B->A", "A->C"]]},
+}
+
+
+def _swap_type(value):
+    if isinstance(value, bool):
+        return "yes"
+    if isinstance(value, (int, float)):
+        return str(value)
+    return {str: 0, list: {}, dict: []}.get(type(value), 0)
+
+
+MUTATIONS = {
+    "swap-type": _swap_type,
+    "infinite": lambda value: "1e400",
+    "negative-count": lambda value: -1,
+    "fractional-count": lambda value: 2.5,
+    "wrap-in-list": lambda value: [value],
+}
+
+
+def _paths(doc, prefix=()):
+    """Every key path in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid documents, each with the command that reads it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    topo = _write(tmp / "topo.json", TOPOLOGY)
+    classes = _write(tmp / "classes.json", FUZZ_CLASSES)
+    plan = tmp / "plan.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--topology", topo, "--classes", classes, "--out", str(plan)]) == 0
+    # Events inside the one-second runs, so that every kind fires.
+    events = [
+        {"t": 0.25, "kind": "set-capacity", "payload": {"link": "A->B", "capacity_mbps": 1.0}},
+        {"t": 0.5, "kind": "set-sessions", "payload": {"class": "bc", "n": 2}},
+        {"t": 0.75, "kind": "rerun-planner", "payload": {"knowledge": "stale"}},
+    ]
+    run = ["run", "--out", str(tmp), "--duration", "1", "--scenario"]
+    docs = {
+        "topology": (TOPOLOGY, ["solve", "--classes", classes, "--topology"]),
+        "classes": (FUZZ_CLASSES, ["solve", "--topology", topo, "--classes"]),
+        "plan": (json.loads(plan.read_text()),
+                 ["check", "--topology", topo, "--classes", classes, "--plan"]),
+        "scenario": (_scenario("failure-triangle", (("events",), events), (("duration",), 1.0)), run),
+        "pinned-scenario": (_scenario("demand-sweep", (("duration",), 1.0)), run),
+    }
+    return tmp, {name: (doc, list(_paths(doc)), argv) for name, (doc, argv) in docs.items()}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_0_or_2(fuzz_inputs, data):
+    tmp, inputs = fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(inputs)))
+    doc, paths, argv = inputs[name]
+    path = data.draw(st.sampled_from(paths))
+    mutation = data.draw(st.sampled_from(["drop-key", *MUTATIONS]))
+    if mutation == "drop-key":
+        mutated = _edited(doc, [(path, None)]) if path else {}
+    else:
+        value = doc
+        for key in path:
+            value = value[key]
+        value = MUTATIONS[mutation](value)
+        mutated = _edited(doc, [(path, value)]) if path else value
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv + [_write(tmp / f"mutated-{name}.json", mutated)])
+    # A plan that lost a rate can be well formed and fail the check (exit 1).
+    assert rc in ((0, 1, 2) if name == "plan" else (0, 2))

@@ -159,6 +159,23 @@ def test_linear_utility_matches_closed_form(slope, x):
     assert eval_utility(u, x) == pytest.approx(slope * x, rel=1e-12)
 
 
+def test_traffic_class_json_round_trip_and_default_sessions():
+    u = PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)])
+    c = TrafficClass("k", "A", "B", 3, u)
+    assert TrafficClass.from_json_dict(c.to_json_dict()) == c
+    obj = {"id": "k", "src": "A", "dst": "B", "utility": {"linear": 0.2}}
+    assert TrafficClass.from_json_dict(obj).max_sessions == 1
+    for bad in (2.5, True, -1):
+        with pytest.raises(ModelError, match="integer max_sessions >= 0"):
+            TrafficClass.from_json_dict(obj | {"max_sessions": bad})
+
+
+@pytest.mark.parametrize("a, b", [(INF, 0.0), (0.1, math.nan), (math.nan, 0.0)])
+def test_utility_rejects_non_finite_slope_or_intercept(a, b):
+    with pytest.raises(ModelError, match="slope and intercept must be finite"):
+        PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (1.0, a, b)])
+
+
 def test_cumulative_utility_weights_by_sessions():
     u = PiecewiseLinearUtility.linear(0.5)
     classes = [TrafficClass("k", "A", "B", 4, u)]

@@ -209,6 +209,23 @@ def test_sample_every_must_be_finite_and_positive(every):
     assert sim.t == 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        # NaN and negative durations used to return one sample at t = 0.
+        ({"duration": float("nan")}, "duration must be"),
+        ({"duration": -5.0}, "duration must be"),
+        # Without a duration and without a convergence stop this would never end.
+        ({"max_time": float("inf")}, "max_time must be"),
+    ],
+)
+def test_run_length_must_be_finite(kwargs, match):
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match=match):
+        sim.run(**kwargs)
+    assert sim.t == 0.0
+
+
 def fast_one_flow(cls=Simulator, **kwargs):
     # Gain 0.1 reaches an exact fixed point at t = 52 s.
     return cls(
@@ -264,6 +281,14 @@ def test_set_capacity_rejects_unknown_link():
     sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
     with pytest.raises(ValueError, match="'X->Y'"):
         sim.set_capacity("X->Y", 1.0)
+    assert sim.capacity[0] == 10.0
+
+
+@pytest.mark.parametrize("capacity", [0.0, float("nan"), float("inf")])
+def test_set_capacity_requires_finite_positive(capacity):
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    with pytest.raises(ValueError, match="finite capacity_mbps > 0"):
+        sim.set_capacity("A->B", capacity)
     assert sim.capacity[0] == 10.0
 
 

@@ -101,10 +101,17 @@ def _load_problem(topology_path: str, classes_path: str, max_hops: int) -> Plann
     return _load(classes_path, read)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -167,13 +174,14 @@ def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
     result = run_experiment(scenario)
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot create {outdir}: {exc}") from None
     trace_path = os.path.join(outdir, f"{scenario.name}-trace.csv")
     summary_path = os.path.join(outdir, f"{scenario.name}-summary.csv")
-    with open(trace_path, "w") as fh:
-        fh.write(result.trace.to_csv())
-    with open(summary_path, "w") as fh:
-        fh.write(result.summary_csv())
+    _write(trace_path, result.trace.to_csv())
+    _write(summary_path, result.summary_csv())
     print(f"wrote {trace_path} and {summary_path}", file=sys.stderr)
     sys.stdout.write(result.phase_csv())
     return EXIT_OK

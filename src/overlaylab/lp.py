@@ -29,6 +29,7 @@ INF = math.inf
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 STALL_LIMIT = 200  # degenerate pivots before falling back to Bland's rule
+MAX_ITERATIONS = 50_000  # pivots over both phases before LpSolverError
 
 
 class LpInputError(ValueError):
@@ -82,11 +83,11 @@ class LpSolution:
     iterations: int = 0
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int = 50_000) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program; optimal solutions carry row duals.
 
     Raises LpSolverError instead of returning a silently wrong answer when the
-    iteration cap is hit or the final tableau fails verification.
+    ``MAX_ITERATIONS`` cap is hit or the final tableau fails verification.
     """
     m, n = lp.a.shape
 
@@ -102,7 +103,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int = 50_000) -> LpSolution:
         a_rows = np.vstack([a_rows, ub_a])
         b_rows = np.concatenate([b_rows, lp.hi[ub_idx] - shift[ub_idx]])
 
-    status, x_shifted, y_all, iters = _simplex(lp.c, a_rows, b_rows, max_iterations)
+    status, x_shifted, y_all, iters = _simplex(lp.c, a_rows, b_rows, MAX_ITERATIONS)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
 

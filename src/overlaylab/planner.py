@@ -352,15 +352,17 @@ def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float
     return out
 
 
-def _perspective_lp(problem: PlanningProblem, x_box: dict[str, tuple[float, float]]):
+def _perspective_lp(problem: PlanningProblem):
     """The perspective relaxation's LP over [z_f (nf) | n_k (nc) | t_k (nc)].
 
     z_f = n_k*x_f is a flow's aggregate rate and t_k = n_k*U_k(x_k).  Each
     segment of U_k's concave envelope on [0, agg_hi_k] gives a row
     t_k <= a_i*Z_k + b_i*n_k with Z_k = sum_f z_f, and Z_k <= agg_hi_k*n_k
-    forces Z_k = 0 at n_k = 0.  Only the bounds on n depend on the box.
+    forces Z_k = 0 at n_k = 0; agg_hi_k sums ``default_rate_boxes``.  Only the
+    bounds on n depend on the box.
     """
     classes, flows = problem.classes, problem.all_flows()
+    x_box = default_rate_boxes(problem)
     nf, nc = len(flows), len(classes)
     flow_class = np.repeat(np.arange(nc), [len(problem.flows[c.id]) for c in classes])
     agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in flows], minlength=nc)
@@ -395,19 +397,18 @@ def _perspective_lp(problem: PlanningProblem, x_box: dict[str, tuple[float, floa
 def mccormick_bound(
     problem: PlanningProblem,
     n_box: dict[str, tuple[int, int]],
-    x_box: dict[str, tuple[float, float]] | None = None,
     *,
     relaxation: LinearProgram | None = None,
 ) -> float:
     """Upper bound on achievable utility over a box of session counts.
 
     Solves the perspective relaxation over the box; ``solve_plan`` passes
-    the ``relaxation`` LP it built once for ``x_box``.  The name is kept from
+    the ``relaxation`` LP it built once per solve.  The name is kept from
     the McCormick relaxation this replaced (``tests/mccormick_ref.py``), which
     is never tighter.
     """
     if relaxation is None:
-        relaxation = _perspective_lp(problem, x_box or default_rate_boxes(problem))
+        relaxation = _perspective_lp(problem)
     for c in problem.classes:
         if n_box[c.id][0] > n_box[c.id][1]:
             raise PlannerError(f"empty session box for class {c.id!r}")
@@ -460,8 +461,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     ]
     scalable_ids = {c.id for c in scalable}
     general = [c for c in problem.classes if c.id not in scalable_ids]
-    x_box = default_rate_boxes(problem)
-    relaxation = _perspective_lp(problem, x_box) if general else None
+    relaxation = _perspective_lp(problem) if general else None
     root = {c.id: (0, c.max_sessions) for c in problem.classes}
     by_id = sorted(c.id for c in problem.classes)
 
@@ -526,7 +526,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
             child = dict(box)
             child[cid] = sub
             child_lo = lo_sum + sub[0] - nl
-            b = mccormick_bound(problem, child, x_box, relaxation=relaxation)
+            b = mccormick_bound(problem, child, relaxation=relaxation)
             if not dominated(b, child_lo, child):
                 heapq.heappush(heap, (-b, child_lo, next(counter), child))
     return incumbent

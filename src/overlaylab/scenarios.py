@@ -14,7 +14,7 @@ import json
 import math
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import (
     ROUTER,
@@ -29,9 +29,9 @@ from .model import (
     link_id,
     sample_random_paths,
 )
-from .planner import Plan, PlannerConfig, PlanningProblem, solve_plan
+from .planner import Plan, PlanningProblem, solve_plan
 from .sim import Event, SimTrace, Simulator, _fmt
-from .weights import TransportConfig, compute_weights
+from .weights import compute_weights
 
 PAPER_SCENARIOS = (
     "triangle-basic",
@@ -102,25 +102,17 @@ def load_bundled_topology(name: str) -> Topology:
         raise ScenarioError(f"no bundled topology named {name!r}") from None
 
 
-def add_sites(
-    topology: Topology,
-    routers: list[str] | None = None,
-    uplink_mbps: float = 30.0,
-    core_mbps: float = 10.0,
-) -> Topology:
-    """Attach one site per selected router via an uplink of the given capacity.
+def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 10.0) -> Topology:
+    """Attach one site per router via an uplink of the given capacity.
 
     Core (router-router) links are reset to ``core_mbps``.  Site ids are the
     router id prefixed with ``s-``.
     """
-    routers = sorted(routers) if routers is not None else sorted(topology.nodes)
     nodes = dict(topology.nodes)
     links = [
         Link(ln.id, ln.src, ln.dst, core_mbps) for ln in topology.links
     ]
-    for r in routers:
-        if r not in topology.nodes:
-            raise ScenarioError(f"unknown router {r!r}")
+    for r in sorted(topology.nodes):
         site = f"s-{r}"
         nodes[site] = SITE
         links.append(Link(link_id(site, r), site, r, uplink_mbps))
@@ -148,6 +140,12 @@ class Scenario:
     pinned_plan: Plan | None = None  # bypass the solver (stale-knowledge studies)
 
     def __post_init__(self):
+        # The CLI writes <name>-trace.csv, so the name must be one file name.
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
+                and not {"/", "\\"} & set(self.name)):
+            raise ScenarioError(
+                f"name must be a non-empty string without / or \\, not . or .., got {self.name!r}"
+            )
         # Written as "not (value > 0)" so that NaN fails too.
         for name in ("duration", "dt", "gamma"):
             value = getattr(self, name)
@@ -277,13 +275,13 @@ def _route_label(topology: Topology, flow: Flow) -> str:
     return "|".join(nodes)
 
 
-def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = None) -> ExperimentResult:
+def run_experiment(scenario: Scenario) -> ExperimentResult:
     """Solve, map, simulate with the scenario's timeline, summarize."""
     problem_est = scenario.problem()
     if scenario.pinned_plan is not None:
         plan = scenario.pinned_plan
     else:
-        plan = solve_plan(problem_est, planner_config)
+        plan = solve_plan(problem_est)
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
     plans: list[tuple[float, Plan]] = [(0.0, plan)]
 
@@ -304,7 +302,7 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
             continue
         stale = ev.payload.get("knowledge") == "stale"
         prob = scenario.problem(scenario.estimated_topology() if stale else current_truth)
-        new_plan = solve_plan(prob, planner_config)
+        new_plan = solve_plan(prob)
         plans.append((ev.t, new_plan))
         new_config = compute_weights(prob, new_plan, gain=scenario.gamma)
         payload = {"config": new_config, "rates": dict(new_plan.rates)}
@@ -338,11 +336,12 @@ def run_experiment(scenario: Scenario, planner_config: PlannerConfig | None = No
 # paper scenario construction
 
 
-def triangle_topology(bc_mbps: float = 5.0, other_mbps: float = 10.0) -> Topology:
+def triangle_topology() -> Topology:
+    """Sites A, B and C, linked both ways: B-C at 5 Mbps, the rest at 10 Mbps."""
     nodes = {"A": SITE, "B": SITE, "C": SITE}
     links = []
     for s, d in [("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"), ("B", "C"), ("C", "B")]:
-        cap = bc_mbps if {s, d} == {"B", "C"} else other_mbps
+        cap = 5.0 if {s, d} == {"B", "C"} else 10.0
         links.append(Link(link_id(s, d), s, d, cap))
     return Topology("triangle", nodes, links)
 
@@ -396,8 +395,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
 
     if name == "robustness-sweep":
         # Disjoint flows over A->B and B->C; the planner sees A->B at 3 Mbps.
-        topo = triangle_topology(bc_mbps=5.0, other_mbps=10.0)
-        topo = topo.with_capacities({"A->B": 3.0})
+        topo = triangle_topology().with_capacities({"A->B": 3.0})
         u1 = PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)])
         c1 = TrafficClass("ab", "A", "B", 1, u1)
         c2 = TrafficClass("bc", "B", "C", 1, PiecewiseLinearUtility.linear(0.2))
@@ -411,9 +409,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         )
 
     if name == "demand-sweep":
-        topo = triangle_topology(bc_mbps=5.0, other_mbps=10.0).with_capacities(
-            {"A->B": 3.0}
-        )
+        topo = triangle_topology().with_capacities({"A->B": 3.0})
         slope = 0.0005
         ca = TrafficClass("hi", "A", "C", 11, PiecewiseLinearUtility.linear(slope))
         cb = TrafficClass("lo", "B", "C", 1, PiecewiseLinearUtility.linear(slope))
@@ -556,18 +552,24 @@ def robustness_sweep(
     """(capacity, weighted, fixed-rate, unit-weight) equilibrium utilities.
 
     The plan is solved once against the estimated 3 Mbps A->B capacity and
-    held fixed while the true capacity sweeps 1..10 Mbps.
+    held fixed while the true capacity sweeps 1..10 Mbps.  The baselines are
+    the plan's config at gain 0 and with every weight 1.
     """
     scenario = build_paper_scenario("robustness-sweep")
     problem_est = scenario.problem()
     plan = solve_plan(problem_est)
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
+    configs = (
+        config,
+        replace(config, gain=0.0),
+        replace(config, weights=dict.fromkeys(config.weights, 1.0)),
+    )
     rows = []
     for cap in capacities:
         truth_problem = scenario.problem(scenario.topology.with_capacities({"A->B": cap}))
         utils = []
-        for mode in ("weighted", "fixed", "unit"):
-            sim = Simulator(truth_problem, config, mode=mode, dt=scenario.dt, initial_rates=plan.rates)
+        for cfg in configs:
+            sim = Simulator(truth_problem, cfg, dt=scenario.dt, initial_rates=plan.rates)
             sim.run(duration=scenario.duration, sample_every=scenario.duration)
             utils.append(sim.utility())
         rows.append((cap, utils[0], utils[1], utils[2]))
@@ -585,11 +587,7 @@ def demand_sweep(
     rows = []
     n_planned = plan.n["hi"]
     for m in session_counts:
-        cfg = TransportConfig(
-            dict(config.weights),
-            dict(config.sessions) | {"hi": m},
-            gain=config.gain,
-        )
+        cfg = replace(config, sessions=config.sessions | {"hi": m})
         # Sessions beyond the planned count arrive cold, so the class starts
         # at the planned aggregate; the fluid model averages per session.
         init = dict(plan.rates)

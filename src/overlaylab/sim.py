@@ -16,6 +16,9 @@ fixed step; everything is vectorized over flows with a link-by-flow incidence
 matrix, and a run is a pure function of its inputs.  ``Event`` is the one
 timed change, shared with the scenario engine; ``SimTrace`` stores per sample.
 
+The installed ``TransportConfig`` is the whole controller; the unit-weight
+and fixed-rate (gain 0) baselines are configs too.
+
 A step is a pure function of the rates, weights, sessions, capacities,
 ``gain_norm`` and dt.  So once one step returns the rates bit for bit
 unchanged (``np.array_equal``, no tolerance), every later step would too
@@ -52,21 +55,22 @@ _ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE
 class Event:
     """A timed change to the network or its controllers.
 
-    Payloads: ``set-capacity`` {"link", "capacity_mbps": finite and > 0};
-    ``set-sessions`` {"class", "n": int >= 0}; ``install-config`` {"config":
-    TransportConfig, optional "rates" and "reset_rates"}; ``rerun-planner``
-    {"knowledge": "current-truth" | "stale"} re-plans mid-run, and
-    ``run_experiment`` turns it into an ``install-config`` (the simulator
-    rejects it).
+    Payloads (a key the kind does not read is an error): ``set-capacity``
+    {"link", "capacity_mbps": finite and > 0}; ``set-sessions`` {"class",
+    "n": int >= 0}; ``install-config`` {"config": TransportConfig, optional
+    "rates": flow id -> finite rate, lifted to ``RATE_FLOOR``, so a rate at or
+    below it restarts the flow}; ``rerun-planner`` {optional "knowledge":
+    "current-truth" | "stale"} re-plans mid-run, and ``run_experiment`` turns
+    it into an ``install-config`` (the simulator rejects it).
     """
 
     t: float
     kind: str
     payload: dict = field(default_factory=dict)
 
-    # Each kind with the payload keys it requires.
-    KINDS = {"set-capacity": ("link", "capacity_mbps"), "set-sessions": ("class", "n"),
-             "install-config": ("config",), "rerun-planner": ()}
+    # Each kind with the payload keys it requires and those it may also read.
+    KINDS = {"set-capacity": (("link", "capacity_mbps"), ()), "set-sessions": (("class", "n"), ()),
+             "install-config": (("config",), ("rates",)), "rerun-planner": ((), ("knowledge",))}
 
     def __post_init__(self):
         p = self.payload
@@ -74,18 +78,31 @@ class Event:
             raise ValueError(f"event time must be finite and >= 0, got {self.t}")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        missing = [k for k in self.KINDS[self.kind] if k not in p]
+        required, optional = self.KINDS[self.kind]
+        missing = [k for k in required if k not in p]
         if missing:
             raise ValueError(f"{self.kind} payload lacks {', '.join(missing)}")
+        unread = [repr(k) for k in p if k not in required + optional]
+        if unread:
+            raise ValueError(f"{self.kind} payload has unread key(s) {', '.join(unread)}")
         if self.kind == "set-capacity":
             check_capacity(p["capacity_mbps"], "set-capacity")
         if self.kind == "set-sessions":
             check_sessions(p["n"], "set-sessions")
-        if self.kind == "install-config" and not isinstance(p["config"], TransportConfig):
-            raise ValueError("install-config requires a TransportConfig")
+        if self.kind == "install-config":
+            if not isinstance(p["config"], TransportConfig):
+                raise ValueError("install-config requires a TransportConfig")
+            _check_rates(p.get("rates", {}), "install-config")
         knowledge = p.get("knowledge", "current-truth")
         if self.kind == "rerun-planner" and knowledge not in ("current-truth", "stale"):
             raise ValueError("rerun-planner knowledge must be current-truth|stale")
+
+
+def _check_rates(rates: dict[str, float], owner: str) -> None:
+    """Every given rate must be finite; one below ``RATE_FLOOR`` is lifted to it."""
+    for fid, rate in rates.items():
+        if not math.isfinite(rate):
+            raise ValueError(f"{owner} rate of flow {fid!r} must be finite, got {rate!r}")
 
 
 @dataclass(eq=False)
@@ -149,30 +166,27 @@ _CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
 
 
 class Simulator:
-    """Fluid network with one controller per flow.
+    """Fluid network with one weighted proportionally-fair controller per flow.
 
-    ``mode`` selects the controller family: ``"weighted"`` uses the installed
-    per-flow weights, ``"unit"`` forces every weight to 1, and ``"fixed"``
-    pins send rates at their initial values (an open-loop sender whose goodput
-    still suffers route loss).
+    The controllers run the installed ``TransportConfig``; the baselines are
+    configs: unit weights (``dict.fromkeys(config.weights, 1.0)``), and gain
+    0, a fixed-rate sender whose steps add +-0 to every rate, so the rates
+    keep their bits and the run freezes at its first convergence window.
     """
 
     def __init__(
         self,
         problem: PlanningProblem,
         config: TransportConfig,
-        mode: str = "weighted",
         dt: float = DEFAULT_DT,
         initial_rates: dict[str, float] | None = None,
     ):
-        if mode not in ("weighted", "unit", "fixed"):
-            raise ValueError(f"unknown mode {mode!r}")
         dt = float(dt)
         # A dt that is not finite and > 0 would make ``run`` loop forever or fail.
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
+        _check_rates(initial_rates or {}, "initial")
         self.problem = problem
-        self.mode = mode
         self.dt = dt
         self.flows = problem.all_flows()
         self._flow_ids = [f.id for f in self.flows]
@@ -191,27 +205,26 @@ class Simulator:
         self.capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
         self.t = 0.0
         self.x = np.full(nf, RATE_FLOOR)
-        if initial_rates:
-            for j, f in enumerate(self.flows):
-                if f.id in initial_rates:
-                    self.x[j] = max(RATE_FLOOR, initial_rates[f.id])
-        self.install_config(config, reset_rates=False)
+        self._set_rates(initial_rates or {})
+        self.install_config(config)
 
     # -- configuration ----------------------------------------------------
 
-    def install_config(self, config: TransportConfig, reset_rates: bool = True) -> None:
-        """Adopt new weights and session counts; optionally restart from the floor."""
+    def install_config(self, config: TransportConfig) -> None:
+        """Adopt new weights, session counts and gain; the rates carry on."""
         self.config = config
         self.w = np.array([config.weights.get(f.id, 0.0) for f in self.flows])
         self.n = np.array(
             [float(config.sessions.get(f.class_id, 0)) for f in self.flows]
         )
-        if self.mode == "unit":
-            self.w = np.ones_like(self.w)
         w_max = float(self.w.max()) if self.w.size else 0.0
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
-        if reset_rates:
-            self.x = np.full(len(self.flows), RATE_FLOOR)
+
+    def _set_rates(self, rates: dict[str, float]) -> None:
+        """Move each listed flow to its rate, lifted to ``RATE_FLOOR``."""
+        for j, f in enumerate(self.flows):
+            if f.id in rates:
+                self.x[j] = max(RATE_FLOOR, rates[f.id])
 
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
         if lid not in self._lidx:
@@ -243,19 +256,17 @@ class Simulator:
         return np.exp(s, s)
 
     def step(self) -> None:
-        # Fixed-rate senders keep their rates, so they need no loss pass.  The
-        # rest computes dx = gain_norm * x * (succ * w - loss * x) and
-        # x = max(RATE_FLOOR, x + dt * dx) operation by operation in reused buffers.
-        if self.mode != "fixed":
-            x = self.x
-            succ = self.path_success()
-            loss = np.subtract(_ONE, succ)
-            np.subtract(np.multiply(succ, self.w, succ), np.multiply(loss, x, loss), succ)
-            dx = np.multiply(self.gain_norm, x)
-            np.multiply(dx, succ, dx)
-            np.multiply(self.dt, dx, dx)
-            np.add(x, dx, dx)
-            self.x = np.maximum(dx, _RATE_FLOOR, out=dx)
+        # dx = gain_norm * x * (succ * w - loss * x) and x = max(RATE_FLOOR,
+        # x + dt * dx), operation by operation in reused buffers.
+        x = self.x
+        succ = self.path_success()
+        loss = np.subtract(_ONE, succ)
+        np.subtract(np.multiply(succ, self.w, succ), np.multiply(loss, x, loss), succ)
+        dx = np.multiply(self.gain_norm, x)
+        np.multiply(dx, succ, dx)
+        np.multiply(self.dt, dx, dx)
+        np.add(x, dx, dx)
+        self.x = np.maximum(dx, _RATE_FLOOR, out=dx)
         self.t += self.dt
 
     def goodputs(self) -> np.ndarray:
@@ -276,17 +287,16 @@ class Simulator:
 
     def run(
         self,
-        duration: float | None = None,
+        duration: float,
         events: list[Event] | None = None,
         sample_every: float = 1.0,
         stop_on_convergence: bool = False,
-        max_time: float = 10_000.0,
     ) -> SimTrace:
-        """Advance the simulation, applying events and sampling the trace.
+        """Advance the simulation by ``duration``, applying events and sampling.
 
-        With ``stop_on_convergence`` the run ends once every send rate has
-        changed by less than 0.1% over one simulated second (and all events
-        have fired), or at ``max_time``.
+        With ``stop_on_convergence`` the run ends early once every send rate
+        has changed by less than 0.1% over one simulated second (and all
+        events have fired); ``trace.converged_at`` is then the stop time.
 
         At the end of each convergence window the run compares the rates with
         their value before the window's last step.  If that step left them
@@ -298,14 +308,12 @@ class Simulator:
         if not (math.isfinite(sample_every) and sample_every > 0):
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
         # A NaN or negative duration would end the run at t = 0 without a
-        # step; an infinite max_time without a duration would never end.
-        if not (duration is None or (math.isfinite(duration) and duration >= 0)):
-            raise ValueError(f"duration must be None or finite and >= 0, got {duration}")
-        if not (math.isfinite(max_time) and max_time > 0):
-            raise ValueError(f"max_time must be finite and > 0, got {max_time}")
+        # step, and an infinite one would never end.
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ValueError(f"duration must be finite and >= 0, got {duration}")
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
-        horizon = self.t + duration if duration is not None else max_time
+        horizon = self.t + duration
         ei = 0
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
         sample_steps = max(1, int(round(sample_every / self.dt)))
@@ -325,8 +333,8 @@ class Simulator:
             if frozen:
                 self.t += self.dt
             else:
-                # ``step`` rebinds self.x (fixed mode leaves it as is), so
-                # ``before`` keeps the rates the step started from.
+                # ``step`` rebinds self.x, so ``before`` keeps the rates the
+                # step started from.
                 before = self.x
                 self.step()
             steps += 1
@@ -356,12 +364,9 @@ class Simulator:
         elif ev.kind == "set-sessions":
             self.set_sessions(ev.payload["class"], ev.payload["n"])
         elif ev.kind == "install-config":
-            self.install_config(ev.payload["config"], reset_rates=ev.payload.get("reset_rates", False))
-            if "rates" in ev.payload:
-                # Abrupt switch to the new plan's starting rates.
-                for j, f in enumerate(self.flows):
-                    if f.id in ev.payload["rates"]:
-                        self.x[j] = max(RATE_FLOOR, ev.payload["rates"][f.id])
+            self.install_config(ev.payload["config"])
+            # Abrupt switch to the new plan's starting rates.
+            self._set_rates(ev.payload.get("rates", {}))
         else:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 

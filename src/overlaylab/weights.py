@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .model import ModelError, check_sessions, json_object
 from .planner import FEAS_TOL, Plan, PlanningProblem, _worst
 
 DEFAULT_GAIN = 0.001
@@ -29,12 +30,19 @@ class TransportConfig:
     """Per-flow controller weights plus session counts and the tuned gain.
 
     The simulator divides ``gain`` by the largest weight it runs with
-    (``Simulator.gain_norm``).
+    (``Simulator.gain_norm``).  Session counts follow ``check_sessions``, and
+    the gain is finite and >= 0; gain 0 holds every rate fixed.
     """
 
     weights: dict[str, float]  # flow id -> weight
     sessions: dict[str, int]  # class id -> session count
     gain: float = DEFAULT_GAIN
+
+    def __post_init__(self):
+        for k, n in self.sessions.items():
+            check_sessions(n, f"config class {k!r}")
+        if not (math.isfinite(self.gain) and self.gain >= 0):
+            raise ModelError(f"config gain must be finite and >= 0, got {self.gain!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,7 +58,7 @@ class TransportConfig:
     def from_json_dict(obj: dict) -> "TransportConfig":
         return TransportConfig(
             weights={k: float(v) for k, v in obj["weights"].items()},
-            sessions={k: int(v) for k, v in obj["sessions"].items()},
+            sessions=dict(json_object(obj["sessions"], "config sessions")),
             gain=float(obj["gain"]),
         )
 

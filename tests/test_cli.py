@@ -274,6 +274,11 @@ HOLES = {
     "pinned-plan-nan-utility": (
         "scenario", _scenario("demand-sweep", (("pinned_plan", "utility"), "nan")), "non-finite"
     ),
+    "unread-event-payload-key": (
+        "scenario",
+        _scenario("failure-triangle", (("events", 0, "payload", "reset_rates"), True)),
+        "set-capacity payload has unread key(s) 'reset_rates'",
+    ),
 }
 
 
@@ -288,9 +293,43 @@ def test_malformed_input_exits_2_with_one_error_line(name, files, capsys):
         "scenario": ["run", "--scenario", path, "--out", str(tmp)],
     }[kind]
     assert main(argv) == 2
+    _one_error_line(capsys, fragment)
+
+
+def _one_error_line(capsys, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err and "Traceback" not in err
+
+
+def test_run_out_onto_an_existing_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = ["run", "--paper", "triangle-basic", "--duration", "1", "--out", str(blocker)]
+    assert main(argv) == 2
+    _one_error_line(capsys, f"cannot create {blocker}")
+    assert blocker.read_text() == ""
+
+
+def test_solve_out_in_a_missing_directory_exits_2(files, capsys):
+    tmp, topo, classes = files
+    out = tmp / "missing-dir" / "p.json"
+    assert main(["solve", "--topology", topo, "--classes", classes, "--out", str(out)]) == 2
+    _one_error_line(capsys, f"cannot write {out}")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", [], "", ".", "..", "a/b", "a\\b"])
+def test_scenario_name_must_be_one_file_name(tmp_path, capsys, name):
+    # "../escaped" used to write escaped-trace.csv beside the output directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    path = _write(work / "scenario.json", _scenario("triangle-basic", (("name",), name)))
+    assert main(["run", "--scenario", path, "--out", str(work / "out")]) == 2
+    _one_error_line(capsys, "name must be a non-empty string")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "work", "work/scenario.json"
+    ]
 
 
 def test_lp_input_error_is_internal(files, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 """Dual-to-weight mapping tests."""
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from overlaylab.model import (
     Flow,
     Link,
+    ModelError,
     PiecewiseLinearUtility,
     Topology,
     TrafficClass,
@@ -135,3 +137,25 @@ def test_config_json_round_trip():
     config = compute_weights(problem, solve_plan(problem))
     again = TransportConfig.from_json_dict(config.to_json_dict())
     assert again == config
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1])
+def test_config_sessions_follow_the_session_rule(n):
+    with pytest.raises(ModelError, match="integer n >= 0"):
+        TransportConfig({"k:0": 1.0}, {"k": n})
+    # The JSON reader no longer rounds 2.5 to 2 or reads true as 1.
+    doc = {"weights": {"k:0": 1.0}, "sessions": {"k": n}, "gain": 0.001}
+    with pytest.raises(ModelError, match="integer n >= 0"):
+        TransportConfig.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("gain", [float("nan"), float("inf"), -0.001])
+def test_config_gain_must_be_finite_and_non_negative(gain):
+    # A NaN gain used to make every rate NaN on the first step.
+    config = TransportConfig({"k:0": 1.0}, {"k": 1})
+    with pytest.raises(ModelError, match="gain must be finite and >= 0"):
+        TransportConfig({"k:0": 1.0}, {"k": 1}, gain)
+    with pytest.raises(ModelError, match="gain must be finite and >= 0"):
+        dataclasses.replace(config, gain=gain)
+    # Gain 0 is the fixed-rate sender.
+    assert dataclasses.replace(config, gain=0.0).gain == 0.0

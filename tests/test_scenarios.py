@@ -104,6 +104,10 @@ def test_scenario_from_json_leaves_its_input_alone():
         ("set-sessions", {"class": "typo", "n": 1}, "unknown class 'typo'"),
         ("rerun-planner", {"knowledge": "oracle"}, "knowledge"),
         ("install-config", {"config": {"weights": {}, "sessions": {}, "gain": 0.001}}, "TransportConfig"),
+        # A key the kind does not read raises instead of being ignored.
+        ("set-capacity", {"link": "A->B", "capacity_mbps": 4.0, "rates": {}}, "unread key"),
+        ("set-sessions", {"class": "bc", "n": 1, "reset_rates": True}, "unread key"),
+        ("rerun-planner", {"knowledge": "stale", "gain": 0.1}, "unread key"),
     ],
 )
 def test_scenario_rejects_bad_event(kind, payload, match):

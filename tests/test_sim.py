@@ -118,10 +118,10 @@ def test_zero_weight_flow_stays_at_floor():
 
 
 def test_fixed_mode_holds_send_rates():
+    # The fixed-rate sender is gain 0.
     sim = Simulator(
         one_flow_problem(10.0),
-        config({"k:0": 2.0}, {"k": 1}),
-        mode="fixed",
+        config({"k:0": 2.0}, {"k": 1}, gain=0.0),
         initial_rates={"k:0": 4.0},
     )
     sim.run(duration=100.0, sample_every=100.0)
@@ -129,7 +129,9 @@ def test_fixed_mode_holds_send_rates():
 
 
 def test_unit_mode_ignores_weights():
-    a = Simulator(two_flow_problem(8.0), config({"p:0": 1.0, "q:0": 9.0}, {"p": 1, "q": 1}), mode="unit")
+    # The unit-weight controller is the config with every weight 1.
+    cfg = config({"p:0": 1.0, "q:0": 9.0}, {"p": 1, "q": 1})
+    a = Simulator(two_flow_problem(8.0), dataclasses.replace(cfg, weights=dict.fromkeys(cfg.weights, 1.0)))
     a.run(duration=3000.0, sample_every=3000.0)
     g = a.goodputs()
     assert g[0] == pytest.approx(g[1], rel=1e-6)
@@ -152,7 +154,7 @@ def test_convergence_detection():
         config({"k:0": 2.0}, {"k": 1}),
         initial_rates={"k:0": 5.0},
     )
-    trace = sim.run(stop_on_convergence=True, max_time=8000.0)
+    trace = sim.run(duration=8000.0, stop_on_convergence=True)
     assert trace.converged_at is not None
     # The rule tolerates < 0.1%/s residual drift, so allow that much slack.
     x_at_stop = sim.x[0]
@@ -215,8 +217,8 @@ def test_sample_every_must_be_finite_and_positive(every):
         # NaN and negative durations used to return one sample at t = 0.
         ({"duration": float("nan")}, "duration must be"),
         ({"duration": -5.0}, "duration must be"),
-        # Without a duration and without a convergence stop this would never end.
-        ({"max_time": float("inf")}, "max_time must be"),
+        # Without a convergence stop this would never end.
+        ({"duration": float("inf")}, "duration must be"),
     ],
 )
 def test_run_length_must_be_finite(kwargs, match):
@@ -324,3 +326,31 @@ def test_utility_uses_goodput_not_send_rate():
     )
     # Send rate 20, goodput 10, slope 0.2 -> utility 2.0.
     assert sim.utility() == pytest.approx(2.0, rel=1e-9)
+
+
+def test_install_config_rejects_reset_rates():
+    # The removed flag raises instead of being ignored; a restart is floor rates.
+    payload = {"config": config({"k:0": 2.0}, {"k": 1}), "reset_rates": True}
+    with pytest.raises(ValueError, match="unread key\\(s\\) 'reset_rates'"):
+        Event(1.0, "install-config", payload)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_given_rates_must_be_finite(rate):
+    cfg = config({"k:0": 2.0}, {"k": 1})
+    # NaN used to become the floor, and inf failed only at the first sample.
+    with pytest.raises(ValueError, match="rate of flow 'k:0' must be finite"):
+        Simulator(one_flow_problem(), cfg, initial_rates={"k:0": rate})
+    with pytest.raises(ValueError, match="rate of flow 'k:0' must be finite"):
+        Event(1.0, "install-config", {"config": cfg, "rates": {"k:0": rate}})
+
+
+def test_rates_at_or_below_the_floor_restart_a_flow():
+    fixed = config({"k:0": 2.0}, {"k": 1}, gain=0.0)
+    sim = Simulator(one_flow_problem(), fixed, initial_rates={"k:0": -5.0})
+    assert sim.x[0] == RATE_FLOOR
+    sim = Simulator(one_flow_problem(), fixed, initial_rates={"k:0": 4.0})
+    restart = Event(1.0, "install-config", {"config": fixed, "rates": {"k:0": 0.0}})
+    trace = sim.run(duration=2.0, events=[restart])
+    # The sample at t = 1 is taken before the event at t = 1 applies.
+    assert [x[0] for x in trace.send] == [4.0, 4.0, RATE_FLOOR]

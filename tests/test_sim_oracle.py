@@ -4,8 +4,13 @@
 rewrite.  Both must take the same floating-point steps, so final rates,
 goodputs and utility must agree with ``np.array_equal`` / ``==`` and the
 trace CSV byte for byte, never within a tolerance.
+
+The reference still has controller modes and a rate-reset flag; the
+simulator gets the equivalent config (``in_mode``) and, for a reset, floor
+rates for every flow (``translated``).
 """
 import dataclasses
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,10 +18,46 @@ import pytest
 import sim_ref
 from overlaylab import scenarios
 from overlaylab.planner import solve_plan
-from overlaylab.sim import Event, Simulator
+from overlaylab.sim import RATE_FLOOR, Event, Simulator
 from overlaylab.weights import compute_weights
 from test_acceptance import _random_mapping_instance
-from test_sim import fast_one_flow
+from test_sim import config as make_config
+from test_sim import fast_one_flow, one_flow_problem
+
+MODES = ("weighted", "fixed", "unit")
+
+# An event for the reference only: it may carry ``reset_rates``.
+RefEvent = namedtuple("RefEvent", "t kind payload")
+
+
+def in_mode(config, mode):
+    """The config under which ``Simulator`` runs the reference's ``mode``."""
+    if mode == "unit":
+        return dataclasses.replace(config, weights=dict.fromkeys(config.weights, 1.0))
+    if mode == "fixed":
+        return dataclasses.replace(config, gain=0.0)
+    return config
+
+
+def translated(ev, mode, flow_ids):
+    """The reference's event ``ev`` as a ``Simulator`` event under ``mode``."""
+    payload = dict(ev.payload)
+    if ev.kind == "install-config":
+        payload["config"] = in_mode(payload["config"], mode)
+        if payload.pop("reset_rates", False):
+            # The reference resets every flow to the floor before it applies rates.
+            payload["rates"] = dict.fromkeys(flow_ids, RATE_FLOOR) | payload.get("rates", {})
+    return Event(ev.t, ev.kind, payload)
+
+
+def make_in(mode, problem, config, **kwargs):
+    """``make(cls)`` for ``run_both``: the reference in ``mode``, or the
+    simulator on the equivalent config."""
+    def make(cls):
+        if cls is sim_ref.RefSimulator:
+            return cls(problem, config, mode=mode, **kwargs)
+        return cls(problem, in_mode(config, mode), **kwargs)
+    return make
 
 
 def recording(monkeypatch, cls):
@@ -80,18 +121,25 @@ def test_demand_sweep_beyond_plan_matches_reference(monkeypatch):
 
 @pytest.mark.parametrize("cap", [2.0, 7.0])
 def test_robustness_sweep_matches_reference_in_every_mode(monkeypatch, cap):
-    rows = {}
-    sims = {}
-    for cls in (Simulator, sim_ref.RefSimulator):
-        sims[cls] = recording(monkeypatch, cls)
-        rows[cls] = scenarios.robustness_sweep((cap,))
-    assert rows[Simulator] == rows[sim_ref.RefSimulator]
-    assert [s.mode for s in sims[Simulator]] == ["weighted", "fixed", "unit"]
-    for sim, ref in zip(sims[Simulator], sims[sim_ref.RefSimulator]):
+    sims = recording(monkeypatch, Simulator)
+    rows = scenarios.robustness_sweep((cap,))
+    # The sweep as it was written with modes: the reference in each mode on
+    # the plan's config.
+    scenario = scenarios.build_paper_scenario("robustness-sweep")
+    plan = solve_plan(scenario.problem())
+    config = compute_weights(scenario.problem(), plan, gain=scenario.gamma)
+    truth = scenario.problem(scenario.topology.with_capacities({"A->B": cap}))
+    refs = []
+    for mode in MODES:
+        refs.append(sim_ref.RefSimulator(truth, config, mode=mode, dt=scenario.dt, initial_rates=plan.rates))
+        refs[-1].run(duration=scenario.duration, sample_every=scenario.duration)
+    assert rows == [(cap, *(ref.utility() for ref in refs))]
+    assert [s.config for s in sims] == [in_mode(config, mode) for mode in MODES]
+    for sim, ref in zip(sims, refs):
         assert_same_state(sim, ref)
 
 
-@pytest.mark.parametrize("mode", ["weighted", "fixed", "unit"])
+@pytest.mark.parametrize("mode", MODES)
 def test_events_and_sampling_match_reference(mode):
     # Capacity, session and config events, with and without a rate reset,
     # under every controller mode, sampled several times per second.
@@ -101,20 +149,20 @@ def test_events_and_sampling_match_reference(mode):
     config = compute_weights(scenario.problem(), plan, gain=scenario.gamma)
     other = dataclasses.replace(config, weights={k: 2.0 * v + 0.5 for k, v in config.weights.items()})
     events = [
-        Event(30.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.5}),
-        Event(60.0, "set-sessions", {"class": "bc", "n": 3}),
-        Event(90.0, "install-config", {"config": other, "rates": {"ab:0": 6.0}}),
-        Event(120.0, "install-config", {"config": config, "reset_rates": True}),
-        Event(150.0, "install-config", {"config": other}),
+        RefEvent(30.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.5}),
+        RefEvent(60.0, "set-sessions", {"class": "bc", "n": 3}),
+        RefEvent(90.0, "install-config", {"config": other, "rates": {"ab:0": 6.0}}),
+        RefEvent(120.0, "install-config", {"config": config, "reset_rates": True}),
+        RefEvent(150.0, "install-config", {"config": other}),
     ]
-    traces = []
-    sims = []
-    for cls in (Simulator, sim_ref.RefSimulator):
-        sims.append(cls(problem, config, mode=mode, dt=0.05, initial_rates=plan.rates))
-        traces.append(sims[-1].run(duration=200.0, events=events, sample_every=0.25))
-    assert_same_state(*sims)
-    assert traces[0].rows == traces[1].rows
-    assert traces[0].to_csv() == sim_ref.to_csv(traces[1])
+    flow_ids = [f.id for f in problem.all_flows()]
+    sim = Simulator(problem, in_mode(config, mode), dt=0.05, initial_rates=plan.rates)
+    trace = sim.run(duration=200.0, events=[translated(e, mode, flow_ids) for e in events], sample_every=0.25)
+    ref = sim_ref.RefSimulator(problem, config, mode=mode, dt=0.05, initial_rates=plan.rates)
+    want = ref.run(duration=200.0, events=events, sample_every=0.25)
+    assert_same_state(sim, ref)
+    assert trace.rows == want.rows
+    assert trace.to_csv() == sim_ref.to_csv(want)
 
 
 def test_convergence_stop_matches_reference():
@@ -125,7 +173,7 @@ def test_convergence_stop_matches_reference():
     runs = []
     for cls in (Simulator, sim_ref.RefSimulator):
         sim = cls(problem, config, dt=scenario.dt)
-        runs.append((sim, sim.run(stop_on_convergence=True, max_time=300.0)))
+        runs.append((sim, sim.run(duration=300.0, stop_on_convergence=True)))
     (sim, trace), (ref, want) = runs
     assert trace.converged_at == want.converged_at
     assert_same_state(sim, ref)
@@ -180,7 +228,7 @@ def test_long_fixed_mode_run_matches_reference():
     plan = solve_plan(problem)
     config = compute_weights(problem, plan, gain=scenario.gamma)
     sim, trace, ref, want = run_both(
-        lambda cls: cls(problem, config, mode="fixed", dt=scenario.dt, initial_rates=plan.rates),
+        make_in("fixed", problem, config, dt=scenario.dt, initial_rates=plan.rates),
         duration=5000.0, sample_every=2.5,
     )
     assert trace.fixed_at == pytest.approx(1.0)
@@ -192,9 +240,13 @@ def test_convergence_stop_after_a_freeze_matches_reference(mode):
     # The event fires on a frozen run; the stop waits for it and then for
     # the rates to settle again.
     events = [Event(100.0, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})]
+    # fast_one_flow's network, with the reference in ``mode``.
+    make = make_in(
+        mode, one_flow_problem(10.0), make_config({"k:0": 2.0}, {"k": 1}, gain=0.1),
+        initial_rates={"k:0": 5.0},
+    )
     sim, trace, ref, want = run_both(
-        lambda cls: fast_one_flow(cls, mode=mode),
-        events=events, sample_every=0.5, stop_on_convergence=True, max_time=3000.0,
+        make, duration=3000.0, events=events, sample_every=0.5, stop_on_convergence=True,
     )
     assert trace.converged_at == want.converged_at
     assert trace.converged_at is not None and trace.converged_at > 100.0

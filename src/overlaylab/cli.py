@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -172,8 +173,12 @@ def _resolve_scenario(args) -> Scenario:
 
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
-    result = run_experiment(scenario)
     outdir = args.out or "."
+    # A file in the way fails before the run; the directory is made after it.
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), outdir)
+        raise _InputError(f"cannot create {outdir}: {exc}")
+    result = run_experiment(scenario)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:

@@ -20,7 +20,7 @@ gap, and complementary slackness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,9 +9,13 @@ leaves solve every utility piece's inner LP.  A box is bounded by the
 perspective relaxation (Gunluk & Linderoth): with z = n*x, the term
 n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
 min_i(a_i Z + b_i n), linear in (Z, n).  Boxes that cannot beat the incumbent,
-ties included, are dropped, so equal-utility bands are not searched.  Its only
-limit is a node count; the test suite checks it against exhaustive (n, piece)
-enumeration in ``tests/enum_ref.py``.
+ties included, are dropped, so equal-utility bands are not searched.  The
+relaxation LP is built once per solve (``_perspective_lp``), and
+``mccormick_bound`` re-solves it with each box's bounds on n.  A leaf's
+candidates pair its session vector with a class id -> piece index dict, and
+each is scored by ``cumulative_utility`` at the point it reports.  The search's
+only limit is a node count; the test suite checks it against exhaustive
+(n, piece) enumeration in ``tests/enum_ref.py``.
 
 Classes whose utility is linear through the origin are handled by the exact
 substitution z = n*x, which removes their session count from the problem; they
@@ -32,7 +36,6 @@ from .model import (
     INF,
     Flow,
     ModelError,
-    Piece,
     PiecewiseLinearUtility,
     Topology,
     TrafficClass,
@@ -73,12 +76,6 @@ class PlanningProblem:
                 f.validate(self.topology, by_id[k])
         for c in self.classes:
             self.flows.setdefault(c.id, [])
-
-    def cls(self, k: str) -> TrafficClass:
-        for c in self.classes:
-            if c.id == k:
-                return c
-        raise ModelError(f"unknown class id {k!r}")
 
     def all_flows(self) -> list[Flow]:
         out: list[Flow] = []
@@ -137,13 +134,6 @@ class PlannerConfig:
     bb_node_limit: int = 20_000
 
 
-@dataclass
-class SegmentAssignment:
-    """Chosen utility piece index per class with sessions."""
-
-    pieces: dict[str, int]
-
-
 # ---------------------------------------------------------------------------
 # inner LP
 
@@ -172,14 +162,16 @@ def _route_incidence(problem: PlanningProblem, flows: list[Flow]):
 def inner_lp(
     problem: PlanningProblem,
     n: dict[str, int],
-    seg: SegmentAssignment,
+    pieces: dict[str, int],
 ) -> tuple[LpSolution | None, list[Flow], dict[str, float]]:
     """LP over per-session flow rates at fixed sessions and utility pieces.
 
-    Capacity rows are written as sum n_k x_kf <= C_l, so the raw row dual is
-    the per-link capacity dual used by the weight mapping.  Returns the
-    solution, the active flows (classes with n >= 1), and the dual map.
-    Classes on a zero-slope piece are pinned to the piece's lower end.
+    ``pieces`` maps a class with sessions to its utility piece's index (0
+    if absent).  Capacity rows are written as sum n_k x_kf <= C_l, so the raw
+    row dual is the per-link capacity dual used by the weight mapping.
+    Returns the solution, the active flows (classes with n >= 1), and the
+    dual map.  Classes on a zero-slope piece are pinned to the piece's lower
+    end.
     """
     active = [c for c in problem.classes if n.get(c.id, 0) >= 1]
     flows = [f for c in active for f in problem.flows[c.id]]
@@ -196,9 +188,9 @@ def inner_lp(
 
     used, pair_row, pair_flow = _route_incidence(problem, flows)
     # Each active class adds a lower-end row, an upper-end row, both or neither.
-    pieces = [c.utility.pieces[seg.pieces.get(c.id, 0)] for c in active]
-    lower = [p.x_lo > 0 or p.a == 0 for p in pieces]
-    upper = [p.a == 0 or p.x_hi != INF for p in pieces]
+    chosen = [c.utility.pieces[pieces.get(c.id, 0)] for c in active]
+    lower = [p.x_lo > 0 or p.a == 0 for p in chosen]
+    upper = [p.a == 0 or p.x_hi != INF for p in chosen]
     a = np.zeros((len(used) + sum(lower) + sum(upper), nf))
     rhs = np.empty(len(a))
     a[pair_row, pair_flow] = sessions[pair_flow]
@@ -206,7 +198,7 @@ def inner_lp(
 
     cvec = np.zeros(nf)
     r = len(used)
-    for c, piece, lo_row, hi_row, j0, j1 in zip(active, pieces, lower, upper, starts, ends):
+    for c, piece, lo_row, hi_row, j0, j1 in zip(active, chosen, lower, upper, starts, ends):
         if piece.a > 0:
             cvec[j0:j1] = n[c.id] * piece.a
         if lo_row:
@@ -233,14 +225,14 @@ def inner_lp(
 def _candidate_plan(
     problem: PlanningProblem,
     n: dict[str, int],
-    seg: SegmentAssignment,
+    pieces: dict[str, int],
     scalable: list[TrafficClass],
 ) -> Plan | None:
     """Evaluate one (n, piece) candidate; scalable classes ride along at n=N."""
     n_full = dict(n)
     for c in scalable:
         n_full[c.id] = c.max_sessions
-    sol, flows, duals = inner_lp(problem, n_full, seg)
+    sol, flows, duals = inner_lp(problem, n_full, pieces)
     if sol is not None and sol.status != "optimal":
         return None
     rates: dict[str, float] = {f.id: 0.0 for f in problem.all_flows()}
@@ -265,13 +257,10 @@ def _candidate_plan(
     # Score with the true utility of the reported point (a piece's linear form
     # can exceed the utility at a jump boundary, which belongs to the piece
     # below it).
-    utility = 0.0
-    for c in problem.classes:
-        nk = n_out.get(c.id, 0)
-        if nk >= 1:
-            agg = sum(rates[f.id] for f in problem.flows[c.id])
-            utility += nk * c.utility.value(agg)
-    return Plan(n_out, rates, duals, utility, "proved-optimal")
+    plan = Plan(n_out, rates, duals, 0.0, "proved-optimal")
+    n_all = {c.id: n_out.get(c.id, 0) for c in problem.classes}
+    plan.utility = cumulative_utility(problem.classes, n_all, plan.aggregate_rates(problem))
+    return plan
 
 
 UTILITY_TIE_TOL = 1e-9
@@ -301,15 +290,14 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
 # Perspective relaxation and branch-and-bound
 
 
-def _upper_concave_envelope(u: PiecewiseLinearUtility, x_lo: float, x_hi: float):
-    """Linear pieces (slope, intercept) of the concave envelope of U on a box."""
-    xs: list[float] = [x_lo]
+def _upper_concave_envelope(u: PiecewiseLinearUtility, x_hi: float):
+    """Linear pieces (slope, intercept) of the concave envelope of U on [0, x_hi].
+
+    ``x_hi`` is finite: the sum of a class's route capacities.
+    """
+    xs = [0.0, x_hi]
     for p in u.pieces:
-        for bp in (p.x_lo, p.x_hi):
-            if x_lo < bp < x_hi and math.isfinite(bp):
-                xs.append(bp)
-    if math.isfinite(x_hi):
-        xs.append(x_hi)
+        xs += [bp for bp in (p.x_lo, p.x_hi) if 0.0 < bp < x_hi]
     xs = sorted(set(xs))
     pts = []
     for x in xs:
@@ -335,10 +323,6 @@ def _upper_concave_envelope(u: PiecewiseLinearUtility, x_lo: float, x_hi: float)
         segs.append((a, y1 - a * x1))
     if not segs:
         segs.append((0.0, pts[-1][1]))
-    # Beyond the last hull point continue with the final utility slope.
-    if not math.isfinite(x_hi):
-        tail = u.pieces[-1]
-        segs.append((tail.a, tail.b))
     return segs
 
 
@@ -366,7 +350,7 @@ def _perspective_lp(problem: PlanningProblem):
     nf, nc = len(flows), len(classes)
     flow_class = np.repeat(np.arange(nc), [len(problem.flows[c.id]) for c in classes])
     agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in flows], minlength=nc)
-    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
+    envs = [_upper_concave_envelope(c.utility, h) for c, h in zip(classes, agg_hi)]
     seg_class = np.repeat(np.arange(nc), [len(env) for env in envs])
     slope, intercept = np.array([s for env in envs for s in env]).reshape(-1, 2).T
     segs = np.arange(len(seg_class))
@@ -398,17 +382,15 @@ def mccormick_bound(
     problem: PlanningProblem,
     n_box: dict[str, tuple[int, int]],
     *,
-    relaxation: LinearProgram | None = None,
+    relaxation: LinearProgram,
 ) -> float:
     """Upper bound on achievable utility over a box of session counts.
 
-    Solves the perspective relaxation over the box; ``solve_plan`` passes
-    the ``relaxation`` LP it built once per solve.  The name is kept from
-    the McCormick relaxation this replaced (``tests/mccormick_ref.py``), which
-    is never tighter.
+    Solves ``relaxation``, the problem's ``_perspective_lp`` that
+    ``solve_plan`` builds once per solve, with n bounded by the box.  The
+    name is kept from the McCormick relaxation this replaced
+    (``tests/mccormick_ref.py``), which is never tighter.
     """
-    if relaxation is None:
-        relaxation = _perspective_lp(problem)
     for c in problem.classes:
         if n_box[c.id][0] > n_box[c.id][1]:
             raise PlannerError(f"empty session box for class {c.id!r}")
@@ -474,7 +456,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
             _candidate_plan(
                 problem,
                 nvals,
-                SegmentAssignment({c.id: pi for c, pi in zip(general, pieces) if nvals[c.id]}),
+                {c.id: pi for c, pi in zip(general, pieces) if nvals[c.id]},
                 scalable,
             )
             for pieces in itertools.product(*options)

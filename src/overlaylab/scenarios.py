@@ -30,8 +30,8 @@ from .model import (
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, solve_plan
-from .sim import Event, SimTrace, Simulator, _fmt
-from .weights import compute_weights
+from .sim import DEFAULT_DT, Event, SimTrace, Simulator, _fmt
+from .weights import DEFAULT_GAIN, compute_weights
 
 PAPER_SCENARIOS = (
     "triangle-basic",
@@ -135,8 +135,8 @@ class Scenario:
     estimate_overrides: dict[str, float] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     duration: float = 200.0
-    dt: float = 0.01
-    gamma: float = 0.001
+    dt: float = DEFAULT_DT
+    gamma: float = DEFAULT_GAIN
     pinned_plan: Plan | None = None  # bypass the solver (stale-knowledge studies)
 
     def __post_init__(self):
@@ -219,6 +219,8 @@ class Scenario:
             Event(float(e["t"]), e["kind"], dict(e.get("payload", {})))
             for e in obj.get("events", [])
         ]
+        # An absent number takes the field's default.
+        numbers = {k: float(obj[k]) for k in ("duration", "dt", "gamma") if k in obj}
         return Scenario(
             name=obj["name"],
             topology=topology,
@@ -231,22 +233,13 @@ class Scenario:
                 ).items()
             },
             events=events,
-            duration=float(obj.get("duration", 200.0)),
-            dt=float(obj.get("dt", 0.01)),
-            gamma=float(obj.get("gamma", 0.001)),
             pinned_plan=(
                 Plan.from_json_dict(obj["pinned_plan"])
                 if obj.get("pinned_plan")
                 else None
             ),
+            **numbers,
         )
-
-    @staticmethod
-    def from_json(text: str) -> "Scenario":
-        try:
-            return Scenario.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON at byte {exc.pos}: {exc.msg}") from None
 
 
 # ---------------------------------------------------------------------------

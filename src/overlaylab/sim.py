@@ -24,10 +24,9 @@ A step is a pure function of the rates, weights, sessions, capacities,
 unchanged (``np.array_equal``, no tolerance), every later step would too
 until an event changes an input: the run is at an exact fixed point.
 ``Simulator.run`` checks for that once per convergence window and, while it
-holds, only advances the clock; sample times, samples, event firing and the
-convergence check keep the bits of a run that steps to the horizon.  Any
-applied event ends the freeze.  ``SimTrace.fixed_at`` records when the run
-last froze.
+holds, only advances the clock; sample times, samples and event firing keep
+the bits of a run that steps to the horizon.  Any applied event ends the
+freeze.  ``SimTrace.fixed_at`` records when the run last froze.
 """
 from __future__ import annotations
 
@@ -45,7 +44,6 @@ from .weights import TransportConfig
 RATE_FLOOR = 0.001
 DEFAULT_DT = 0.01
 CONVERGENCE_WINDOW = 1.0  # seconds of simulated time
-CONVERGENCE_REL = 0.001
 
 # The step's constants as 0-d arrays, which numpy broadcasts faster than floats.
 _ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE_FLOOR))
@@ -123,7 +121,6 @@ class SimTrace:
     good: list[np.ndarray] = field(default_factory=list)
     sessions: list[np.ndarray] = field(default_factory=list)
     utility: list[float] = field(default_factory=list)
-    converged_at: float | None = None
     # Simulated time at which the run last reached an exact fixed point, or
     # None if it ends off one; not part of the CSV.
     fixed_at: float | None = None
@@ -290,20 +287,16 @@ class Simulator:
         duration: float,
         events: list[Event] | None = None,
         sample_every: float = 1.0,
-        stop_on_convergence: bool = False,
     ) -> SimTrace:
         """Advance the simulation by ``duration``, applying events and sampling.
-
-        With ``stop_on_convergence`` the run ends early once every send rate
-        has changed by less than 0.1% over one simulated second (and all
-        events have fired); ``trace.converged_at`` is then the stop time.
 
         At the end of each convergence window the run compares the rates with
         their value before the window's last step.  If that step left them
         exactly equal, the run freezes: each later step only advances the
-        clock by dt, as ``step`` would, until an event is applied.  The trace
-        is the same as without the freeze; ``trace.fixed_at`` is the time the
-        run last froze, or None if it ends unfrozen.
+        clock by dt, as ``step`` would, until an event is applied.  The freeze
+        is a run's only shortcut, and it never ends a run early: the trace is
+        the same as without it, and ``trace.fixed_at`` is the time the run
+        last froze, or None if it ends unfrozen.
         """
         if not (math.isfinite(sample_every) and sample_every > 0):
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
@@ -320,12 +313,10 @@ class Simulator:
         steps = 0
         frozen = False
         self._sample(trace)
-        ref = self.x.copy()
         end, n_events = horizon - 1e-12, len(events)
         while self.t < end:
             while ei < n_events and events[ei].t <= self.t + 1e-12:
                 self._apply(events[ei])
-                ref = self.x.copy()
                 steps = 0
                 frozen = False
                 trace.fixed_at = None
@@ -340,20 +331,9 @@ class Simulator:
             steps += 1
             if steps % sample_steps == 0:
                 self._sample(trace)
-            if steps % window == 0:
-                if not frozen and np.array_equal(self.x, before):
-                    frozen = True
-                    trace.fixed_at = self.t
-                if (
-                    stop_on_convergence
-                    and ei >= n_events
-                    # Strict: the max-weight flow's loss-free growth is exactly
-                    # 0.1%/s (gain_norm * w_max = gain), so <= would fire mid-ramp.
-                    and np.all(np.abs(self.x - ref) < CONVERGENCE_REL * np.maximum(ref, RATE_FLOOR))
-                ):
-                    trace.converged_at = self.t
-                    break
-                ref = self.x.copy()
+            if steps % window == 0 and not frozen and np.array_equal(self.x, before):
+                frozen = True
+                trace.fixed_at = self.t
         if steps % sample_steps != 0:
             self._sample(trace)
         return trace

@@ -11,11 +11,10 @@ further coordination.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .model import ModelError, check_sessions, json_object
+from .model import ModelError, check_sessions
 from .planner import FEAS_TOL, Plan, PlanningProblem, _worst
 
 DEFAULT_GAIN = 0.001
@@ -29,9 +28,11 @@ class WeightError(ValueError):
 class TransportConfig:
     """Per-flow controller weights plus session counts and the tuned gain.
 
-    The simulator divides ``gain`` by the largest weight it runs with
-    (``Simulator.gain_norm``).  Session counts follow ``check_sessions``, and
-    the gain is finite and >= 0; gain 0 holds every rate fixed.
+    A library object only: it has no JSON form, and scenarios and the CLI
+    build it from a plan with ``compute_weights``.  The simulator divides
+    ``gain`` by the largest weight it runs with (``Simulator.gain_norm``).
+    Weights are finite and >= 0, session counts follow ``check_sessions``,
+    and the gain is finite and >= 0; gain 0 holds every rate fixed.
     """
 
     weights: dict[str, float]  # flow id -> weight
@@ -39,28 +40,13 @@ class TransportConfig:
     gain: float = DEFAULT_GAIN
 
     def __post_init__(self):
+        for fid, w in self.weights.items():
+            if not (math.isfinite(w) and w >= 0):
+                raise ModelError(f"config weight of flow {fid!r} must be finite and >= 0, got {w!r}")
         for k, n in self.sessions.items():
             check_sessions(n, f"config class {k!r}")
         if not (math.isfinite(self.gain) and self.gain >= 0):
             raise ModelError(f"config gain must be finite and >= 0, got {self.gain!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": {k: self.weights[k] for k in sorted(self.weights)},
-            "sessions": {k: self.sessions[k] for k in sorted(self.sessions)},
-            "gain": self.gain,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "TransportConfig":
-        return TransportConfig(
-            weights={k: float(v) for k, v in obj["weights"].items()},
-            sessions=dict(json_object(obj["sessions"], "config sessions")),
-            gain=float(obj["gain"]),
-        )
 
 
 def compute_weights(

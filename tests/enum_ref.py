@@ -14,7 +14,6 @@ from overlaylab.model import INF
 from overlaylab.planner import (
     Plan,
     PlanningProblem,
-    SegmentAssignment,
     _candidate_plan,
     _plan_sort_key,
     _zero_plan,
@@ -62,8 +61,8 @@ def _candidates(problem, general, scalable):
 
     for combo in itertools.product(*per_class) if per_class else [()]:
         n = {cid: nk for cid, nk, _ in combo}
-        seg = SegmentAssignment({cid: pi for cid, nk, pi in combo if nk >= 1})
-        plan = _candidate_plan(problem, n, seg, scalable)
+        pieces = {cid: pi for cid, nk, pi in combo if nk >= 1}
+        plan = _candidate_plan(problem, n, pieces, scalable)
         if plan is not None:
             yield tuple(nk for _, nk, _ in combo), plan
 

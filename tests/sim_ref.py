@@ -14,7 +14,11 @@ import io
 import numpy as np
 
 from overlaylab.model import cumulative_utility
-from overlaylab.sim import CONVERGENCE_REL, CONVERGENCE_WINDOW, DEFAULT_DT, RATE_FLOOR
+from overlaylab.sim import CONVERGENCE_WINDOW, DEFAULT_DT, RATE_FLOOR
+
+# The previous simulator's tolerance stop: every rate moved by less than
+# this fraction over one convergence window.
+CONVERGENCE_REL = 0.001
 
 
 class SimTrace:

@@ -311,6 +311,19 @@ def test_run_out_onto_an_existing_file_exits_2(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def test_run_out_onto_an_existing_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(scenario):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["run", "--paper", "triangle-basic", "--out", str(blocker)]) == 2
+    _one_error_line(capsys, f"cannot create {blocker}: [Errno 17] File exists")
+    assert blocker.read_text() == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
 def test_solve_out_in_a_missing_directory_exits_2(files, capsys):
     tmp, topo, classes = files
     out = tmp / "missing-dir" / "p.json"

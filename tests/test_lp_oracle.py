@@ -13,7 +13,6 @@ from overlaylab import lp
 from overlaylab.model import Flow, PiecewiseLinearUtility, TrafficClass, enumerate_paths
 from overlaylab.planner import (
     PlanningProblem,
-    SegmentAssignment,
     default_rate_boxes,
     inner_lp,
 )
@@ -154,7 +153,6 @@ def test_mccormick_programs_match_dense_kernel(monkeypatch, problem, box, expect
 def test_inner_programs_match_dense_kernel(monkeypatch, problem, sessions, pieces):
     programs = _record_programs(monkeypatch)
     n = {c.id: nk for c, nk in zip(problem.classes, sessions)}
-    seg = SegmentAssignment({c.id: p for c, p in zip(problem.classes, pieces)})
-    inner_lp(problem, n, seg)
+    inner_lp(problem, n, {c.id: p for c, p in zip(problem.classes, pieces)})
     (program,) = programs
     assert_same_answer(*program)

@@ -95,7 +95,8 @@ def oracle_utility(problem):
     fidx = {f.id: j for j, f in enumerate(flows)}
     links = problem.topology.links
     best = 0.0
-    piece_lists = [problem.cls(f.class_id).utility.pieces for f in flows]
+    by_id = {c.id: c for c in classes}
+    piece_lists = [by_id[f.class_id].utility.pieces for f in flows]
     # Aggregate per class lands in one piece; with one flow per class (true for
     # the generated instances) per-flow piece enumeration is exact.
     for n in itertools.product(*(range(c.max_sessions + 1) for c in classes)):

@@ -19,6 +19,7 @@ from overlaylab.planner import (
     FEAS_TOL,
     PlannerConfig,
     PlanningProblem,
+    _perspective_lp,
     check_kkt,
     default_rate_boxes,
     mccormick_bound,
@@ -182,7 +183,7 @@ def test_perspective_bound_is_valid_and_within_mccormick(name, k, n_max):
         leaves = leaf_utilities(problem)
         for box in itertools.product(intervals, repeat=k):
             n_box = {c.id: b for c, b in zip(problem.classes, box)}
-            bound = mccormick_bound(problem, n_box)
+            bound = mccormick_bound(problem, n_box, relaxation=_perspective_lp(problem))
             inside = [
                 u for n, u in leaves.items() if all(lo <= nk <= hi for nk, (lo, hi) in zip(n, box))
             ]

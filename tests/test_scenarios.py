@@ -16,8 +16,8 @@ from overlaylab.scenarios import (
     random_path_study,
     run_experiment,
 )
-from overlaylab.sim import Event
-from overlaylab.weights import TransportConfig
+from overlaylab.sim import DEFAULT_DT, Event
+from overlaylab.weights import DEFAULT_GAIN, TransportConfig
 
 GRAPHML = """<?xml version="1.0" encoding="UTF-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -82,6 +82,14 @@ def test_paper_scenarios_build_and_round_trip(name):
     s = build_paper_scenario(name)
     again = Scenario.from_json_dict(s.to_json_dict())
     assert again.to_json() == s.to_json()
+
+
+def test_scenario_numbers_default_when_absent():
+    obj = build_paper_scenario("triangle-basic").to_json_dict()
+    for key in ("duration", "dt", "gamma"):
+        del obj[key]
+    s = Scenario.from_json_dict(obj)
+    assert (s.duration, s.dt, s.gamma) == (200.0, DEFAULT_DT, DEFAULT_GAIN)
 
 
 def test_scenario_from_json_leaves_its_input_alone():

@@ -148,21 +148,6 @@ def test_sessions_multiply_link_load():
     assert 2 * sim.goodputs()[0] == pytest.approx(10.0, rel=1e-6)
 
 
-def test_convergence_detection():
-    sim = Simulator(
-        one_flow_problem(10.0),
-        config({"k:0": 2.0}, {"k": 1}),
-        initial_rates={"k:0": 5.0},
-    )
-    trace = sim.run(duration=8000.0, stop_on_convergence=True)
-    assert trace.converged_at is not None
-    # The rule tolerates < 0.1%/s residual drift, so allow that much slack.
-    x_at_stop = sim.x[0]
-    sim.run(duration=100.0, sample_every=100.0)
-    assert sim.x[0] == pytest.approx(x_at_stop, rel=0.12)
-    assert sim.goodputs()[0] == pytest.approx(10.0, rel=1e-6)
-
-
 def test_set_capacity_event_moves_equilibrium():
     sim = Simulator(
         one_flow_problem(10.0),

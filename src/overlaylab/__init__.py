@@ -13,7 +13,6 @@ from .model import (
     PiecewiseLinearUtility,
     TrafficClass,
     Flow,
-    eval_utility,
     cumulative_utility,
     enumerate_paths,
     sample_random_paths,
@@ -32,9 +31,7 @@ from .planner import (
 from .weights import (
     WeightError,
     TransportConfig,
-    GradientMatchReport,
     compute_weights,
-    check_gradient_match,
 )
 from .sim import Simulator, Event, SimTrace, RATE_FLOOR, DEFAULT_DT
 from .scenarios import (
@@ -63,7 +60,6 @@ __all__ = [
     "PiecewiseLinearUtility",
     "TrafficClass",
     "Flow",
-    "eval_utility",
     "cumulative_utility",
     "enumerate_paths",
     "sample_random_paths",
@@ -80,9 +76,7 @@ __all__ = [
     "KKT_TOL",
     "WeightError",
     "TransportConfig",
-    "GradientMatchReport",
     "compute_weights",
-    "check_gradient_match",
     "Simulator",
     "Event",
     "SimTrace",

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import json
 import os
 import sys
@@ -22,7 +21,6 @@ from .model import (
     json_object,
 )
 from .planner import (
-    KKT_TOL,
     Plan,
     PlanningProblem,
     PlannerError,
@@ -110,13 +108,6 @@ def _write(path: str, text: str) -> None:
         raise _InputError(f"cannot write {path}: {exc}") from None
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_solve(args) -> int:
     problem = _load_problem(args.topology, args.classes, args.max_hops)
     plan = solve_plan(problem)
@@ -126,7 +117,10 @@ def cmd_solve(args) -> int:
             f"plan is best-found, gap {plan.gap:.6g}",
             file=sys.stderr,
         )
-    _write_out(plan.to_json() + "\n", args.out)
+    if args.out:
+        _write(args.out, plan.to_json() + "\n")
+    else:
+        sys.stdout.write(plan.to_json() + "\n")
     return EXIT_OK
 
 
@@ -150,7 +144,7 @@ def cmd_check(args) -> int:
         print(f"{name:>24}  {value:.3e}")
     for fid, why in report.skipped_flows:
         print(f"skipped {fid}: {why}", file=sys.stderr)
-    if report.ok(KKT_TOL):
+    if report.ok():
         print("result: pass")
         return EXIT_OK
     print("result: fail")
@@ -171,18 +165,24 @@ def _resolve_scenario(args) -> Scenario:
     )
 
 
+def _makedirs(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot create {path}: {exc}") from None
+
+
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
     outdir = args.out or "."
-    # A file in the way fails before the run; the directory is made after it.
-    if os.path.exists(outdir) and not os.path.isdir(outdir):
-        exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), outdir)
-        raise _InputError(f"cannot create {outdir}: {exc}")
+    # The directory is made after the run; a file in the way fails makedirs before it.
+    ancestor = outdir
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        _makedirs(outdir)
     result = run_experiment(scenario)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise _InputError(f"cannot create {outdir}: {exc}") from None
+    _makedirs(outdir)
     trace_path = os.path.join(outdir, f"{scenario.name}-trace.csv")
     summary_path = os.path.join(outdir, f"{scenario.name}-summary.csv")
     _write(trace_path, result.trace.to_csv())

@@ -36,8 +36,8 @@ class Link:
 
 
 def check_capacity(value: float, owner: str) -> None:
-    """The one capacity rule: a number that is finite (so not NaN) and > 0."""
-    if not (math.isfinite(value) and value > 0):
+    """The one capacity rule: a number, not a bool, that is finite (so not NaN) and > 0."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
         raise ModelError(f"{owner} requires a finite capacity_mbps > 0, got {value!r}")
 
 
@@ -53,6 +53,13 @@ def json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ModelError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; ``true`` and ``"0.5"`` are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def link_id(src: str, dst: str) -> str:
@@ -138,7 +145,7 @@ class Topology:
         seen: set[tuple[str, str]] = set()
         directed = obj.get("directed", False)
         for e in obj["links"]:
-            src, dst, cap = e["src"], e["dst"], float(e["capacity_mbps"])
+            src, dst, cap = e["src"], e["dst"], json_number(e["capacity_mbps"], "capacity_mbps")
             if e.get("directed", directed):
                 pairs = [(src, dst)]
             else:
@@ -249,9 +256,13 @@ class PiecewiseLinearUtility:
     @staticmethod
     def from_json_dict(obj: dict) -> "PiecewiseLinearUtility":
         if "linear" in obj:
-            return PiecewiseLinearUtility.linear(float(obj["linear"]))
+            return PiecewiseLinearUtility.linear(json_number(obj["linear"], "utility linear"))
+
+        def num(v) -> float:
+            return json_number(v, "a utility piece entry")
+
         pieces = [
-            Piece(float(lo), INF if hi is None else float(hi), float(a), float(b))
+            Piece(num(lo), INF if hi is None else num(hi), num(a), num(b))
             for lo, hi, a, b in obj["pieces"]
         ]
         return PiecewiseLinearUtility(pieces)
@@ -322,11 +333,6 @@ class Flow:
             raise ModelError(f"flow {self.id!r}: {fault}")
 
 
-def eval_utility(u: PiecewiseLinearUtility, x: float) -> float:
-    """Utility of one session at rate x (left-piece value at breakpoints)."""
-    return u.value(x)
-
-
 def cumulative_utility(
     classes: list[TrafficClass],
     n: dict[str, int],
@@ -340,7 +346,7 @@ def cumulative_utility(
             raise ModelError(f"unknown class id {k!r}")
         if nk == 0:
             continue
-        total += nk * eval_utility(by_id[k].utility, agg_rates.get(k, 0.0))
+        total += nk * by_id[k].utility.value(agg_rates.get(k, 0.0))
     return total
 
 

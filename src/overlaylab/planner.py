@@ -41,6 +41,7 @@ from .model import (
     TrafficClass,
     check_sessions,
     cumulative_utility,
+    json_number,
     json_object,
 )
 
@@ -121,11 +122,18 @@ class Plan:
         n = json_object(obj["n"], "plan n")
         for k, v in n.items():
             check_sessions(v, f"plan class {k!r}")
-        rates = {k: float(v) for k, v in json_object(obj["rates"], "plan rates").items()}
-        duals = {k: float(v) for k, v in json_object(obj["duals"], "plan duals").items()}
-        utility = float(obj["utility"])
+        rates, duals = (
+            {k: json_number(v, f"plan {name} of {k!r}")
+             for k, v in json_object(obj[name], f"plan {name}").items()}
+            for name in ("rates", "duals")
+        )
+        utility = json_number(obj["utility"], "plan utility")
         if not all(map(math.isfinite, [utility, *rates.values(), *duals.values()])):
             raise ModelError("plan holds a non-finite value")
+        if obj["optimality"] not in ("proved-optimal", "best-found"):
+            raise ModelError(
+                f"plan optimality must be proved-optimal or best-found, got {obj['optimality']!r}"
+            )
         return Plan(n, rates, duals, utility, obj["optimality"])
 
 
@@ -520,6 +528,8 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
 
 @dataclass
 class KktReport:
+    """The worst residual of each KKT condition; ``ok`` holds them all to ``KKT_TOL``."""
+
     feasibility: float
     dual_sign: float
     complementary_slackness: float
@@ -531,8 +541,8 @@ class KktReport:
             [self.feasibility, self.dual_sign, self.complementary_slackness, self.gradient]
         )
 
-    def ok(self, tol: float = KKT_TOL) -> bool:
-        return self.max_residual() <= tol
+    def ok(self) -> bool:
+        return self.max_residual() <= KKT_TOL
 
 
 def _worst(residuals: list[float]) -> float:

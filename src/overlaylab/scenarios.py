@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import importlib.resources
-import io
 import json
 import math
 import random
@@ -25,12 +24,13 @@ from .model import (
     Topology,
     TrafficClass,
     enumerate_paths,
+    json_number,
     json_object,
     link_id,
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, solve_plan
-from .sim import DEFAULT_DT, Event, SimTrace, Simulator, _fmt
+from .sim import DEFAULT_DT, Event, SimTrace, Simulator
 from .weights import DEFAULT_GAIN, compute_weights
 
 PAPER_SCENARIOS = (
@@ -216,18 +216,18 @@ class Scenario:
             for k, fl in json_object(obj["flows"], "flows").items()
         }
         events = [
-            Event(float(e["t"]), e["kind"], dict(e.get("payload", {})))
+            Event(json_number(e["t"], "event t"), e["kind"], dict(e.get("payload", {})))
             for e in obj.get("events", [])
         ]
         # An absent number takes the field's default.
-        numbers = {k: float(obj[k]) for k in ("duration", "dt", "gamma") if k in obj}
+        numbers = {k: json_number(obj[k], k) for k in ("duration", "dt", "gamma") if k in obj}
         return Scenario(
             name=obj["name"],
             topology=topology,
             classes=classes,
             flows=flows,
             estimate_overrides={
-                k: float(v)
+                k: json_number(v, f"estimate_overrides of {k!r}")
                 for k, v in json_object(
                     obj.get("estimate_overrides", {}), "estimate_overrides"
                 ).items()
@@ -597,10 +597,6 @@ def demand_sweep(
 
 
 def study_csv(rows: list[tuple], header: str) -> str:
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-        )
-    return buf.getvalue()
+    """One CSV line per row; a float is written "%.9g", as in the trace."""
+    lines = [",".join("%.9g" % v if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"

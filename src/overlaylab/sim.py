@@ -153,12 +153,8 @@ class SimTrace:
         return dict(zip(self.flow_ids, self.good[-1].tolist())) if self.good else {}
 
 
-def _fmt(x: float) -> str:
-    """Stable decimal formatting so identical runs emit identical bytes."""
-    return f"{x:.9g}"
-
-
-# One trace row; "%.9g" formats a float exactly as ``_fmt`` does.
+# One trace row.  "%.9g" is the package's one float format (``study_csv``
+# uses it too): nine significant digits, so identical runs emit identical bytes.
 _CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
 
 

@@ -7,15 +7,17 @@ active, the weight
 
 makes the planned per-session rates a fixed point of the weighted
 proportionally-fair controllers, so the transport layer holds the plan without
-further coordination.
+further coordination.  ``planner.check_kkt``'s gradient residual certifies
+that the route's price lies in the class's utility subgradient, so a weight
+built here is n_k * dU_k * A_f at any plan that passes the check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ModelError, check_sessions
-from .planner import FEAS_TOL, Plan, PlanningProblem, _worst
+from .planner import FEAS_TOL, Plan, PlanningProblem
 
 DEFAULT_GAIN = 0.001
 
@@ -81,44 +83,3 @@ def compute_weights(
                 raise WeightError(f"flow {f.id!r}: non-finite weight {weights[f.id]}")
     sessions = {c.id: plan.n.get(c.id, 0) for c in problem.classes}
     return TransportConfig(weights, sessions, gain)
-
-
-@dataclass
-class GradientMatchReport:
-    """Per-flow check that w_f / A_f lies in the utility subgradient scaled by n."""
-
-    max_residual: float
-    skipped: list[tuple[str, str]] = field(default_factory=list)
-
-    def ok(self, tol: float = 1e-6) -> bool:
-        return self.max_residual <= tol
-
-
-def check_gradient_match(
-    problem: PlanningProblem, plan: Plan, config: TransportConfig
-) -> GradientMatchReport:
-    """Verify w_f = n_k * dU_k * A_f against the subgradient at the plan point.
-
-    Flows with zero planned rate are skipped (their equilibrium is the floor,
-    not a utility stationary point) and listed in the report.  A NaN weight,
-    rate or session count makes the residual NaN, which fails ``ok``.
-    """
-    agg = plan.aggregate_rates(problem)
-    residuals: list[float] = []
-    skipped: list[tuple[str, str]] = []
-    for c in problem.classes:
-        nk = plan.n.get(c.id, 0)
-        for f in problem.flows[c.id]:
-            rate = plan.rates.get(f.id, 0.0)
-            if nk == 0 or rate <= FEAS_TOL:
-                skipped.append((f.id, "zero rate"))
-                continue
-            if f.id not in config.weights:
-                raise WeightError(f"flow {f.id!r}: missing weight")
-            if not math.isfinite(agg[c.id]):
-                residuals.append(math.nan)
-                continue
-            lo, hi = c.utility.slope_range(agg[c.id])
-            w = config.weights[f.id]
-            residuals += [nk * lo * rate - w, w - nk * hi * rate]
-    return GradientMatchReport(_worst(residuals), skipped)

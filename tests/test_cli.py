@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +250,7 @@ HOLES = {
     "infinite-slope": (
         "classes",
         _edited(CLASSES, [(("classes", 0, "utility"),
-                           {"pieces": [[0.0, 1.0, 0.2, 0.0], [1.0, None, "inf", 0.0]]})]),
+                           {"pieces": [[0.0, 1.0, 0.2, 0.0], [1.0, None, "1e400", 0.0]]})]),
         "slope and intercept must be finite",
     ),
     "fractional-max-sessions": (
@@ -272,12 +273,61 @@ HOLES = {
         "classes", _edited(CLASSES, [(("classes", 0, "dst"), "Z")]), "not a topology node"
     ),
     "pinned-plan-nan-utility": (
-        "scenario", _scenario("demand-sweep", (("pinned_plan", "utility"), "nan")), "non-finite"
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "utility"), math.nan)), "non-finite"
     ),
     "unread-event-payload-key": (
         "scenario",
         _scenario("failure-triangle", (("events", 0, "payload", "reset_rates"), True)),
         "set-capacity payload has unread key(s) 'reset_rates'",
+    ),
+    # A number must be a JSON number: neither true nor a numeric string.
+    "bool-capacity": (
+        "topology", _edited(TOPOLOGY, [(("links", 0, "capacity_mbps"), True)]),
+        "capacity_mbps must be a JSON number, got True",
+    ),
+    "string-capacity": (
+        "topology", _edited(TOPOLOGY, [(("links", 0, "capacity_mbps"), "7")]),
+        "capacity_mbps must be a JSON number, got '7'",
+    ),
+    "string-linear-slope": (
+        "classes", _edited(CLASSES, [(("classes", 0, "utility"), {"linear": "0.2"})]),
+        "utility linear must be a JSON number",
+    ),
+    "string-piece-entry": (
+        "classes",
+        _edited(CLASSES, [(("classes", 0, "utility"), {"pieces": [[0.0, None, "0.2", 0.0]]})]),
+        "a utility piece entry must be a JSON number",
+    ),
+    "bool-dt": (
+        "scenario", _scenario("triangle-basic", (("dt",), True)), "dt must be a JSON number"
+    ),
+    "string-gamma": (
+        "scenario", _scenario("triangle-basic", (("gamma",), "0.5")), "gamma must be a JSON number"
+    ),
+    "string-event-time": (
+        "scenario", _scenario("failure-triangle", (("events", 0, "t"), "60")),
+        "event t must be a JSON number",
+    ),
+    "bool-set-capacity-event": (
+        "scenario",
+        _scenario("failure-triangle", (("events", 0, "payload", "capacity_mbps"), True)),
+        "finite capacity_mbps > 0, got True",
+    ),
+    "string-estimate-override": (
+        "scenario", _scenario("triangle-basic", (("estimate_overrides",), {"A->B": "5"})),
+        "estimate_overrides of 'A->B' must be a JSON number",
+    ),
+    "string-plan-rate": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "rates", "lo:0"), "2.0")),
+        "plan rates of 'lo:0' must be a JSON number",
+    ),
+    "bool-plan-dual": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "duals", "B->C"), False)),
+        "plan duals of 'B->C' must be a JSON number",
+    ),
+    "unknown-plan-optimality": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "optimality"), "weird")),
+        "plan optimality must be proved-optimal or best-found, got 'weird'",
     ),
 }
 
@@ -321,6 +371,20 @@ def test_run_out_onto_an_existing_file_fails_before_the_run(tmp_path, capsys, mo
     assert main(["run", "--paper", "triangle-basic", "--out", str(blocker)]) == 2
     _one_error_line(capsys, f"cannot create {blocker}: [Errno 17] File exists")
     assert blocker.read_text() == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+@pytest.mark.parametrize("below", ["sub", "a/b"])
+def test_run_out_below_an_existing_file_fails_before_the_run(tmp_path, capsys, monkeypatch, below):
+    def no_run(scenario):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / below
+    assert main(["run", "--paper", "triangle-basic", "--out", str(out)]) == 2
+    _one_error_line(capsys, f"cannot create {out}: [Errno 20] Not a directory")
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
 

@@ -3,12 +3,15 @@
 There is no linter in the toolchain, so this reads each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must also appear as a name
 elsewhere in the module (annotations count).  ``__init__.py`` exists to
-re-export names, so it is exempt.
+re-export names, so it is exempt; instead its ``__all__`` must list exactly
+the names it imports, plus ``__version__``.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import overlaylab
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "overlaylab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +41,17 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_what_init_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert len(set(overlaylab.__all__)) == len(overlaylab.__all__)
+    assert set(overlaylab.__all__) == set(imported) | {"__version__"}
+    for name in overlaylab.__all__:
+        assert hasattr(overlaylab, name), name

@@ -14,7 +14,6 @@ from overlaylab.model import (
     TrafficClass,
     cumulative_utility,
     enumerate_paths,
-    eval_utility,
     link_id,
     sample_random_paths,
     shortest_leg,
@@ -105,21 +104,21 @@ def test_undirected_json_edges_expand_both_ways():
 
 def test_linear_utility():
     u = PiecewiseLinearUtility.linear(0.2)
-    assert eval_utility(u, 5.0) == pytest.approx(1.0)
+    assert u.value(5.0) == pytest.approx(1.0)
     assert u.is_linear_through_origin()
 
 
 def test_from_points_builds_continuation_pieces():
     u = PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)])
-    assert eval_utility(u, 3.0) == pytest.approx(0.6)
-    assert eval_utility(u, 5.0) == pytest.approx(0.64)
+    assert u.value(3.0) == pytest.approx(0.6)
+    assert u.value(5.0) == pytest.approx(0.64)
 
 
 def test_upward_jump_belongs_to_lower_piece():
     # Pieces are right-closed: at a breakpoint the lower piece supplies the value.
     u = PiecewiseLinearUtility.from_points([(0.0, 0.0, 0.0), (2.0, 0.0, 1.0)])
-    assert eval_utility(u, 2.0) == pytest.approx(0.0)
-    assert eval_utility(u, 2.0 + 1e-9) == pytest.approx(1.0)
+    assert u.value(2.0) == pytest.approx(0.0)
+    assert u.value(2.0 + 1e-9) == pytest.approx(1.0)
 
 
 def test_slope_range_spans_kink():
@@ -156,7 +155,7 @@ def test_utility_rejects_gap_or_overlap():
 )
 def test_linear_utility_matches_closed_form(slope, x):
     u = PiecewiseLinearUtility.linear(slope)
-    assert eval_utility(u, x) == pytest.approx(slope * x, rel=1e-12)
+    assert u.value(x) == pytest.approx(slope * x, rel=1e-12)
 
 
 def test_traffic_class_json_round_trip_and_default_sessions():

@@ -130,8 +130,9 @@ def cmd_check(args) -> int:
     for lid in plan.duals:
         if not problem.topology.has_link(lid):
             raise _InputError(f"plan references unknown link {lid!r}")
+    flow_ids = {f.id for f in problem.all_flows()}
     for fid in plan.rates:
-        if fid not in {f.id for f in problem.all_flows()}:
+        if fid not in flow_ids:
             raise _InputError(f"plan references unknown flow {fid!r}")
     report = check_kkt(problem, plan)
     rows = [

@@ -7,6 +7,7 @@ module is safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -37,7 +38,8 @@ class Link:
 
 def check_capacity(value: float, owner: str) -> None:
     """The one capacity rule: a number, not a bool, that is finite (so not NaN) and > 0."""
-    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
         raise ModelError(f"{owner} requires a finite capacity_mbps > 0, got {value!r}")
 
 
@@ -62,6 +64,13 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
+def json_bool(value, what: str) -> bool:
+    """``value`` if it is a JSON boolean; ``"false"``, ``0`` and ``null`` are not."""
+    if not isinstance(value, bool):
+        raise ModelError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def link_id(src: str, dst: str) -> str:
     return f"{src}->{dst}"
 
@@ -71,7 +80,9 @@ class Topology:
     """Directed links between nodes; nodes are tagged ``site`` or ``router``.
 
     A second instance of the same type holds the planner's *estimate* of the
-    network when estimate and truth differ.
+    network when estimate and truth differ.  ``out_links`` maps each node to
+    its outgoing links sorted by far end; it is built once, after validation,
+    and is not a dataclass field.
     """
 
     name: str
@@ -93,6 +104,10 @@ class Topology:
         self._by_id = {ln.id: ln for ln in self.links}
         if len(self._by_id) != len(self.links):
             raise ModelError("duplicate link id")
+        out: dict[str, list[Link]] = {n: [] for n in self.nodes}
+        for ln in sorted(self.links, key=lambda ln: ln.dst):
+            out[ln.src].append(ln)
+        self.out_links = {n: tuple(lns) for n, lns in out.items()}
 
     # -- lookups -----------------------------------------------------------
 
@@ -107,12 +122,6 @@ class Topology:
 
     def sites(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k == SITE)
-
-    def out_neighbors(self, node: str) -> list[tuple[str, Link]]:
-        return sorted(
-            ((ln.dst, ln) for ln in self.links if ln.src == node),
-            key=lambda t: t[0],
-        )
 
     def with_capacities(self, overrides: dict[str, float]) -> "Topology":
         """A copy with some link capacities replaced."""
@@ -143,10 +152,10 @@ class Topology:
         nodes = {n["id"]: n.get("kind", ROUTER) for n in obj["nodes"]}
         links: list[Link] = []
         seen: set[tuple[str, str]] = set()
-        directed = obj.get("directed", False)
+        directed = json_bool(obj.get("directed", False), "directed")
         for e in obj["links"]:
             src, dst, cap = e["src"], e["dst"], json_number(e["capacity_mbps"], "capacity_mbps")
-            if e.get("directed", directed):
+            if json_bool(e.get("directed", directed), "link directed"):
                 pairs = [(src, dst)]
             else:
                 # Undirected input edges expand to two directed links.
@@ -356,38 +365,28 @@ def cumulative_utility(
 def shortest_leg(topology: Topology, src: str, dst: str) -> list[str] | None:
     """Shortest underlay path (in links) from src to dst as link ids.
 
-    Ties break on the lexicographically smallest node-id sequence.
+    Ties break on the lexicographically smallest node-id sequence: the
+    breadth-first search scans each level in that order and each node's
+    ``out_links`` by far end, so the first link to reach a node ends the
+    smallest shortest sequence to it.
     """
-    if src == dst:
-        return []
-    # BFS distances from every node to dst, then greedy lexicographic descent.
-    dist = {dst: 0}
-    frontier = [dst]
-    preds: dict[str, list[tuple[str, Link]]] = {}
-    for ln in topology.links:
-        preds.setdefault(ln.dst, []).append((ln.src, ln))
-    while frontier:
+    via: dict[str, Link | None] = {src: None}
+    level = [src]
+    while level and dst not in via:
         nxt = []
-        for v in frontier:
-            for u, _ in preds.get(v, []):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    if src not in dist:
+        for node in level:
+            for ln in topology.out_links.get(node, ()):
+                if ln.dst not in via:
+                    via[ln.dst] = ln
+                    nxt.append(ln.dst)
+        level = nxt
+    if dst not in via:
         return None
     route: list[str] = []
-    node = src
-    while node != dst:
-        step = None
-        for nbr, ln in topology.out_neighbors(node):
-            if dist.get(nbr, INF) == dist[node] - 1:
-                step = (nbr, ln)
-                break  # out_neighbors is sorted, first hit is lexicographic min
-        assert step is not None
-        route.append(step[1].id)
-        node = step[0]
-    return route
+    while (ln := via[dst]) is not None:
+        route.append(ln.id)
+        dst = ln.src
+    return route[::-1]
 
 
 def enumerate_paths(

@@ -15,7 +15,8 @@ relaxation LP is built once per solve (``_perspective_lp``), and
 candidates pair its session vector with a class id -> piece index dict, and
 each is scored by ``cumulative_utility`` at the point it reports.  The search's
 only limit is a node count; the test suite checks it against exhaustive
-(n, piece) enumeration in ``tests/enum_ref.py``.
+(n, piece) enumeration in ``tests/enum_ref.py``.  Both LPs slice their capacity
+rows from ``PlanningProblem``'s flow layout, which the simulator shares.
 
 Classes whose utility is linear through the origin are handled by the exact
 substitution z = n*x, which removes their session count from the problem; they
@@ -55,7 +56,13 @@ class PlannerError(RuntimeError):
 
 @dataclass
 class PlanningProblem:
-    """Estimated topology plus traffic classes and their candidate flows."""
+    """Estimated topology plus traffic classes and their candidate flows.
+
+    The flow layout shared by the planner's LPs and the simulator is built once,
+    read-only and outside the dataclass fields: ``link_ids`` in topology order,
+    ``flow_class`` (each flow's class index, in ``all_flows()`` order) and the
+    0/1 link-by-flow ``incidence`` of the routes.
+    """
 
     topology: Topology
     classes: list[TrafficClass]
@@ -77,6 +84,15 @@ class PlanningProblem:
                 f.validate(self.topology, by_id[k])
         for c in self.classes:
             self.flows.setdefault(c.id, [])
+        self.link_ids = tuple(ln.id for ln in self.topology.links)
+        row = {lid: i for i, lid in enumerate(self.link_ids)}
+        flows = self.all_flows()
+        sizes = [len(self.flows[c.id]) for c in self.classes]
+        self.flow_class = np.repeat(np.arange(len(self.classes)), sizes)
+        self.incidence = np.zeros((len(self.link_ids), len(flows)))
+        for j, f in enumerate(flows):
+            self.incidence[[row[lid] for lid in f.route], j] = 1.0
+        self.flow_class.flags.writeable = self.incidence.flags.writeable = False
 
     def all_flows(self) -> list[Flow]:
         out: list[Flow] = []
@@ -146,27 +162,6 @@ class PlannerConfig:
 # inner LP
 
 
-def _link_order(problem: PlanningProblem) -> list[str]:
-    return [ln.id for ln in problem.topology.links]
-
-
-def _route_incidence(problem: PlanningProblem, flows: list[Flow]):
-    """Capacity rows of the links the flows use, in topology order.
-
-    Returns the used link positions in ``problem.topology.links`` and, for
-    every (link, flow) pair on a route, its row among them and the flow's
-    position in ``flows``.  A route never repeats a link, so no pair repeats.
-    """
-    links = problem.topology.links
-    position = {ln.id: i for i, ln in enumerate(links)}
-    pair_link = np.array([position[lid] for f in flows for lid in f.route], dtype=int)
-    pair_flow = np.repeat(np.arange(len(flows)), [len(f.route) for f in flows])
-    in_use = np.zeros(len(links), dtype=bool)
-    in_use[pair_link] = True
-    row_of_link = np.cumsum(in_use) - 1
-    return in_use.nonzero()[0], row_of_link[pair_link], pair_flow
-
-
 def inner_lp(
     problem: PlanningProblem,
     n: dict[str, int],
@@ -183,7 +178,6 @@ def inner_lp(
     """
     active = [c for c in problem.classes if n.get(c.id, 0) >= 1]
     flows = [f for c in active for f in problem.flows[c.id]]
-    links = _link_order(problem)
     nf = len(flows)
     if nf == 0:
         return None, flows, {}
@@ -192,16 +186,18 @@ def inner_lp(
     sizes = [len(problem.flows[c.id]) for c in active]
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    sessions = np.repeat([n[c.id] for c in active], sizes)
 
-    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    # Capacity rows of the links the active flows use, in topology order.
+    sessions = np.array([n.get(c.id, 0) for c in problem.classes])[problem.flow_class]
+    incidence = problem.incidence[:, sessions >= 1]
+    used = incidence.any(axis=1).nonzero()[0]
     # Each active class adds a lower-end row, an upper-end row, both or neither.
     chosen = [c.utility.pieces[pieces.get(c.id, 0)] for c in active]
     lower = [p.x_lo > 0 or p.a == 0 for p in chosen]
     upper = [p.a == 0 or p.x_hi != INF for p in chosen]
     a = np.zeros((len(used) + sum(lower) + sum(upper), nf))
     rhs = np.empty(len(a))
-    a[pair_row, pair_flow] = sessions[pair_flow]
+    a[: len(used)] = incidence[used] * sessions[sessions >= 1]
     rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
 
     cvec = np.zeros(nf)
@@ -224,9 +220,9 @@ def inner_lp(
     sol = solve_lp(LinearProgram(cvec, a, rhs))
     if sol.status != "optimal":
         return sol, flows, {}
-    duals = {lid: 0.0 for lid in links}
+    duals = {lid: 0.0 for lid in problem.link_ids}
     for i, li in enumerate(used):
-        duals[links[li]] = float(sol.duals[i])
+        duals[problem.link_ids[li]] = float(sol.duals[i])
     return sol, flows, duals
 
 
@@ -261,7 +257,7 @@ def _candidate_plan(
             for f in problem.flows[c.id]:
                 rates[f.id] = 0.0
     if not duals:
-        duals = {lid: 0.0 for lid in _link_order(problem)}
+        duals = {lid: 0.0 for lid in problem.link_ids}
     # Score with the true utility of the reported point (a piece's linear form
     # can exceed the utility at a jump boundary, which belongs to the piece
     # below it).
@@ -288,7 +284,7 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
     return Plan(
         n={c.id: 0 for c in problem.classes},
         rates={f.id: 0.0 for f in problem.all_flows()},
-        duals={lid: 0.0 for lid in _link_order(problem)},
+        duals={lid: 0.0 for lid in problem.link_ids},
         utility=0.0,
         optimality="proved-optimal",
     )
@@ -355,18 +351,17 @@ def _perspective_lp(problem: PlanningProblem):
     """
     classes, flows = problem.classes, problem.all_flows()
     x_box = default_rate_boxes(problem)
-    nf, nc = len(flows), len(classes)
-    flow_class = np.repeat(np.arange(nc), [len(problem.flows[c.id]) for c in classes])
+    nf, nc, flow_class = len(flows), len(classes), problem.flow_class
     agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in flows], minlength=nc)
     envs = [_upper_concave_envelope(c.utility, h) for c, h in zip(classes, agg_hi)]
     seg_class = np.repeat(np.arange(nc), [len(env) for env in envs])
     slope, intercept = np.array([s for env in envs for s in env]).reshape(-1, 2).T
     segs = np.arange(len(seg_class))
 
-    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    used = problem.incidence.any(axis=1).nonzero()[0]
     a = np.zeros((len(used) + len(segs) + nc, nf + 2 * nc))
     rhs = np.zeros(len(a))
-    a[pair_row, pair_flow] = 1.0  # capacity rows on z
+    a[: len(used), :nf] = problem.incidence[used]  # capacity rows on z
     rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
     seg = a[len(used) : len(used) + len(segs)]  # t_k - a_i*Z_k - b_i*n_k <= 0
     seg[:, :nf] = np.where(flow_class == seg_class[:, None], -slope[:, None], 0.0)
@@ -558,7 +553,7 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
     counts are integers, so no gradient condition is checked for them.  A NaN
     anywhere in the plan makes the residual it enters NaN, which fails ``ok``.
     """
-    loads: dict[str, float] = {lid: 0.0 for lid in _link_order(problem)}
+    loads: dict[str, float] = {lid: 0.0 for lid in problem.link_ids}
     for c in problem.classes:
         nk = plan.n.get(c.id, 0)
         for f in problem.flows[c.id]:

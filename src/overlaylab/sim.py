@@ -12,9 +12,10 @@ excess fraction of their offered load, ``p_l = max(y_l - C_l, 0) / max(y_l,
 C_l)``; every capacity C_l is > 0 (``Link`` and ``set_capacity`` check it), so
 the denominator never vanishes and an unsaturated link loses nothing.  Route
 loss composes independently across links.  Integration is explicit Euler on a
-fixed step; everything is vectorized over flows with a link-by-flow incidence
-matrix, and a run is a pure function of its inputs.  ``Event`` is the one
-timed change, shared with the scenario engine; ``SimTrace`` stores per sample.
+fixed step; everything is vectorized over flows with the problem's link-by-flow
+``incidence`` (``PlanningProblem`` builds the flow layout once), and a run is a
+pure function of its inputs.  ``Event`` is the one timed change, shared with
+the scenario engine; ``SimTrace`` stores per sample.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -84,7 +85,7 @@ class Event:
         if unread:
             raise ValueError(f"{self.kind} payload has unread key(s) {', '.join(unread)}")
         if self.kind == "set-capacity":
-            check_capacity(p["capacity_mbps"], "set-capacity")
+            check_capacity(p["capacity_mbps"], f"set-capacity event at t={self.t}")
         if self.kind == "set-sessions":
             check_sessions(p["n"], "set-sessions")
         if self.kind == "install-config":
@@ -184,20 +185,14 @@ class Simulator:
         self.flows = problem.all_flows()
         self._flow_ids = [f.id for f in self.flows]
         self._class_ids = [f.class_id for f in self.flows]
-        cidx = {c.id: k for k, c in enumerate(problem.classes)}
-        self._class_idx = np.array([cidx[c] for c in self._class_ids], dtype=np.intp)
         self._class_first = {c: j for j, c in reversed(list(enumerate(self._class_ids)))}
-        self.link_ids = [ln.id for ln in problem.topology.links]
+        # The problem's read-only flow layout, shared rather than rebuilt.
+        self._class_idx, self.incidence = problem.flow_class, problem.incidence
+        self.link_ids = problem.link_ids
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
-        nf = len(self.flows)
-        nl = len(self.link_ids)
-        self.incidence = np.zeros((nl, nf))
-        for j, f in enumerate(self.flows):
-            for lid in f.route:
-                self.incidence[self._lidx[lid], j] = 1.0
         self.capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
         self.t = 0.0
-        self.x = np.full(nf, RATE_FLOOR)
+        self.x = np.full(len(self.flows), RATE_FLOOR)
         self._set_rates(initial_rates or {})
         self.install_config(config)
 
@@ -226,12 +221,11 @@ class Simulator:
         self.capacity[self._lidx[lid]] = capacity_mbps
 
     def set_sessions(self, class_id: str, n: int) -> None:
-        if not any(c.id == class_id for c in self.problem.classes):
+        ids = [c.id for c in self.problem.classes]
+        if class_id not in ids:
             raise ValueError(f"unknown class id {class_id!r}")
         check_sessions(n, f"class {class_id!r}")
-        for j, f in enumerate(self.flows):
-            if f.class_id == class_id:
-                self.n[j] = float(n)
+        self.n[self._class_idx == ids.index(class_id)] = float(n)
 
     # -- dynamics ---------------------------------------------------------
 

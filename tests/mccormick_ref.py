@@ -16,7 +16,6 @@ from overlaylab.model import INF
 from overlaylab.planner import (
     PlannerError,
     PlanningProblem,
-    _route_incidence,
     _upper_concave_envelope,
     default_rate_boxes,
 )
@@ -61,7 +60,7 @@ def mccormick_ref(
     agg_hi = [sum(x_box[f.id][1] for f in problem.flows[c.id]) for c in classes]
     envs = [_upper_concave_envelope(c.utility, h) for c, h in zip(classes, agg_hi)]
 
-    used, pair_row, pair_flow = _route_incidence(problem, flows)
+    used = problem.incidence.any(axis=1).nonzero()[0]  # links some route uses
     n_rows = 4 * nf + len(used) + sum(len(env) + 2 for env in envs)
     a = np.zeros((n_rows, nv))
     rhs = np.empty(n_rows)
@@ -77,7 +76,7 @@ def mccormick_ref(
 
     # Capacity rows on the z (aggregate-rate) columns.
     r = 4 * nf
-    a[r + pair_row, nf + pair_flow] = 1.0
+    a[r : r + len(used), nf : 2 * nf] = problem.incidence[used]
     rhs[r : r + len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
     r += len(used)
 

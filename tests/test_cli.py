@@ -308,6 +308,23 @@ HOLES = {
         "scenario", _scenario("failure-triangle", (("events", 0, "t"), "60")),
         "event t must be a JSON number",
     ),
+    "string-set-capacity-event": (
+        "scenario",
+        _scenario("failure-triangle", (("events", 0, "payload", "capacity_mbps"), "7")),
+        "set-capacity event at t=60.0 requires a finite capacity_mbps > 0, got '7'",
+    ),
+    # directed must be a JSON boolean: "false" used to load as directed.
+    "string-directed": (
+        "topology", _edited(TOPOLOGY, [(("directed",), "false")]),
+        "directed must be a JSON boolean, got 'false'",
+    ),
+    "zero-link-directed": (
+        "topology", _edited(TOPOLOGY, [(("links", 0, "directed"), 0)]),
+        "link directed must be a JSON boolean, got 0",
+    ),
+    "null-directed": (
+        "topology", {**TOPOLOGY, "directed": None}, "directed must be a JSON boolean, got None"
+    ),
     "bool-set-capacity-event": (
         "scenario",
         _scenario("failure-triangle", (("events", 0, "payload", "capacity_mbps"), True)),

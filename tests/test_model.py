@@ -1,5 +1,6 @@
 """Topology, utility, and path-enumeration unit tests."""
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from overlaylab.model import (
     sample_random_paths,
     shortest_leg,
 )
+from overlaylab.scenarios import add_sites, load_bundled_topology
 
 
 def L(src, dst, cap=10.0):
@@ -51,6 +53,13 @@ def test_topology_rejects_unknown_endpoint():
 def test_topology_rejects_nonpositive_capacity():
     with pytest.raises(ModelError):
         Topology("t", sites("A", "B"), [L("A", "B", 0.0)])
+
+
+@pytest.mark.parametrize("cap", ["7", None, [1.0], 1j])
+def test_capacity_rule_rejects_non_numbers(cap):
+    # A ModelError (exit 2 in the CLI), not a TypeError from inside math.isfinite.
+    with pytest.raises(ModelError, match="finite capacity_mbps > 0"):
+        L("A", "B", cap)
 
 
 def test_with_capacities_overrides_without_mutating(triangle):
@@ -190,6 +199,82 @@ def _cls(src, dst):
 
 def test_shortest_leg_prefers_fewest_links(triangle):
     assert shortest_leg(triangle, "A", "C") == ["A->C"]
+
+
+def test_out_links_are_sorted_by_far_end():
+    topo = Topology("t", sites("A", "B", "C", "D"), [L("A", "D"), L("A", "B"), L("C", "A"), L("A", "C")])
+    assert [ln.id for ln in topo.out_links["A"]] == ["A->B", "A->C", "A->D"]
+    assert topo.out_links["B"] == () and [ln.id for ln in topo.out_links["C"]] == ["C->A"]
+
+
+def _oracle_legs(topology):
+    """For every ordered pair, the smallest node sequence among all shortest
+    paths, as link ids (None if there is no path).
+
+    Hop distances come from Floyd-Warshall; every shortest path is then
+    enumerated by a depth-first search that only steps closer to ``dst``.
+    """
+    nodes = sorted(topology.nodes)
+    dist = {(a, b): 0 if a == b else INF for a in nodes for b in nodes}
+    for ln in topology.links:
+        dist[ln.src, ln.dst] = 1
+    for k in nodes:
+        for a in nodes:
+            for b in nodes:
+                dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+    by_pair = {(ln.src, ln.dst): ln.id for ln in topology.links}
+
+    def shortest_paths(seq, dst):
+        if seq[-1] == dst:
+            yield seq
+        for v in nodes:
+            if (seq[-1], v) in by_pair and dist[v, dst] == dist[seq[-1], dst] - 1:
+                yield from shortest_paths(seq + [v], dst)
+
+    legs = {}
+    for src in nodes:
+        for dst in nodes:
+            if src != dst and dist[src, dst] < INF:
+                paths = list(shortest_paths([src], dst))
+                assert all(len(p) - 1 == dist[src, dst] == len(set(p)) - 1 for p in paths)
+                best = min(paths)
+                legs[src, dst] = [by_pair[a, b] for a, b in zip(best, best[1:])]
+            elif src != dst:
+                legs[src, dst] = None
+    return legs
+
+
+def _random_digraph(seed):
+    rng = random.Random(seed)
+    # Ids past 9 make string order differ from numeric order ("v10" < "v2").
+    names = [f"v{i}" for i in rng.sample(range(14), rng.randint(2, 9))]
+    density = rng.uniform(0.1, 0.6)
+    links = [L(a, b) for a in names for b in names if a != b and rng.random() < density]
+    return Topology(f"r{seed}", sites(*names), links)
+
+
+def _bundled(name, with_sites):
+    topo = load_bundled_topology(name)
+    return add_sites(topo, uplink_mbps=30.0, core_mbps=10.0) if with_sites else topo
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [pytest.param(_random_digraph(seed), id=f"random-{seed}") for seed in range(60)]
+    + [pytest.param(_bundled(name, with_sites), id=f"{name}-sites-{with_sites}")
+       for name in ("abilene", "btn") for with_sites in (False, True)],
+)
+def test_shortest_leg_matches_brute_force_oracle(topology):
+    for (src, dst), leg in _oracle_legs(topology).items():
+        assert shortest_leg(topology, src, dst) == leg, (src, dst)
+
+
+def test_shortest_leg_unreachable_and_same_node():
+    topo = Topology("t", sites("A", "B", "C"), [L("A", "B"), L("C", "B")])
+    assert shortest_leg(topo, "A", "C") is None
+    assert shortest_leg(topo, "B", "A") is None
+    assert shortest_leg(topo, "A", "A") == []
+    assert shortest_leg(topo, "A", "B") == ["A->B"]
 
 
 def test_enumerate_paths_direct_first(triangle):

@@ -5,6 +5,7 @@ each inner polytope by vertex enumeration with numpy.linalg — it shares no
 code with the tableau simplex the planner uses.  Exact agreement with the
 planner's previous exhaustive search is in ``test_planner_oracle.py``.
 """
+import dataclasses
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from overlaylab.model import (
     PiecewiseLinearUtility,
     Topology,
     TrafficClass,
+    enumerate_paths,
     link_id,
 )
 from overlaylab.planner import (
@@ -26,6 +28,9 @@ from overlaylab.planner import (
     check_kkt,
     solve_plan,
 )
+from overlaylab.scenarios import add_sites, load_bundled_topology
+from overlaylab.sim import Simulator
+from overlaylab.weights import TransportConfig
 
 U_B = PiecewiseLinearUtility.linear(0.2)
 # 0 up to 0.8, then 0.1x, then 0.005x + 0.114 past the 1.2 kink.
@@ -202,6 +207,43 @@ def test_determinism():
     a = solve_plan(triangle_problem())
     b = solve_plan(triangle_problem())
     assert a == b
+
+
+# -- flow layout --------------------------------------------------------------
+
+
+def test_problem_builds_the_flow_layout_the_simulator_shares():
+    topo = add_sites(load_bundled_topology("abilene"), uplink_mbps=30.0, core_mbps=10.0)
+    s = topo.sites()
+    classes = [
+        TrafficClass(f"k{i}", a, b, 2, U_A)
+        for i, (a, b) in enumerate([(s[0], s[5]), (s[3], s[1]), (s[2], s[7])])
+    ]
+    # The middle class has no flows, so class and flow positions differ.
+    by_class = {
+        c.id: [Flow(f"{c.id}:{j}", c.id, r) for j, r in enumerate(enumerate_paths(topo, c.src, c.dst, 2))]
+        for c in (classes[0], classes[2])
+    }
+    problem = PlanningProblem(topo, classes, by_class)
+    flows = problem.all_flows()
+
+    assert problem.link_ids == tuple(ln.id for ln in topo.links)
+    assert problem.incidence.shape == (len(topo.links), len(flows))
+    assert set(np.unique(problem.incidence)) == {0.0, 1.0}
+    for j, f in enumerate(flows):
+        marked = [problem.link_ids[i] for i in np.flatnonzero(problem.incidence[:, j])]
+        assert sorted(marked) == sorted(f.route)
+    assert [classes[k].id for k in problem.flow_class] == [f.class_id for f in flows]
+    assert not (problem.incidence.flags.writeable or problem.flow_class.flags.writeable)
+    # The layout is not a dataclass field, so equality is unchanged.
+    assert [f.name for f in dataclasses.fields(problem)] == ["topology", "classes", "flows"]
+    assert problem == PlanningProblem(topo, classes, dict(by_class))
+
+    config = TransportConfig(dict.fromkeys((f.id for f in flows), 1.0), {c.id: 1 for c in classes}, 0.001)
+    sim = Simulator(problem, config)
+    assert sim.incidence is problem.incidence
+    assert sim._class_idx is problem.flow_class
+    assert sim.link_ids is problem.link_ids
 
 
 # -- oracle equivalence -----------------------------------------------------

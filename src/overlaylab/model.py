@@ -400,10 +400,14 @@ def enumerate_paths(
     An overlay hop is one site-to-site leg; the underlay portion of each leg
     follows the shortest path.  Output is ordered by hop count then
     lexicographically, so the result for h hops is a prefix-closed subset of
-    the result for h+1.
+    the result for h+1.  A src or dst that is not a topology node is a
+    ``ModelError``.
     """
     if max_overlay_hops < 1:
         raise ModelError("max_overlay_hops must be >= 1")
+    for what, node in (("src", src), ("dst", dst)):
+        if node not in topology.nodes:
+            raise ModelError(f"{what} {node!r} is not a topology node")
     intermediates = [s for s in topology.sites() if s not in (src, dst)]
 
     legs: dict[tuple[str, str], list[str] | None] = {}

@@ -4,19 +4,27 @@ The planning problem maximizes sum_k n_k U_k(sum_f x_kf) over integer session
 counts n and per-session flow rates x, subject to per-link capacity
 sum n_k x_kf <= C_l.  With piecewise-linear utilities this is a bilinear
 program; fixing n and one utility piece per class leaves a plain LP.  The
-solver is a best-first branch-and-bound over boxes of session counts, whose
-leaves solve every utility piece's inner LP.  A box is bounded by the
-perspective relaxation (Gunluk & Linderoth): with z = n*x, the term
-n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
+solver is a best-first branch-and-bound over boxes of session counts.  A box
+is bounded by the perspective relaxation (Gunluk & Linderoth): with z = n*x,
+the term n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
 min_i(a_i Z + b_i n), linear in (Z, n).  Boxes that cannot beat the incumbent,
 ties included, are dropped, so equal-utility bands are not searched.  The
 relaxation LP is built once per solve (``_perspective_lp``), and
-``mccormick_bound`` re-solves it with each box's bounds on n.  A leaf's
-candidates pair its session vector with a class id -> piece index dict, and
-each is scored by ``cumulative_utility`` at the point it reports.  The search's
-only limit is a node count; the test suite checks it against exhaustive
-(n, piece) enumeration in ``tests/enum_ref.py``.  Both LPs slice their capacity
-rows from ``PlanningProblem``'s flow layout, which the simulator shares.
+``mccormick_bound`` re-solves it with each box's bounds on n.
+
+A leaf, one session vector, does not solve all pieces^k inner LPs: it branches
+on the pieces (Keha, de Farias & Nemhauser 2006), best-first over boxes of
+per-class piece spans [i0, i1].  A span box is bounded by one LP over the
+rates with each class's concave envelope on its span's rate interval
+(``_span_bound``; a span's envelope rows are built at most once per solve),
+and only single-piece boxes that can still reach the best utility solve the
+inner LP.  A candidate pairs the session vector with a class id -> piece
+index dict and is scored by ``cumulative_utility`` at the point it reports.
+The search's only limit is a node count; the test suite checks it against
+exhaustive (n, piece) enumeration in ``tests/enum_ref.py``, each leaf against
+the product of all pieces, and utilities at scale against a MILP.  The LPs
+slice their capacity rows from ``PlanningProblem``'s flow layout, which the
+simulator shares.
 
 Classes whose utility is linear through the origin are handled by the exact
 substitution z = n*x, which removes their session count from the problem; they
@@ -24,6 +32,7 @@ are reported with the minimal session count consistent with their rates.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -294,18 +303,19 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
 # Perspective relaxation and branch-and-bound
 
 
-def _upper_concave_envelope(u: PiecewiseLinearUtility, x_hi: float):
-    """Linear pieces (slope, intercept) of the concave envelope of U on [0, x_hi].
+def _upper_concave_envelope(u: PiecewiseLinearUtility, lo: float, hi: float):
+    """Linear pieces (slope, intercept) of the concave envelope of U on [lo, hi].
 
-    ``x_hi`` is finite: the sum of a class's route capacities.
+    ``hi`` is finite: at most the sum of a class's route capacities.  At every
+    breakpoint in the interval, ``lo`` included, U takes its larger one-sided
+    value, so an upward jump is enveloped from above.
     """
-    xs = [0.0, x_hi]
+    xs = [lo, hi]
     for p in u.pieces:
-        xs += [bp for bp in (p.x_lo, p.x_hi) if 0.0 < bp < x_hi]
+        xs += [bp for bp in (p.x_lo, p.x_hi) if lo < bp < hi]
     xs = sorted(set(xs))
     pts = []
     for x in xs:
-        # Use the larger one-sided value so jumps are enveloped from above.
         v = u.value(x)
         for i, p in enumerate(u.pieces):
             if x == p.x_hi and i + 1 < len(u.pieces):
@@ -340,20 +350,28 @@ def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float
     return out
 
 
-def _perspective_lp(problem: PlanningProblem):
+def _class_rate_caps(problem: PlanningProblem) -> np.ndarray:
+    """Each class's largest aggregate rate, agg_hi: its ``default_rate_boxes`` summed."""
+    x_box = default_rate_boxes(problem)
+    rate_hi = [x_box[f.id][1] for f in problem.all_flows()]
+    return np.bincount(problem.flow_class, rate_hi, minlength=len(problem.classes))
+
+
+def _perspective_lp(problem: PlanningProblem, agg_hi: np.ndarray | None = None):
     """The perspective relaxation's LP over [z_f (nf) | n_k (nc) | t_k (nc)].
 
     z_f = n_k*x_f is a flow's aggregate rate and t_k = n_k*U_k(x_k).  Each
     segment of U_k's concave envelope on [0, agg_hi_k] gives a row
     t_k <= a_i*Z_k + b_i*n_k with Z_k = sum_f z_f, and Z_k <= agg_hi_k*n_k
-    forces Z_k = 0 at n_k = 0; agg_hi_k sums ``default_rate_boxes``.  Only the
-    bounds on n depend on the box.
+    forces Z_k = 0 at n_k = 0; ``agg_hi`` is ``_class_rate_caps``, computed
+    here unless the caller already has it.  Only the bounds on n depend on
+    the box.
     """
     classes, flows = problem.classes, problem.all_flows()
-    x_box = default_rate_boxes(problem)
     nf, nc, flow_class = len(flows), len(classes), problem.flow_class
-    agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in flows], minlength=nc)
-    envs = [_upper_concave_envelope(c.utility, h) for c, h in zip(classes, agg_hi)]
+    if agg_hi is None:
+        agg_hi = _class_rate_caps(problem)
+    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
     seg_class = np.repeat(np.arange(nc), [len(env) for env in envs])
     slope, intercept = np.array([s for env in envs for s in env]).reshape(-1, 2).T
     segs = np.arange(len(seg_class))
@@ -415,6 +433,170 @@ def mccormick_bound(
 BOUND_SLACK = 1e-12
 
 
+def _bound_level(bound: float) -> int:
+    """A finite bound quantised like the utility in ``_plan_sort_key``."""
+    return round((bound + BOUND_SLACK * (1.0 + abs(bound))) / UTILITY_TIE_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Piece spans inside a leaf
+
+
+def _span_rows(problem: PlanningProblem, agg_hi: np.ndarray):
+    """Rows bounding a class on a span [i0, i1] of its pieces, each built once.
+
+    Returns ``rows(k, i0, i1)`` for class index k: (block, rhs, t_lo) over
+    the class's own columns [its flows' x_f | t_k].  On X_k = sum_f x_f in
+    [lo, hi] = [x_lo(i0), min(x_hi(i1), agg_hi_k)], each segment of U_k's
+    concave envelope gives t_k - a*X_k <= b, two rows keep X_k in the interval
+    (the lower one only when lo > 0), and t_lo bounds t_k below without
+    cutting the envelope.  An interval that agg_hi_k empties shrinks to lo,
+    where the capacity rows decide.
+    """
+
+    @functools.cache
+    def rows(k: int, i0: int, i1: int):
+        c = problem.classes[k]
+        nx, pieces = len(problem.flows[c.id]), c.utility.pieces
+        lo = pieces[i0].x_lo
+        hi = max(lo, min(pieces[i1].x_hi, float(agg_hi[k])))
+        env = _upper_concave_envelope(c.utility, lo, hi)
+        block = np.zeros((len(env) + 1 + (lo > 0), nx + 1))
+        rhs = np.empty(len(block))
+        for r, (a, b) in enumerate(env):
+            block[r, :nx], block[r, nx], rhs[r] = -a, 1.0, b
+        block[len(env), :nx], rhs[len(env)] = 1.0, hi
+        if lo > 0:
+            block[-1, :nx], rhs[-1] = -1.0, -lo
+        t_lo = min(0.0, *(min(a * lo + b, a * hi + b) for a, b in env))
+        return block, rhs, t_lo
+
+    return rows
+
+
+def _span_bound(
+    problem: PlanningProblem,
+    n: dict[str, int],
+    scalable: list[TrafficClass],
+    span_rows,
+):
+    """A leaf's span-box bound, as a function of the box.
+
+    ``n`` fixes the general classes' sessions; a box holds one piece span
+    (i0, i1) for each class with n_k >= 1, in problem order.  Its bound is
+    one LP over the active flows' x_f and one t_k per box class: the capacity
+    rows sum n_k*x_f <= C_l, each class's ``span_rows`` for its span, and the
+    objective sum n_k*t_k plus the scalable classes' linear utility at their
+    maximum sessions.  ``bound(box)`` returns the LP's (optimum, point), or
+    (-INF, None) if the box is infeasible.  ``bound(box, parent, j)``, for a
+    box that narrows only class j's span of the box whose result is
+    ``parent``, returns ``parent`` itself when its point satisfies class j's
+    new rows: the box's LP is the parent's restricted, so it has the same
+    optimum.
+    """
+    n_full = n | {c.id: c.max_sessions for c in scalable}
+    sessions = np.array([n_full.get(c.id, 0) for c in problem.classes])
+    on = sessions[problem.flow_class] >= 1
+    col_class = problem.flow_class[on]
+    branch = [k for k, c in enumerate(problem.classes) if n.get(c.id, 0) >= 1]
+    starts = np.searchsorted(col_class, branch)
+    ends = np.searchsorted(col_class, branch, side="right")
+    nx, nt = len(col_class), len(branch)
+
+    incidence = problem.incidence[:, on]
+    used = incidence.any(axis=1).nonzero()[0]
+    capacity = incidence[used] * sessions[col_class]
+    cap_rhs = [problem.topology.links[i].capacity_mbps for i in used]
+    cvec = np.zeros(nx + nt)
+    for c in scalable:
+        cvec[:nx][col_class == problem.classes.index(c)] = c.max_sessions * c.utility.pieces[0].a
+    cvec[nx:] = sessions[branch]
+
+    def bound(box, parent=None, j=None) -> tuple[float, np.ndarray | None]:
+        if parent is not None:
+            block, rhs, _ = span_rows(branch[j], *box[j])
+            x, t = parent[1][starts[j] : ends[j]], parent[1][nx + j]
+            if np.all(block[:, :-1] @ x + block[:, -1] * t <= rhs + FEAS_TOL):
+                return parent
+        blocks = [span_rows(k, *span) for k, span in zip(branch, box)]
+        a = np.zeros((len(used) + sum(len(rhs) for _, rhs, _ in blocks), nx + nt))
+        rhs = np.empty(len(a))
+        lo = np.zeros(nx + nt)
+        a[: len(used), :nx], rhs[: len(used)] = capacity, cap_rhs
+        r = len(used)
+        for j, ((block, b, t_lo), s, e) in enumerate(zip(blocks, starts, ends)):
+            h = len(b)
+            a[r : r + h, s:e], a[r : r + h, nx + j], rhs[r : r + h] = block[:, :-1], block[:, -1], b
+            lo[nx + j] = t_lo
+            r += h
+        sol = solve_lp(LinearProgram(cvec, a, rhs, lo=lo))
+        if sol.status == "infeasible":
+            return -INF, None
+        if sol.status != "optimal":
+            raise PlannerError(f"span LP returned {sol.status}")
+        return float(sol.objective), sol.x
+
+    return bound
+
+
+def _leaf_plan(
+    problem: PlanningProblem,
+    n: dict[str, int],
+    scalable: list[TrafficClass],
+    span_rows,
+    inc_level: float,
+) -> Plan | None:
+    """The leaf's best candidate: the smallest (``_plan_sort_key``, piece tuple).
+
+    The search runs best-first over boxes of piece spans (``_span_bound``),
+    splitting the widest span at its middle, the smallest class index among
+    equals.  A box whose spans are all single pieces is a candidate, solved
+    by ``inner_lp`` with no bound LP.  A box is dropped only when its bound
+    level is below the best so far, the higher of ``inc_level`` and the
+    leaf's best candidate, so every candidate that could tie the winner is
+    solved.  Returns None if no candidate is feasible.
+    """
+    active = [c for c in problem.classes if n.get(c.id, 0) >= 1]
+    bound = None  # built when the first box needs it
+    best: tuple | None = None  # (sort key, piece tuple, plan)
+
+    def level() -> float:
+        return inc_level if best is None else max(inc_level, -best[0][0])
+
+    def solve(box) -> None:
+        nonlocal best
+        pieces = tuple(i0 for i0, _ in box)
+        plan = _candidate_plan(problem, n, {c.id: p for c, p in zip(active, pieces)}, scalable)
+        if plan is not None:
+            key = (_plan_sort_key(plan, problem), pieces)
+            if best is None or key < best[:2]:
+                best = (*key, plan)
+
+    root = tuple((0, len(c.utility.pieces) - 1) for c in active)
+    heap = [(-INF, 0, root, None)]
+    counter = itertools.count(1)
+    while heap:
+        _, _, box, result = heapq.heappop(heap)
+        if result is not None and _bound_level(result[0]) < level():
+            continue
+        if all(i0 == i1 for i0, i1 in box):
+            solve(box)
+            continue
+        j = max(range(len(box)), key=lambda j: (box[j][1] - box[j][0], -j))
+        i0, i1 = box[j]
+        mid = (i0 + i1) // 2
+        for sub in ((i0, mid), (mid + 1, i1)):
+            child = box[:j] + (sub,) + box[j + 1 :]
+            if all(lo == hi for lo, hi in child):
+                solve(child)
+                continue
+            bound = bound or _span_bound(problem, n, scalable, span_rows)
+            sub_result = bound(child, result, j)
+            if sub_result[0] != -INF and _bound_level(sub_result[0]) >= level():
+                heapq.heappush(heap, (-sub_result[0], next(counter), child, sub_result))
+    return None if best is None else best[2]
+
+
 def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
     """Exact solve of the admission + rate problem; deterministic tie-breaks.
 
@@ -422,7 +604,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     maximum session count.  The others are searched best-first over boxes of
     session counts (Land & Doig), each box bounded by its perspective
     relaxation; a box narrowed to one session vector is a leaf whose utility
-    pieces are solved exactly by the inner LP.  The root box is expanded
+    pieces are searched exactly by ``_leaf_plan``.  The root box is expanded
     unconditionally, so it gets no relaxation LP.  Equal-utility candidates
     resolve to the smallest total session count, then the lexicographically
     smallest session vector by class id, then the lexicographically smallest
@@ -436,7 +618,8 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     session vector.  Equal bounds pop smallest sum(n_lo) first, so the
     fewest-session incumbent appears before a tied band is searched.  A
     search stopped by ``config.bb_node_limit`` returns its incumbent labelled
-    "best-found", with ``gap`` the largest open bound above its utility.
+    "best-found", with ``gap`` the largest open bound above its utility; the
+    span boxes inside a leaf are not nodes.
     """
     config = config or PlannerConfig()
     scalable = [
@@ -446,36 +629,21 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     ]
     scalable_ids = {c.id for c in scalable}
     general = [c for c in problem.classes if c.id not in scalable_ids]
-    relaxation = _perspective_lp(problem) if general else None
+    relaxation = span_rows = None
+    if general:
+        agg_hi = _class_rate_caps(problem)
+        relaxation, span_rows = _perspective_lp(problem, agg_hi), _span_rows(problem, agg_hi)
     root = {c.id: (0, c.max_sessions) for c in problem.classes}
     by_id = sorted(c.id for c in problem.classes)
 
     incumbent = _zero_plan(problem)
     inc_key = _plan_sort_key(incumbent, problem)
 
-    def leaf(nvals: dict[str, int]) -> Plan | None:
-        options = [range(len(c.utility.pieces)) if nvals[c.id] else [0] for c in general]
-        plans = (
-            _candidate_plan(
-                problem,
-                nvals,
-                {c.id: pi for c, pi in zip(general, pieces) if nvals[c.id]},
-                scalable,
-            )
-            for pieces in itertools.product(*options)
-        )
-        # min keeps the first of equal keys, in (class, piece) order.
-        return min(
-            (p for p in plans if p is not None),
-            key=lambda p: _plan_sort_key(p, problem),
-            default=None,
-        )
-
     def dominated(bound: float, lo_sum: int, box) -> bool:
         """No leaf in the box can sort before the incumbent."""
         if bound == INF:
             return False
-        level = round((bound + BOUND_SLACK * (1.0 + abs(bound))) / UTILITY_TIE_TOL)
+        level = _bound_level(bound)
         if level != -inc_key[0]:
             return level < -inc_key[0]
         if lo_sum != inc_key[1]:
@@ -497,7 +665,8 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
             return incumbent
         wide = [c.id for c in general if box[c.id][1] > box[c.id][0]]
         if not wide:
-            plan = leaf({c.id: box[c.id][0] for c in general})
+            nvals = {c.id: box[c.id][0] for c in general}
+            plan = _leaf_plan(problem, nvals, scalable, span_rows, -inc_key[0])
             if plan is not None:
                 key = _plan_sort_key(plan, problem)
                 if key < inc_key:

@@ -58,7 +58,7 @@ def mccormick_ref(
 
     # Per class: the concave-envelope rows of u_k, then two rows for t = n*u.
     agg_hi = [sum(x_box[f.id][1] for f in problem.flows[c.id]) for c in classes]
-    envs = [_upper_concave_envelope(c.utility, h) for c, h in zip(classes, agg_hi)]
+    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
 
     used = problem.incidence.any(axis=1).nonzero()[0]  # links some route uses
     n_rows = 4 * nf + len(used) + sum(len(env) + 2 for env in envs)

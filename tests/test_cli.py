@@ -174,6 +174,16 @@ def test_paths_lists_routes(files, capsys):
     assert "A->B B->C" in out
 
 
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_paths_with_unknown_node_exits_2(files, capsys, end):
+    _, topo, _ = files
+    ends = {"src": "A", "dst": "C", end: "Z"}
+    assert main(["paths", "--topology", topo, "--src", ends["src"], "--dst", ends["dst"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {end} 'Z' is not a topology node\n"
+
+
 def test_run_paper_scenario_outputs(tmp_path, capsys):
     rc = main(["run", "--paper", "triangle-basic", "--out", str(tmp_path)])
     assert rc == 0

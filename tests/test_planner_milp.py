@@ -1,0 +1,53 @@
+"""The planner's utility against an exact MILP at five to eight classes.
+
+``enum_ref`` checks plans byte for byte but cannot go past about three
+classes; the span search changes which piece combinations a leaf solves, so
+this checks the optimum at scale with HiGHS (``milp_ref.py``).  The MILP
+starts every piece after the first 1e-9 above its half-open lower end, so
+utilities are compared to within 1e-6 relative, not exactly.  The instances
+are fixed: a MILP at Abilene k = 8, N = 5 can take over ten seconds, and
+these each take well under half a second.
+"""
+import pytest
+
+pytest.importorskip("scipy")
+
+from milp_ref import milp_utility  # noqa: E402
+from overlaylab.planner import solve_plan  # noqa: E402
+from test_leaf_spans import BTN  # noqa: E402
+from test_planner_oracle import ABILENE, threshold_problem, triangle_threshold  # noqa: E402
+
+# (topology, classes k, sessions N, seed of the class pairs)
+SEEDED = [
+    ("abilene", 5, 2, 520), ("abilene", 5, 3, 531), ("abilene", 5, 4, 540),
+    ("abilene", 6, 2, 621), ("abilene", 6, 3, 630), ("abilene", 6, 4, 640),
+    ("abilene", 7, 2, 721), ("abilene", 7, 3, 730), ("abilene", 8, 4, 841),
+    ("btn", 5, 2, 521), ("btn", 5, 3, 530), ("btn", 5, 4, 540),
+    ("btn", 6, 2, 620), ("btn", 6, 3, 630), ("btn", 6, 4, 640),
+    ("btn", 7, 2, 720), ("btn", 7, 2, 721), ("btn", 8, 2, 820), ("btn", 8, 2, 821),
+    ("btn", 8, 3, 830),
+]
+
+
+def assert_matches_milp(problem):
+    plan = solve_plan(problem)
+    assert plan.optimality == "proved-optimal"
+    assert plan.utility == pytest.approx(milp_utility(problem), rel=1e-6, abs=1e-9)
+    return plan
+
+
+@pytest.mark.parametrize("name, k, n_max, seed", SEEDED)
+def test_seeded_threshold_instances_match_milp(name, k, n_max, seed):
+    topology = {"abilene": ABILENE, "btn": BTN}[name]
+    assert_matches_milp(threshold_problem(topology, k, n_max, seed))
+
+
+@pytest.mark.parametrize("n_max", [20, 26, 34])
+def test_triangle_tie_band_matches_milp(n_max):
+    assert assert_matches_milp(triangle_threshold(n_max)).utility == pytest.approx(2.5)
+
+
+def test_five_class_abilene_matches_milp():
+    # threshold_problem draws its pairs as the bench's _pairs(Random(0), ...) does.
+    problem = threshold_problem(ABILENE, 5, 3, 0)
+    assert assert_matches_milp(problem).utility == pytest.approx(1.96)

@@ -86,30 +86,35 @@ class LpSolution:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program; optimal solutions carry row duals.
 
-    Raises LpSolverError instead of returning a silently wrong answer when the
-    ``MAX_ITERATIONS`` cap is hit or the final tableau fails verification.
+    A variable with lo == hi is a constant: it moves to the right-hand side
+    and the simplex never sees its column.  Raises LpSolverError instead of
+    returning a silently wrong answer when the ``MAX_ITERATIONS`` cap is hit
+    or the final tableau fails verification.
     """
-    m, n = lp.a.shape
+    m = len(lp.b)
 
     # Shift lower bounds to zero and fold finite upper bounds into extra rows,
-    # so internally the problem is max c.x', A' x' <= b', x' >= 0.
+    # so internally the problem is max c.x', A' x' <= b', x' >= 0 over the
+    # free variables.
     shift = lp.lo
     b_rows = lp.b - lp.a @ shift
-    a_rows = lp.a
-    ub_idx = np.flatnonzero(np.isfinite(lp.hi))
+    free = lp.lo < lp.hi
+    c, a_rows, hi = (lp.c, lp.a, lp.hi) if free.all() else (lp.c[free], lp.a[:, free], lp.hi[free])
+    ub_idx = np.flatnonzero(np.isfinite(hi))
     if len(ub_idx):
-        ub_a = np.zeros((len(ub_idx), n))
+        ub_a = np.zeros((len(ub_idx), len(c)))
         ub_a[np.arange(len(ub_idx)), ub_idx] = 1.0
         a_rows = np.vstack([a_rows, ub_a])
-        b_rows = np.concatenate([b_rows, lp.hi[ub_idx] - shift[ub_idx]])
+        b_rows = np.concatenate([b_rows, hi[ub_idx] - shift[free][ub_idx]])
 
-    status, x_shifted, y_all, iters = _simplex(lp.c, a_rows, b_rows, MAX_ITERATIONS)
+    status, x_shifted, y_all, iters = _simplex(c, a_rows, b_rows, MAX_ITERATIONS)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
 
-    x = x_shifted + shift
+    x = shift.copy()
+    x[free] += x_shifted
     duals = y_all[:m]
-    reduced = lp.c - y_all @ a_rows  # includes upper-bound rows in the price
+    reduced = c - y_all @ a_rows  # includes upper-bound rows in the price
     objective = float(lp.c @ x)
 
     _verify(lp, x, reduced, objective, y_all, b_rows)
@@ -158,6 +163,8 @@ def _simplex(c, a, b, max_iterations):
     neg_rows = np.flatnonzero(neg)
     n_art = len(neg_rows)
     total = n + m + n_art
+    if total == 0:  # no variable and no row: the empty program
+        return "optimal", np.zeros(0), np.zeros(0), 0
 
     # Each flipped row starts with its artificial basic; every other row with
     # its slack.  The nonbasic columns are the structurals and the flipped

@@ -4,25 +4,22 @@ The planning problem maximizes sum_k n_k U_k(sum_f x_kf) over integer session
 counts n and per-session flow rates x, subject to per-link capacity
 sum n_k x_kf <= C_l.  With piecewise-linear utilities this is a bilinear
 program; fixing n and one utility piece per class leaves a plain LP.  The
-solver is a best-first branch-and-bound over boxes of session counts.  A box
+solver is one best-first branch-and-bound over boxes that give each class a
+session range and a span of its utility pieces.  It splits session ranges
+until every count is fixed, then piece spans (disjunctive branching on the
+pieces; Keha, de Farias & Nemhauser 2006), and a box with fixed counts and
+one piece per class is a candidate, solved by the inner LP.  Every other box
 is bounded by the perspective relaxation (Gunluk & Linderoth): with z = n*x,
 the term n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
-min_i(a_i Z + b_i n), linear in (Z, n).  Boxes that cannot beat the incumbent,
-ties included, are dropped, so equal-utility bands are not searched.  The
-relaxation LP is built once per solve (``_perspective_lp``), and
-``mccormick_bound`` re-solves it with each box's bounds on n.
-
-A leaf, one session vector, does not solve all pieces^k inner LPs: it branches
-on the pieces (Keha, de Farias & Nemhauser 2006), best-first over boxes of
-per-class piece spans [i0, i1].  A span box is bounded by one LP over the
-rates with each class's concave envelope on its span's rate interval
-(``_span_bound``; a span's envelope rows are built at most once per solve),
-and only single-piece boxes that can still reach the best utility solve the
-inner LP.  A candidate pairs the session vector with a class id -> piece
+min_i(a_i Z + b_i n), linear in (Z, n), and the envelope is taken on the
+rate interval of the box's span (``_perspective_lp``).  Boxes that cannot
+beat the incumbent, ties included, are dropped, so equal-utility bands are
+not searched.  A candidate pairs the session vector with a class id -> piece
 index dict and is scored by ``cumulative_utility`` at the point it reports.
-The search's only limit is a node count; the test suite checks it against
-exhaustive (n, piece) enumeration in ``tests/enum_ref.py``, each leaf against
-the product of all pieces, and utilities at scale against a MILP.  The LPs
+The search's only limit is ``PlannerConfig.bb_node_limit``, which counts
+every expanded box, session and piece splits alike; the test suite checks
+the search against exhaustive (n, piece) enumeration in
+``tests/enum_ref.py`` and its utilities at scale against a MILP.  The LPs
 slice their capacity rows from ``PlanningProblem``'s flow layout, which the
 simulator shares.
 
@@ -350,81 +347,99 @@ def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float
     return out
 
 
-def _class_rate_caps(problem: PlanningProblem) -> np.ndarray:
-    """Each class's largest aggregate rate, agg_hi: its ``default_rate_boxes`` summed."""
-    x_box = default_rate_boxes(problem)
-    rate_hi = [x_box[f.id][1] for f in problem.all_flows()]
-    return np.bincount(problem.flow_class, rate_hi, minlength=len(problem.classes))
+def _perspective_lp(problem: PlanningProblem):
+    """The perspective relaxation of a box: ``(program, holds)``.
 
-
-def _perspective_lp(problem: PlanningProblem, agg_hi: np.ndarray | None = None):
-    """The perspective relaxation's LP over [z_f (nf) | n_k (nc) | t_k (nc)].
-
-    z_f = n_k*x_f is a flow's aggregate rate and t_k = n_k*U_k(x_k).  Each
-    segment of U_k's concave envelope on [0, agg_hi_k] gives a row
-    t_k <= a_i*Z_k + b_i*n_k with Z_k = sum_f z_f, and Z_k <= agg_hi_k*n_k
-    forces Z_k = 0 at n_k = 0; ``agg_hi`` is ``_class_rate_caps``, computed
-    here unless the caller already has it.  Only the bounds on n depend on
-    the box.
+    A box gives each class, in problem order, a session range and a span of
+    utility pieces, (n_lo, n_hi, i0, i1).  ``program(box)`` is its LP over
+    [z_f (nf) | n_k (nc) | t_k (nc)], where z_f = n_k*x_f is a flow's
+    aggregate rate and t_k = n_k*U_k(x_k), with the capacity rows on z.  On
+    the span's rate interval [lo, hi] = [x_lo(i0), min(x_hi(i1), agg_hi_k)],
+    agg_hi_k being the class's ``default_rate_boxes`` summed, each segment
+    of U_k's concave envelope gives a row t_k <= a*Z_k + b*n_k with
+    Z_k = sum_f z_f; Z_k <= hi*n_k forces Z_k = 0 at n_k = 0, and
+    lo*n_k <= Z_k, written only when lo > 0, keeps the rate off the lower
+    pieces.  An interval that agg_hi_k empties shrinks to lo, where the
+    capacity rows decide.  A class with n_hi = 0 has no rows and all its
+    variables fixed at 0.  ``holds(x, k, entry)`` tells whether the point x
+    of another box's program satisfies class k's rows and bounds under the
+    box entry ``entry``.  Each (class, span) block is built at most once.
     """
-    classes, flows = problem.classes, problem.all_flows()
-    nf, nc, flow_class = len(flows), len(classes), problem.flow_class
-    if agg_hi is None:
-        agg_hi = _class_rate_caps(problem)
-    envs = [_upper_concave_envelope(c.utility, 0.0, h) for c, h in zip(classes, agg_hi)]
-    seg_class = np.repeat(np.arange(nc), [len(env) for env in envs])
-    slope, intercept = np.array([s for env in envs for s in env]).reshape(-1, 2).T
-    segs = np.arange(len(seg_class))
-
-    used = problem.incidence.any(axis=1).nonzero()[0]
-    a = np.zeros((len(used) + len(segs) + nc, nf + 2 * nc))
-    rhs = np.zeros(len(a))
-    a[: len(used), :nf] = problem.incidence[used]  # capacity rows on z
-    rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
-    seg = a[len(used) : len(used) + len(segs)]  # t_k - a_i*Z_k - b_i*n_k <= 0
-    seg[:, :nf] = np.where(flow_class == seg_class[:, None], -slope[:, None], 0.0)
-    seg[segs, nf + seg_class] = -intercept
-    seg[segs, nf + nc + seg_class] = 1.0
-    agg = a[len(used) + len(segs) :]  # Z_k - agg_hi_k*n_k <= 0
-    agg[flow_class, np.arange(nf)] = 1.0
-    agg[np.arange(nc), nf + np.arange(nc)] = -agg_hi
-
+    classes, flow_class = problem.classes, problem.flow_class
+    nf, nc = len(flow_class), len(classes)
+    x_box = default_rate_boxes(problem)
+    agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in problem.all_flows()], minlength=nc)
+    sizes = np.bincount(flow_class, minlength=nc)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # Capacity rows on z, padded to the program's width.
+    capacity_rows = np.zeros((len(problem.link_ids), nf + 2 * nc))
+    capacity_rows[:, :nf] = problem.incidence
+    capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
     c = np.zeros(nf + 2 * nc)
     c[nf + nc :] = 1.0
-    # A concave envelope is smallest at an end of its interval, so t_k is
-    # never below N_k * min(env(0), env(agg_hi)) when that is negative.
-    lo = np.zeros(nf + 2 * nc)
-    for k, (cls, env, h) in enumerate(zip(classes, envs, agg_hi)):
-        lo[nf + nc + k] = min(0.0, cls.max_sessions * min(min(b, s * h + b) for s, b in env))
-    return LinearProgram(c, a, rhs, lo=lo, hi=np.full(nf + 2 * nc, INF))
+
+    @functools.cache
+    def block(k: int, i0: int, i1: int):
+        """The span's rows, each <= 0, at full width, and t_k's floor per session.
+
+        A concave envelope is smallest at an end of its interval, so n_k
+        sessions never sum below n_k * min(0, env(lo), env(hi)).
+        """
+        u = classes[k].utility
+        lo = u.pieces[i0].x_lo
+        hi = max(lo, min(u.pieces[i1].x_hi, float(agg_hi[k])))
+        env = _upper_concave_envelope(u, lo, hi)
+        # Each row's coefficients on (Z_k, n_k, t_k).
+        znt = np.array(
+            [(-a, -b, 1.0) for a, b in env] + [(1.0, -hi, 0.0)] + [(-1.0, lo, 0.0)] * (lo > 0)
+        )
+        rows = np.zeros((len(znt), nf + 2 * nc))
+        rows[:, starts[k] : ends[k]] = znt[:, :1]
+        rows[:, nf + k], rows[:, nf + nc + k] = znt[:, 1], znt[:, 2]
+        return rows, min(0.0, *(min(a * lo + b, a * hi + b) for a, b in env))
+
+    def program(box) -> LinearProgram:
+        n_lo, n_hi, _, _ = np.array(box).reshape(nc, 4).T
+        on = n_hi.nonzero()[0]
+        blocks = [block(k, *box[k][2:]) for k in on]
+        z_on = n_hi[flow_class] >= 1
+        used = problem.incidence[:, z_on].any(axis=1).nonzero()[0]
+        a = np.concatenate([capacity_rows[used], *(rows for rows, _ in blocks)])
+        rhs = np.zeros(len(a))
+        rhs[: len(used)] = capacity[used]
+        lo, hi = np.zeros(nf + 2 * nc), np.zeros(nf + 2 * nc)
+        lo[nf : nf + nc], hi[nf : nf + nc] = n_lo, n_hi
+        lo[nf + nc + on] = n_hi[on] * [floor for _, floor in blocks]
+        hi[:nf][z_on] = hi[nf + nc + on] = INF
+        return LinearProgram(c, a, rhs, lo, hi)
+
+    def holds(x: np.ndarray, k: int, entry) -> bool:
+        n_lo, n_hi, i0, i1 = entry
+        rows, floor = block(k, i0, i1)
+        return bool(
+            n_lo - FEAS_TOL <= x[nf + k] <= n_hi + FEAS_TOL
+            and x[nf + nc + k] >= n_hi * floor - FEAS_TOL
+            and np.all(rows @ x <= FEAS_TOL)
+        )
+
+    return program, holds
 
 
-def mccormick_bound(
-    problem: PlanningProblem,
-    n_box: dict[str, tuple[int, int]],
-    *,
-    relaxation: LinearProgram,
-) -> float:
-    """Upper bound on achievable utility over a box of session counts.
+def mccormick_bound(program: LinearProgram) -> tuple[float, np.ndarray | None]:
+    """A box's bound on utility and the relaxation point that attains it.
 
-    Solves ``relaxation``, the problem's ``_perspective_lp`` that
-    ``solve_plan`` builds once per solve, with n bounded by the box.  The
-    name is kept from the McCormick relaxation this replaced
+    ``program`` is the box's ``_perspective_lp`` program.  An infeasible
+    program gives (-INF, None): the box holds no candidate.  The name is
+    kept from the McCormick relaxation this replaced
     (``tests/mccormick_ref.py``), which is never tighter.
     """
-    for c in problem.classes:
-        if n_box[c.id][0] > n_box[c.id][1]:
-            raise PlannerError(f"empty session box for class {c.id!r}")
-    # The program was validated when built; a box changes only n's bounds.
-    nv, nc = len(relaxation.c), len(problem.classes)
-    relaxation.lo[nv - 2 * nc : nv - nc] = [n_box[c.id][0] for c in problem.classes]
-    relaxation.hi[nv - 2 * nc : nv - nc] = [n_box[c.id][1] for c in problem.classes]
-    sol = solve_lp(relaxation)
+    sol = solve_lp(program)
+    if sol.status == "infeasible":
+        return -INF, None
     if sol.status == "unbounded":
-        return INF
-    if sol.status != "optimal":
-        raise PlannerError(f"relaxation LP returned {sol.status}")
-    return float(sol.objective)
+        return INF, None
+    return float(sol.objective), sol.x
 
 
 # Relative slack on a relaxation bound for the LP's float error, added before
@@ -438,223 +453,90 @@ def _bound_level(bound: float) -> int:
     return round((bound + BOUND_SLACK * (1.0 + abs(bound))) / UTILITY_TIE_TOL)
 
 
-# ---------------------------------------------------------------------------
-# Piece spans inside a leaf
-
-
-def _span_rows(problem: PlanningProblem, agg_hi: np.ndarray):
-    """Rows bounding a class on a span [i0, i1] of its pieces, each built once.
-
-    Returns ``rows(k, i0, i1)`` for class index k: (block, rhs, t_lo) over
-    the class's own columns [its flows' x_f | t_k].  On X_k = sum_f x_f in
-    [lo, hi] = [x_lo(i0), min(x_hi(i1), agg_hi_k)], each segment of U_k's
-    concave envelope gives t_k - a*X_k <= b, two rows keep X_k in the interval
-    (the lower one only when lo > 0), and t_lo bounds t_k below without
-    cutting the envelope.  An interval that agg_hi_k empties shrinks to lo,
-    where the capacity rows decide.
-    """
-
-    @functools.cache
-    def rows(k: int, i0: int, i1: int):
-        c = problem.classes[k]
-        nx, pieces = len(problem.flows[c.id]), c.utility.pieces
-        lo = pieces[i0].x_lo
-        hi = max(lo, min(pieces[i1].x_hi, float(agg_hi[k])))
-        env = _upper_concave_envelope(c.utility, lo, hi)
-        block = np.zeros((len(env) + 1 + (lo > 0), nx + 1))
-        rhs = np.empty(len(block))
-        for r, (a, b) in enumerate(env):
-            block[r, :nx], block[r, nx], rhs[r] = -a, 1.0, b
-        block[len(env), :nx], rhs[len(env)] = 1.0, hi
-        if lo > 0:
-            block[-1, :nx], rhs[-1] = -1.0, -lo
-        t_lo = min(0.0, *(min(a * lo + b, a * hi + b) for a, b in env))
-        return block, rhs, t_lo
-
-    return rows
-
-
-def _span_bound(
-    problem: PlanningProblem,
-    n: dict[str, int],
-    scalable: list[TrafficClass],
-    span_rows,
-):
-    """A leaf's span-box bound, as a function of the box.
-
-    ``n`` fixes the general classes' sessions; a box holds one piece span
-    (i0, i1) for each class with n_k >= 1, in problem order.  Its bound is
-    one LP over the active flows' x_f and one t_k per box class: the capacity
-    rows sum n_k*x_f <= C_l, each class's ``span_rows`` for its span, and the
-    objective sum n_k*t_k plus the scalable classes' linear utility at their
-    maximum sessions.  ``bound(box)`` returns the LP's (optimum, point), or
-    (-INF, None) if the box is infeasible.  ``bound(box, parent, j)``, for a
-    box that narrows only class j's span of the box whose result is
-    ``parent``, returns ``parent`` itself when its point satisfies class j's
-    new rows: the box's LP is the parent's restricted, so it has the same
-    optimum.
-    """
-    n_full = n | {c.id: c.max_sessions for c in scalable}
-    sessions = np.array([n_full.get(c.id, 0) for c in problem.classes])
-    on = sessions[problem.flow_class] >= 1
-    col_class = problem.flow_class[on]
-    branch = [k for k, c in enumerate(problem.classes) if n.get(c.id, 0) >= 1]
-    starts = np.searchsorted(col_class, branch)
-    ends = np.searchsorted(col_class, branch, side="right")
-    nx, nt = len(col_class), len(branch)
-
-    incidence = problem.incidence[:, on]
-    used = incidence.any(axis=1).nonzero()[0]
-    capacity = incidence[used] * sessions[col_class]
-    cap_rhs = [problem.topology.links[i].capacity_mbps for i in used]
-    cvec = np.zeros(nx + nt)
-    for c in scalable:
-        cvec[:nx][col_class == problem.classes.index(c)] = c.max_sessions * c.utility.pieces[0].a
-    cvec[nx:] = sessions[branch]
-
-    def bound(box, parent=None, j=None) -> tuple[float, np.ndarray | None]:
-        if parent is not None:
-            block, rhs, _ = span_rows(branch[j], *box[j])
-            x, t = parent[1][starts[j] : ends[j]], parent[1][nx + j]
-            if np.all(block[:, :-1] @ x + block[:, -1] * t <= rhs + FEAS_TOL):
-                return parent
-        blocks = [span_rows(k, *span) for k, span in zip(branch, box)]
-        a = np.zeros((len(used) + sum(len(rhs) for _, rhs, _ in blocks), nx + nt))
-        rhs = np.empty(len(a))
-        lo = np.zeros(nx + nt)
-        a[: len(used), :nx], rhs[: len(used)] = capacity, cap_rhs
-        r = len(used)
-        for j, ((block, b, t_lo), s, e) in enumerate(zip(blocks, starts, ends)):
-            h = len(b)
-            a[r : r + h, s:e], a[r : r + h, nx + j], rhs[r : r + h] = block[:, :-1], block[:, -1], b
-            lo[nx + j] = t_lo
-            r += h
-        sol = solve_lp(LinearProgram(cvec, a, rhs, lo=lo))
-        if sol.status == "infeasible":
-            return -INF, None
-        if sol.status != "optimal":
-            raise PlannerError(f"span LP returned {sol.status}")
-        return float(sol.objective), sol.x
-
-    return bound
-
-
-def _leaf_plan(
-    problem: PlanningProblem,
-    n: dict[str, int],
-    scalable: list[TrafficClass],
-    span_rows,
-    inc_level: float,
-) -> Plan | None:
-    """The leaf's best candidate: the smallest (``_plan_sort_key``, piece tuple).
-
-    The search runs best-first over boxes of piece spans (``_span_bound``),
-    splitting the widest span at its middle, the smallest class index among
-    equals.  A box whose spans are all single pieces is a candidate, solved
-    by ``inner_lp`` with no bound LP.  A box is dropped only when its bound
-    level is below the best so far, the higher of ``inc_level`` and the
-    leaf's best candidate, so every candidate that could tie the winner is
-    solved.  Returns None if no candidate is feasible.
-    """
-    active = [c for c in problem.classes if n.get(c.id, 0) >= 1]
-    bound = None  # built when the first box needs it
-    best: tuple | None = None  # (sort key, piece tuple, plan)
-
-    def level() -> float:
-        return inc_level if best is None else max(inc_level, -best[0][0])
-
-    def solve(box) -> None:
-        nonlocal best
-        pieces = tuple(i0 for i0, _ in box)
-        plan = _candidate_plan(problem, n, {c.id: p for c, p in zip(active, pieces)}, scalable)
-        if plan is not None:
-            key = (_plan_sort_key(plan, problem), pieces)
-            if best is None or key < best[:2]:
-                best = (*key, plan)
-
-    root = tuple((0, len(c.utility.pieces) - 1) for c in active)
-    heap = [(-INF, 0, root, None)]
-    counter = itertools.count(1)
-    while heap:
-        _, _, box, result = heapq.heappop(heap)
-        if result is not None and _bound_level(result[0]) < level():
-            continue
-        if all(i0 == i1 for i0, i1 in box):
-            solve(box)
-            continue
-        j = max(range(len(box)), key=lambda j: (box[j][1] - box[j][0], -j))
-        i0, i1 = box[j]
-        mid = (i0 + i1) // 2
-        for sub in ((i0, mid), (mid + 1, i1)):
-            child = box[:j] + (sub,) + box[j + 1 :]
-            if all(lo == hi for lo, hi in child):
-                solve(child)
-                continue
-            bound = bound or _span_bound(problem, n, scalable, span_rows)
-            sub_result = bound(child, result, j)
-            if sub_result[0] != -INF and _bound_level(sub_result[0]) >= level():
-                heapq.heappush(heap, (-sub_result[0], next(counter), child, sub_result))
-    return None if best is None else best[2]
-
-
 def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
     """Exact solve of the admission + rate problem; deterministic tie-breaks.
 
     Classes whose utility is linear through the origin ride along at their
-    maximum session count.  The others are searched best-first over boxes of
-    session counts (Land & Doig), each box bounded by its perspective
-    relaxation; a box narrowed to one session vector is a leaf whose utility
-    pieces are searched exactly by ``_leaf_plan``.  The root box is expanded
-    unconditionally, so it gets no relaxation LP.  Equal-utility candidates
-    resolve to the smallest total session count, then the lexicographically
-    smallest session vector by class id, then the lexicographically smallest
-    rate vector by flow id.
+    maximum session count.  The others are searched best-first (Land &
+    Doig) over boxes that give each class a session range and a piece span,
+    each box bounded by ``mccormick_bound`` on its ``_perspective_lp``
+    program.  The widest session range splits first, the smallest class id
+    among equals; once every count is fixed, the widest span of a class with
+    sessions splits, the smallest class index among equals.  A box with
+    fixed counts and one piece per class with sessions is a candidate,
+    solved by ``inner_lp`` with no bound LP.  A child takes its parent's
+    bound without an LP when the parent's relaxation point satisfies the
+    child's program, whose optimum it then is; the root gets no LP.
+    Equal-utility candidates resolve to the smallest total session count,
+    then the lexicographically smallest session vector by class id, then
+    the lexicographically smallest rate vector by flow id, then the
+    smallest piece tuple.
 
     A box is dropped when pushed, and again when popped, if its bound
     quantised as in ``_plan_sort_key`` cannot beat the incumbent's utility
-    and no leaf in it can win the tie: its sum(n_lo) exceeds the incumbent's
-    session total, or equals it with no scalable class and a lower corner
-    (the only leaf with that total) sorting at or after the incumbent's
-    session vector.  Equal bounds pop smallest sum(n_lo) first, so the
-    fewest-session incumbent appears before a tied band is searched.  A
-    search stopped by ``config.bb_node_limit`` returns its incumbent labelled
-    "best-found", with ``gap`` the largest open bound above its utility; the
-    span boxes inside a leaf are not nodes.
+    and no candidate in it can win the tie: its sum(n_lo) exceeds the
+    incumbent's session total, or equals it with no scalable class and a
+    lower corner (the only session vector with that total) sorting after
+    the incumbent's session vector, or at it with counts not yet fixed.
+    Equal bounds pop smallest sum(n_lo) first, so the fewest-session
+    incumbent appears before a tied band is searched.  Every expanded box
+    counts toward ``config.bb_node_limit``; a search stopped there returns
+    its incumbent labelled "best-found", with ``gap`` the largest open bound
+    above its utility.
     """
     config = config or PlannerConfig()
-    scalable = [
-        c
-        for c in problem.classes
-        if c.utility.is_linear_through_origin() and c.max_sessions >= 1
-    ]
+    classes = problem.classes
+    scalable = [c for c in classes if c.utility.is_linear_through_origin() and c.max_sessions >= 1]
     scalable_ids = {c.id for c in scalable}
-    general = [c for c in problem.classes if c.id not in scalable_ids]
-    relaxation = span_rows = None
-    if general:
-        agg_hi = _class_rate_caps(problem)
-        relaxation, span_rows = _perspective_lp(problem, agg_hi), _span_rows(problem, agg_hi)
-    root = {c.id: (0, c.max_sessions) for c in problem.classes}
-    by_id = sorted(c.id for c in problem.classes)
+    general = [k for k, c in enumerate(classes) if c.id not in scalable_ids]
+    program, holds = _perspective_lp(problem) if general else (None, None)
+    by_id = sorted(range(len(classes)), key=lambda k: classes[k].id)
+    root = tuple((0, c.max_sessions, 0, len(c.utility.pieces) - 1) for c in classes)
 
     incumbent = _zero_plan(problem)
-    inc_key = _plan_sort_key(incumbent, problem)
+    inc_key = (_plan_sort_key(incumbent, problem), ())
+
+    def branch(box):
+        """(class index, field) of the range to split next: 0 sessions, 2 pieces."""
+        wide = [k for k in general if box[k][0] < box[k][1]]
+        if wide:
+            return min(wide, key=lambda k: (box[k][0] - box[k][1], classes[k].id)), 0
+        spans = [k for k in general if box[k][0] >= 1 and box[k][2] < box[k][3]]
+        if spans:
+            return min(spans, key=lambda k: (box[k][2] - box[k][3], k)), 2
+        return None
 
     def dominated(bound: float, lo_sum: int, box) -> bool:
-        """No leaf in the box can sort before the incumbent."""
+        """No candidate in the box can sort before the incumbent."""
         if bound == INF:
             return False
-        level = _bound_level(bound)
-        if level != -inc_key[0]:
-            return level < -inc_key[0]
-        if lo_sum != inc_key[1]:
-            return lo_sum > inc_key[1]
-        return not scalable and tuple(box[k][0] for k in by_id) >= inc_key[2]
+        level, (utility, total, corner, _) = _bound_level(bound), inc_key[0]
+        if level != -utility:
+            return level < -utility
+        if lo_sum != total:
+            return lo_sum > total
+        if scalable:
+            return False
+        box_corner = tuple(box[k][0] for k in by_id)
+        if box_corner != corner:
+            return box_corner > corner
+        return any(box[k][0] < box[k][1] for k in general)
+
+    def solve(box) -> None:
+        nonlocal incumbent, inc_key
+        n = {classes[k].id: box[k][0] for k in general}
+        pieces = {classes[k].id: box[k][2] for k in general if box[k][0] >= 1}
+        plan = _candidate_plan(problem, n, pieces, scalable)
+        if plan is not None:
+            key = (_plan_sort_key(plan, problem), tuple(pieces.values()))
+            if key < inc_key:
+                incumbent, inc_key = plan, key
 
     counter = itertools.count()
-    heap = [(-INF, 0, next(counter), root)]
+    heap = [(-INF, 0, next(counter), root, None)]
     nodes = 0
     while heap:
-        neg_bound, lo_sum, _, box = heapq.heappop(heap)
+        neg_bound, lo_sum, _, box, point = heapq.heappop(heap)
         if dominated(-neg_bound, lo_sum, box):
             continue
         nodes += 1
@@ -663,26 +545,21 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
             incumbent.optimality = "best-found"
             incumbent.gap = max(-neg_bound - incumbent.utility, 0.0)
             return incumbent
-        wide = [c.id for c in general if box[c.id][1] > box[c.id][0]]
-        if not wide:
-            nvals = {c.id: box[c.id][0] for c in general}
-            plan = _leaf_plan(problem, nvals, scalable, span_rows, -inc_key[0])
-            if plan is not None:
-                key = _plan_sort_key(plan, problem)
-                if key < inc_key:
-                    incumbent, inc_key = plan, key
+        split = branch(box)
+        if split is None:
+            solve(box)
             continue
-        # Split the widest class, the smallest id among equals.
-        cid = min(wide, key=lambda k: (box[k][0] - box[k][1], k))
-        nl, nu = box[cid]
-        mid = (nl + nu) // 2
-        for sub in ((nl, mid), (mid + 1, nu)):
-            child = dict(box)
-            child[cid] = sub
-            child_lo = lo_sum + sub[0] - nl
-            b = mccormick_bound(problem, child, relaxation=relaxation)
-            if not dominated(b, child_lo, child):
-                heapq.heappush(heap, (-b, child_lo, next(counter), child))
+        k, f = split
+        lo, hi = box[k][f : f + 2]
+        mid = (lo + hi) // 2
+        for sub in ((lo, mid), (mid + 1, hi)):
+            child = (*box[:k], (*box[k][:f], *sub, *box[k][f + 2 :]), *box[k + 1 :])
+            child_lo = lo_sum + child[k][0] - box[k][0]
+            bound, x = -neg_bound, point
+            if branch(child) is not None and (point is None or not holds(point, k, child[k])):
+                bound, x = mccormick_bound(program(child))
+            if bound != -INF and not dominated(bound, child_lo, child):
+                heapq.heappush(heap, (-bound, child_lo, next(counter), child, x))
     return incumbent
 
 

@@ -487,6 +487,8 @@ def hop_study(
     seed: int = 7,
 ) -> list[tuple[str, int, float]]:
     """Optimal utility per (topology, hop limit); monotone in the limit."""
+    if not hop_limits or min(hop_limits) < 1:
+        raise ScenarioError(f"hop limits must be at least one value >= 1, got {list(hop_limits)}")
     rows: list[tuple[str, int, float]] = []
     for name in sorted(topologies):
         topo = topologies[name]

@@ -7,11 +7,6 @@ LP and keeps the smallest ``_plan_sort_key``; it prunes nothing.  Its cost is
 the product over classes of 1 + N_k * pieces_k inner LPs, so it is only for
 small instances.  Branch-and-bound must return the same plan, duals and
 labels included, so the tests compare with ``==`` and on ``to_json()`` bytes.
-
-``leaf_ref`` is the planner's previous leaf: at a fixed session vector it
-solves every utility piece's inner LP in ``itertools.product`` order and keeps
-the first of the smallest ``_plan_sort_key``.  The span search in
-``overlaylab.planner._leaf_plan`` must return the same plan.
 """
 import itertools
 
@@ -80,23 +75,3 @@ def leaf_utilities(problem: PlanningProblem) -> dict[tuple[int, ...], float]:
         best[n] = max(best.get(n, -INF), plan.utility)
     return best
 
-
-def leaf_ref(problem: PlanningProblem, n: dict[str, int], scalable) -> Plan | None:
-    """Best candidate at the general classes' session vector ``n``, or None."""
-    general = [c for c in problem.classes if c not in scalable]
-    options = [range(len(c.utility.pieces)) if n[c.id] else [0] for c in general]
-    plans = (
-        _candidate_plan(
-            problem,
-            n,
-            {c.id: pi for c, pi in zip(general, pieces) if n[c.id]},
-            scalable,
-        )
-        for pieces in itertools.product(*options)
-    )
-    # min keeps the first of equal keys, in (class, piece) order.
-    return min(
-        (p for p in plans if p is not None),
-        key=lambda p: _plan_sort_key(p, problem),
-        default=None,
-    )

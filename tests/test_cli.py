@@ -184,6 +184,14 @@ def test_paths_with_unknown_node_exits_2(files, capsys, end):
     assert captured.err == f"error: {end} 'Z' is not a topology node\n"
 
 
+@pytest.mark.parametrize("max_hops", ["0", "-2"])
+def test_hops_below_one_exits_2(capsys, max_hops):
+    assert main(["hops", "abilene", "--max-hops", max_hops]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hop limits must be at least one value >= 1, got []\n"
+
+
 def test_run_paper_scenario_outputs(tmp_path, capsys):
     rc = main(["run", "--paper", "triangle-basic", "--out", str(tmp_path)])
     assert rc == 0

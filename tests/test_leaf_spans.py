@@ -1,36 +1,32 @@
-"""The leaf's piece-span search against the product-order leaf.
+"""The planner's piece spans against exhaustive enumeration.
 
-At a fixed session vector, ``overlaylab.planner._leaf_plan`` searches boxes
-of utility-piece spans best-first and solves only the piece combinations
-whose box bound can still reach the best level.  ``leaf_ref`` (in
-``enum_ref.py``) is the leaf it replaced: every combination's inner LP, the
-first of the smallest ``_plan_sort_key`` in product order.  Both must return
-the same plan, compared with ``==`` and on ``to_json()`` bytes.  The span
-bound must hold every candidate in its box, and the search must solve few
-inner LPs where the product needs pieces^k of them.
+Once a box's session counts are fixed, ``overlaylab.planner.solve_plan``
+branches on utility-piece spans and solves an inner LP only for the piece
+combinations whose box bound can still reach the best level.  At a session
+vector (a leaf) the candidates are the product of the classes' pieces, and
+``enum_ref`` (through ``assert_matches_oracle``) solves every one of them at
+every leaf: the search must return its plan, compared with ``==`` and on
+``to_json()`` bytes.  Every span box's bound must hold each candidate inside
+it, and the search must solve few inner LPs where the product holds pieces^k
+of them per leaf.
 """
 import itertools
-import math
 
 import pytest
 
-from enum_ref import leaf_ref
 from overlaylab import planner
 from overlaylab.model import Flow, PiecewiseLinearUtility, Topology, TrafficClass
 from overlaylab.planner import (
     BOUND_SLACK,
-    UTILITY_TIE_TOL,
     PlanningProblem,
     _candidate_plan,
-    _class_rate_caps,
-    _leaf_plan,
-    _span_bound,
-    _span_rows,
+    _perspective_lp,
+    mccormick_bound,
     solve_plan,
 )
 from overlaylab.scenarios import add_sites, load_bundled_topology
 from test_planner import U_A, L, single_link, triangle_problem
-from test_planner_oracle import ABILENE, TRIANGLE, threshold_problem
+from test_planner_oracle import ABILENE, TRIANGLE, assert_matches_oracle, threshold_problem
 
 BTN = add_sites(load_bundled_topology("btn"), uplink_mbps=30.0, core_mbps=10.0)
 TOPOLOGIES = {"triangle": TRIANGLE, "abilene": ABILENE, "btn": BTN}
@@ -46,31 +42,6 @@ def split(problem):
     return [c for c in problem.classes if c not in scalable], scalable
 
 
-def level(plan) -> int:
-    return round(plan.utility / UTILITY_TIE_TOL)
-
-
-def assert_leaf_matches(problem, n, runs=((-math.inf, None),)):
-    """The span search at ``n`` returns the product-order leaf's plan.
-
-    Each run is (incumbent level, plan): the plan the search returned under
-    that incumbent, or None to run it here.  Under an incumbent a leaf may
-    prune everything below its level, so the plans must agree only when the
-    reference reaches it.
-    """
-    _, scalable = split(problem)
-    want = leaf_ref(problem, n, scalable)
-    rows = _span_rows(problem, _class_rate_caps(problem))
-    for inc_level, got in runs:
-        if got is None:
-            got = _leaf_plan(problem, n, scalable, rows, inc_level)
-        if want is None or level(want) < inc_level:
-            assert got is None or level(got) < inc_level, n
-            continue
-        assert got == want, n
-        assert got.to_json() == want.to_json(), n
-
-
 def all_leaves(problem):
     general, _ = split(problem)
     ranges = [range(c.max_sessions + 1) for c in general]
@@ -78,42 +49,18 @@ def all_leaves(problem):
         yield {c.id: nk for c, nk in zip(general, nvec)}
 
 
-def visited_leaves(problem, monkeypatch):
-    """Every (n, incumbent level, plan) of the leaves ``solve_plan`` searches."""
-    seen = []
-
-    def record(problem, n, scalable, rows, inc_level):
-        plan = leaf(problem, n, scalable, rows, inc_level)
-        seen.append((dict(n), inc_level, plan))
-        return plan
-
-    leaf = planner._leaf_plan
-    monkeypatch.setattr(planner, "_leaf_plan", record)
-    solve_plan(problem)
-    monkeypatch.setattr(planner, "_leaf_plan", leaf)
-    return seen
-
-
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
 @pytest.mark.parametrize("k, n_max", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_every_leaf_of_small_instances_matches_product_leaf(name, k, n_max):
-    problem = threshold_problem(TOPOLOGIES[name], k, n_max, seed=k + n_max)
-    for n in all_leaves(problem):
-        assert_leaf_matches(problem, n)
+    assert_matches_oracle(threshold_problem(TOPOLOGIES[name], k, n_max, seed=k + n_max))
 
 
 @pytest.mark.parametrize(
-    # Six classes only on the triangle: a 6-class reference leaf is 729 inner LPs.
+    # Six classes only on the triangle: enumeration solves 4^6 = 4096 inner LPs.
     "name, k", [(name, k) for k in (4, 5) for name in sorted(TOPOLOGIES)] + [("triangle", 6)]
 )
-def test_searched_leaves_match_product_leaf(name, k, monkeypatch):
-    # Both the leaf as solve_plan ran it, under its incumbent, and the same
-    # leaf with no incumbent at all.
-    problem = threshold_problem(TOPOLOGIES[name], k, 1, seed=k)
-    seen = visited_leaves(problem, monkeypatch)
-    assert seen
-    for n, inc_level, plan in seen:
-        assert_leaf_matches(problem, n, [(inc_level, plan), (-math.inf, None)])
+def test_searched_leaves_match_product_leaf(name, k):
+    assert_matches_oracle(threshold_problem(TOPOLOGIES[name], k, 1, seed=k))
 
 
 def mixed_problem():
@@ -152,20 +99,21 @@ FLAT_ZERO = PiecewiseLinearUtility.from_points([(0.0, 0.0, 0.0)])
     ids=["flat-zero", "negative-utility", "scalable-only", "scalable-triangle", "ride-along"],
 )
 def test_special_utilities_match_product_leaf(make):
-    problem = make()
-    for n in all_leaves(problem):
-        assert_leaf_matches(problem, n)
+    assert_matches_oracle(make())
 
 
 # -- the span bound -------------------------------------------------------------
 
 
 def assert_span_bounds_hold(problem, n):
-    """Every span box's bound, after BOUND_SLACK, holds each candidate inside it."""
+    """Every span box's bound at ``n``, after BOUND_SLACK, holds each candidate inside it.
+
+    The box fixes the general classes' sessions at ``n`` and leaves the
+    scalable ones at [0, N], as ``solve_plan`` does.
+    """
     general, scalable = split(problem)
     active = [c for c in general if n[c.id] >= 1]
-    rows = _span_rows(problem, _class_rate_caps(problem))
-    bound = _span_bound(problem, n, scalable, rows)
+    program, _ = _perspective_lp(problem)
     utilities = {}
     for pieces in itertools.product(*(range(len(c.utility.pieces)) for c in active)):
         plan = _candidate_plan(problem, n, dict(zip((c.id for c in active), pieces)), scalable)
@@ -177,7 +125,12 @@ def assert_span_bounds_hold(problem, n):
     ]
     checked = 0
     for box in itertools.product(*spans) if active else []:
-        b = bound(box)[0]
+        span = dict(zip((c.id for c in active), box))
+        b = mccormick_bound(program([
+            (0, c.max_sessions, 0, len(c.utility.pieces) - 1) if c in scalable
+            else (n[c.id], n[c.id], *span.get(c.id, (0, len(c.utility.pieces) - 1)))
+            for c in problem.classes
+        ]))[0]
         inside = [
             u for pieces, u in utilities.items()
             if all(i0 <= p <= i1 for p, (i0, i1) in zip(pieces, box))

@@ -75,6 +75,28 @@ def test_lower_bound_shift():
     assert sol.x[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("cap, status", [(10.0, "optimal"), (4.0, "infeasible")])
+def test_fixed_variables_solve_as_substituted_by_hand(cap, status):
+    # x1 = 3 and x3 = 2 have lo == hi.  The same program with those columns
+    # moved to the right-hand side by hand gives the same answer; the data are
+    # small dyadic numbers, so both sides are exact and compare with ==.
+    c = np.array([1.0, 2.0, 2.0, 3.0])
+    a = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
+    b = np.array([cap, 12.0, 1.0])
+    lo, hi = np.array([0.0, 3.0, 1.0, 2.0]), np.array([math.inf, 3.0, 5.0, 2.0])
+    sol = solve_lp(LinearProgram(c, a, b, lo, hi))
+    free, fixed = [0, 2], [1, 3]
+    hand = solve_lp(
+        LinearProgram(c[free], a[:, free], b - a[:, fixed] @ lo[fixed], lo[free], hi[free])
+    )
+    assert sol.status == hand.status == status
+    if status == "optimal":
+        assert sol.objective == hand.objective + c[fixed] @ lo[fixed] == 22.5
+        assert list(sol.x[free]) == list(hand.x) == [3.5, 3.5]
+        assert list(sol.x[fixed]) == [3.0, 2.0]
+        assert list(sol.duals) == list(hand.duals) == [1.0, 0.5, 0.0]
+
+
 def test_rejects_nan():
     with pytest.raises(LpInputError):
         LinearProgram(c=[math.nan], a=[[1.0]], b=[1.0])

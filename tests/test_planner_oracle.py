@@ -183,7 +183,9 @@ def test_perspective_bound_is_valid_and_within_mccormick(name, k, n_max):
         leaves = leaf_utilities(problem)
         for box in itertools.product(intervals, repeat=k):
             n_box = {c.id: b for c, b in zip(problem.classes, box)}
-            bound = mccormick_bound(problem, n_box, relaxation=_perspective_lp(problem))
+            program, _ = _perspective_lp(problem)
+            full = [(*n_box[c.id], 0, len(c.utility.pieces) - 1) for c in problem.classes]
+            bound = mccormick_bound(program(full))[0]
             inside = [
                 u for n, u in leaves.items() if all(lo <= nk <= hi for nk, (lo, hi) in zip(n, box))
             ]

@@ -172,6 +172,13 @@ def test_hop_study_is_monotone():
     )
 
 
+@pytest.mark.parametrize("hop_limits", [(), (0, 1), (1, -2)])
+def test_hop_study_rejects_an_empty_or_nonpositive_hop_range(hop_limits):
+    topo = add_sites(parse_graphml(GRAPHML), uplink_mbps=30.0, core_mbps=10.0)
+    with pytest.raises(ScenarioError, match="hop limits must be at least one value >= 1"):
+        hop_study({"toy": topo}, hop_limits=hop_limits)
+
+
 def test_random_path_study_monotone_in_k():
     topo = add_sites(load_bundled_topology("abilene"), uplink_mbps=30.0, core_mbps=10.0)
     rows = random_path_study(topo, k_values=(0, 2), trials=2, seed=3)

@@ -19,7 +19,6 @@ from .model import (
 )
 from .lp import LpSolverError, LpSolution, solve_lp
 from .planner import (
-    PlannerError,
     PlannerConfig,
     PlanningProblem,
     Plan,
@@ -66,7 +65,6 @@ __all__ = [
     "LpSolverError",
     "LpSolution",
     "solve_lp",
-    "PlannerError",
     "PlannerConfig",
     "PlanningProblem",
     "Plan",

@@ -23,7 +23,6 @@ from .model import (
 from .planner import (
     Plan,
     PlanningProblem,
-    PlannerError,
     check_kkt,
     solve_plan,
 )
@@ -304,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_InputError, ModelError, ScenarioError, WeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpInputError, LpSolverError, PlannerError) as exc:
+    except (LpInputError, LpSolverError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

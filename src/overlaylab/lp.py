@@ -13,12 +13,29 @@ machinery.
 Pricing uses Dantzig's rule with index tie-breaks for speed, and switches to
 Bland's rule after a run of degenerate pivots so cycling cannot occur.  The
 pivot sequence is a pure function of the input, so repeated solves of the same
-program give bit-identical answers.  An optimal answer is verified before it
-is returned: primal feasibility, dual sign and dual feasibility, the duality
-gap, and complementary slackness.
+program give bit-identical answers.
+
+An optimal answer also reports its basis, as column ids of the program.  A
+program that differs from an earlier one only in tighter bounds can start
+from that basis: it is factorised once, which keeps the dual feasibility of
+the earlier optimum, and a bounded dual simplex restores primal feasibility
+through the same pivot routine.  Upper bounds are not rows there: a
+nonbasic variable sits at either of its bounds, so tighter bounds change
+only the right-hand side.  The leaving row is chosen by dual steepest edge, and
+Bland's rule takes over after a run of degenerate pivots.  A start that
+does not fit, or an answer that fails verification, falls back to a cold
+solve.
+
+Every optimal answer, cold or warm, is verified before it is returned, and
+the checks do not depend on how the basis was reached: x, the duals and the
+objective are finite, x satisfies A x <= b, the duals are nonnegative and
+price no column in (a column at its upper bound through the dual of that
+bound, as the cold solve's bound rows do), the duality gap closes and the
+slackness is complementary.  Each check fails on NaN.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -59,19 +76,30 @@ class LinearProgram:
         m, n = self.a.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise LpInputError("inconsistent dimensions")
-        self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, dtype=float)
-        self.hi = np.full(n, INF) if self.hi is None else np.asarray(self.hi, dtype=float)
-        if self.lo.shape != (n,) or self.hi.shape != (n,):
-            raise LpInputError("inconsistent bound dimensions")
         for arr in (self.c, self.a, self.b):
             if not np.all(np.isfinite(arr)):
                 raise LpInputError("NaN or Inf in program data")
-        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+        self.lo, self.hi = _checked_bounds(self.lo, self.hi, n)
+
+    def with_bounds(self, lo, hi) -> "LinearProgram":
+        """This program's objective and rows, checked once, under other bounds."""
+        out = copy.copy(self)
+        out.lo, out.hi = _checked_bounds(lo, hi, len(self.c))
+        return out
+
+
+def _checked_bounds(lo, hi, n):
+    lo = np.zeros(n) if lo is None else np.asarray(lo, dtype=float)
+    hi = np.full(n, INF) if hi is None else np.asarray(hi, dtype=float)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise LpInputError("inconsistent bound dimensions")
+    if not (np.isfinite(lo).all() and (lo <= hi).all()):  # NaN fails both
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise LpInputError("NaN in bounds")
-        if np.any(self.lo > self.hi):
+        if (lo > hi).any():
             raise LpInputError("lo > hi for some variable")
-        if not np.all(np.isfinite(self.lo)):
-            raise LpInputError("lower bounds must be finite")
+        raise LpInputError("lower bounds must be finite")
+    return lo, hi
 
 
 @dataclass
@@ -81,24 +109,46 @@ class LpSolution:
     objective: float | None = None
     duals: np.ndarray | None = None  # y_i >= 0 per inequality row
     iterations: int = 0
+    # The optimal basis as column ids (see ``solve_lp``); None when an
+    # artificial column is left in it.
+    basis: np.ndarray | None = None
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the program; optimal solutions carry row duals.
+def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
+    """Solve the program; optimal solutions carry row duals and their basis.
 
-    A variable with lo == hi is a constant: it moves to the right-hand side
+    Column ids count the variables (n), then the slacks of the m rows.  A
+    basis lists the m basic ids, then the variables that are nonbasic at
+    their upper bound; every other variable is nonbasic at its lower bound.
+    Given ``basis``, optimal for a program with the same objective and rows
+    whose bounds were no tighter, the solve starts there by dual simplex and
+    ``iterations`` counts its pivots.  A basis that does not fit this
+    program, that gives a singular or dual infeasible tableau, or whose
+    answer fails verification is dropped for a cold solve.  Cold, a
+    variable with lo == hi is a constant: it moves to the right-hand side
     and the simplex never sees its column.  Raises LpSolverError instead of
     returning a silently wrong answer when the ``MAX_ITERATIONS`` cap is hit
     or the final tableau fails verification.
     """
-    m = len(lp.b)
+    if basis is not None:
+        try:
+            sol = _warm(lp, np.asarray(basis))
+        except LpSolverError:
+            sol = None
+        if sol is not None:
+            return sol
+    return _cold(lp)
 
+
+def _cold(lp):
+    m, n = lp.a.shape
     # Shift lower bounds to zero and fold finite upper bounds into extra rows,
     # so internally the problem is max c.x', A' x' <= b', x' >= 0 over the
     # free variables.
     shift = lp.lo
     b_rows = lp.b - lp.a @ shift
     free = lp.lo < lp.hi
+    cols = free.nonzero()[0]
     c, a_rows, hi = (lp.c, lp.a, lp.hi) if free.all() else (lp.c[free], lp.a[:, free], lp.hi[free])
     ub_idx = np.flatnonzero(np.isfinite(hi))
     if len(ub_idx):
@@ -107,7 +157,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         a_rows = np.vstack([a_rows, ub_a])
         b_rows = np.concatenate([b_rows, hi[ub_idx] - shift[free][ub_idx]])
 
-    status, x_shifted, y_all, iters = _simplex(c, a_rows, b_rows, MAX_ITERATIONS)
+    status, x_shifted, y_all, iters, final = _simplex(c, a_rows, b_rows, MAX_ITERATIONS)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
 
@@ -118,27 +168,72 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     objective = float(lp.c @ x)
 
     _verify(lp, x, reduced, objective, y_all, b_rows)
-    return LpSolution("optimal", x, objective, duals, iters)
+    basis = None
+    if final is not None:
+        # Internal ids as program ids, the upper-bound slack of variable j as
+        # -1 - j.  A variable whose upper-bound slack is nonbasic is basic at
+        # that bound internally, and nonbasic at its upper bound here.
+        ids = np.concatenate([cols, n + np.arange(m), -1 - cols[ub_idx]])[final]
+        upper = np.zeros(n + m, dtype=bool)
+        upper[cols[ub_idx]] = True
+        upper[-1 - ids[ids < 0]] = False
+        basic = ids[ids >= 0]
+        basis = np.concatenate([basic[~upper[basic]], upper.nonzero()[0]])
+    return LpSolution("optimal", x, objective, duals, iters, basis)
+
+
+def _warm(lp, basis):
+    """The program solved by dual simplex from ``basis``; None if it does not fit."""
+    m, n = lp.a.shape
+    span = np.concatenate([lp.hi - lp.lo, np.full(m, INF)])  # range of every column id
+    start, upper = basis[:m], basis[m:]
+    fits = len(start) == m and basis.dtype.kind in "iu" and np.all((basis >= 0) & (basis < n + m))
+    if not fits or np.bincount(basis, minlength=n + m).max(initial=0) > 1:
+        return None  # ids out of range, or listed twice
+    if not np.isfinite(span[upper]).all():
+        return None
+    upper = upper[span[upper] > 0]  # a fixed column sits at its lower bound
+    b_shifted = lp.b - lp.a @ lp.lo
+    rhs = b_shifted - lp.a[:, upper] @ span[upper]
+    result = _dual_simplex(lp.c, lp.a, rhs, start, upper, span, MAX_ITERATIONS)
+    if result is None:
+        return None
+    status, x_shifted, y, iters, final = result
+    if status != "optimal":
+        return LpSolution(status=status, iterations=iters)
+
+    x = lp.lo + x_shifted[:n]
+    # A column at its upper bound that still prices in pays the dual of
+    # that bound: the upper bounds are rows of the price, as cold.
+    reduced = lp.c - y @ lp.a
+    fin = np.isfinite(lp.hi)
+    ub_duals = np.maximum(reduced[fin], 0.0)
+    reduced[fin] -= ub_duals
+    objective = float(lp.c @ x)
+    b_rows = np.concatenate([b_shifted, span[:n][fin]])
+    _verify(lp, x, reduced, objective, np.concatenate([y, ub_duals]), b_rows)
+    return LpSolution("optimal", x, objective, y, iters, final)
 
 
 def _verify(lp, x, reduced, objective, y_all, b_rows):
-    scale = 1.0 + max(
-        float(np.max(np.abs(lp.b), initial=0.0)), float(np.max(np.abs(x), initial=0.0))
-    )
+    # Each test is written so that a NaN fails it.
+    if not (math.isfinite(objective) and np.isfinite(x).all() and np.isfinite(y_all).all()):
+        raise LpSolverError("non-finite value in final tableau")
+    scale = 1.0 + max(float(np.abs(lp.b).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
     slack = lp.b - lp.a @ x
-    if np.min(slack, initial=0.0) < -FEAS_TOL * scale:
+    if not slack.min(initial=0.0) >= -FEAS_TOL * scale:
         raise LpSolverError("primal feasibility lost in final tableau")
-    if np.min(y_all, initial=0.0) < -FEAS_TOL:
+    if not y_all.min(initial=0.0) >= -FEAS_TOL:
         raise LpSolverError("negative dual in final tableau")
     # Dual feasibility: no structural column of the internal program may still
     # price in (its slack columns price at -y, checked just above).
-    if np.max(reduced, initial=0.0) > FEAS_TOL * scale:
+    if not reduced.max(initial=0.0) <= FEAS_TOL * scale:
         raise LpSolverError("dual feasibility violated: a column has positive reduced cost")
     gap = abs(objective - float(y_all @ b_rows) - float(lp.c @ lp.lo))
-    if gap > FEAS_TOL * (1.0 + abs(objective)) + FEAS_TOL:
+    if not gap <= FEAS_TOL * (1.0 + abs(objective)) + FEAS_TOL:
         raise LpSolverError(f"strong duality gap {gap:g} exceeds tolerance")
     cs = np.abs(y_all[: len(lp.b)] * slack)
-    if np.max(cs, initial=0.0) > FEAS_TOL * scale * 10:
+    if not cs.max(initial=0.0) <= FEAS_TOL * scale * 10:
         raise LpSolverError("complementary slackness violated in final tableau")
 
 
@@ -151,7 +246,8 @@ def _simplex(c, a, b, max_iterations):
     information.  ``ids`` maps a stored position to its column id (the rhs
     is id ``total``) and ``pos`` maps an id back (-1 while basic).  The
     reduced-cost row ``z`` stays full length, indexed by id, so every pricing
-    and tie-break decision is the one the full tableau makes.
+    and tie-break decision is the one the full tableau makes.  Returns
+    (status, x, y, pivots, basis), the basis None while an artificial is in it.
     """
     m, n = a.shape
     # Flip rows with negative rhs and give them artificial variables.
@@ -164,7 +260,7 @@ def _simplex(c, a, b, max_iterations):
     n_art = len(neg_rows)
     total = n + m + n_art
     if total == 0:  # no variable and no row: the empty program
-        return "optimal", np.zeros(0), np.zeros(0), 0
+        return "optimal", np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int)
 
     # Each flipped row starts with its artificial basic; every other row with
     # its slack.  The nonbasic columns are the structurals and the flipped
@@ -182,15 +278,17 @@ def _simplex(c, a, b, max_iterations):
     pos[cols] = np.arange(width)
 
     iters = 0
+    # Work buffers shared by both phases: reduced costs, ratios, ratio mask.
+    red, ratios, mask = np.empty(total), np.empty(m), np.empty(m, dtype=bool)
 
     def run_phase(obj, blocked, iters):
         """Price with obj over unblocked columns; pivot until optimal."""
         z = _price(obj, T, ids, basis, total)
+        shield = np.where(blocked, -INF, 0.0)  # shield - z prices the unblocked columns
         stall = 0
         last_obj = -INF
         while True:
-            red = -z[:total]
-            red[blocked] = -INF
+            np.subtract(shield, z[:total], out=red)
             if stall < STALL_LIMIT:
                 col = int(red.argmax())
                 if red[col] <= PIVOT_TOL:
@@ -200,16 +298,15 @@ def _simplex(c, a, b, max_iterations):
                 if len(improving) == 0:
                     return z, iters, True
                 col = int(improving[0])
-            p = pos[col]
-            colvec = T[:, p]
-            mask = colvec > PIVOT_TOL
+            colvec = T[:, pos[col]]
+            np.greater(colvec, PIVOT_TOL, out=mask)
             if not mask.any():
                 return z, iters, False  # unbounded in this phase
-            ratios = np.divide(T[:, -1], colvec, out=np.full(m, INF), where=mask)
-            best = ratios.min()
+            ratios.fill(INF)
+            np.divide(T[:, -1], colvec, out=ratios, where=mask)
             # deterministic tie-break: smallest basis column id among ties
-            ties = (ratios <= best + 1e-12).nonzero()[0]
-            row = int(ties[basis[ties].argmin()])
+            ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+            row = int(ties[0]) if len(ties) == 1 else int(ties[basis[ties].argmin()])
             _swap(T, basis, ids, pos, row, col)
             z[ids] -= z[col] * T[row]
             z[col] = 0.0  # exact after pivot
@@ -229,7 +326,7 @@ def _simplex(c, a, b, max_iterations):
         phase1[n + m :] = -1.0  # maximize -(sum of artificials)
         z1, iters, _ = run_phase(phase1, blocked, iters)
         if float(z1[-1]) < -FEAS_TOL:
-            return "infeasible", None, None, iters
+            return "infeasible", None, None, iters, None
         # Drive any artificial still in the basis out (degenerate rows): the
         # entering column is the lowest structural or slack id whose entry in
         # the row clears the pivot tolerance.
@@ -245,7 +342,7 @@ def _simplex(c, a, b, max_iterations):
     obj[:n] = c
     z2, iters, bounded = run_phase(obj, blocked, iters)
     if not bounded:
-        return "unbounded", None, None, iters
+        return "unbounded", None, None, iters, None
 
     x = np.zeros(total)
     x[basis] = T[:, -1]
@@ -254,7 +351,139 @@ def _simplex(c, a, b, max_iterations):
     y = z2[n : n + m].copy()
     y[np.abs(y) < PIVOT_TOL] = 0.0
     np.maximum(y, 0.0, out=y)
-    return "optimal", x[:n], y, iters
+    return "optimal", x[:n], y, iters, (basis if basis.max(initial=0) < n + m else None)
+
+
+def _dual_simplex(c, a, b, start, upper, span, max_iterations):
+    """Bounded dual simplex for max c.x, A x + s = b, 0 <= (x, s) <= span.
+
+    ``start`` holds the m basic column ids and ``upper`` the nonbasic ones
+    at their upper bound, whose part of the rhs ``b`` already carries; every
+    other column is at 0.  ``start`` is factorised once; if its basic
+    values are within their bounds it is optimal as it stands.  Otherwise
+    the tableau is built over the nonbasic columns that have a range, in id
+    order (a column with no range never enters).  The leaving row is the
+    one whose bound violation is largest over the norm of its row of B^-1
+    (dual steepest edge; the lowest basic id under Bland's rule), and it
+    leaves at the bound it violates.  The entering column has the smallest
+    dual ratio, the largest pivot among ties, and pivots through ``_swap``.
+    A violated row that no column can move proves the program infeasible.
+    Returns (status, column values, row duals, pivots, basis), or None when
+    ``start`` is singular or the tableau is not dual feasible.
+    """
+    m, n = a.shape
+    total = n + m
+    # B is factorised through the rows whose slack is nonbasic: a basic
+    # slack is a unit column, so those rows form a system over the basic
+    # structurals, and the rows of the basic slacks, placed after them,
+    # follow by substitution.
+    cols, slack_rows = start[start < n], start[start >= n] - n
+    system = np.ones(m, dtype=bool)
+    system[slack_rows] = False
+    try:
+        inverse = np.linalg.inv(a[system][:, cols])
+    except np.linalg.LinAlgError:
+        return None
+    coupling = a[slack_rows][:, cols]
+    q = len(cols)
+    basis = np.concatenate([cols, n + slack_rows])
+    top = span[basis]
+    value = np.empty(m)
+    value[:q] = inverse @ b[system]
+    value[q:] = b[slack_rows] - coupling @ value[:q]
+    if np.max(np.maximum(value - top, -value), initial=0.0) <= FEAS_TOL:
+        # Still primal feasible: the basis is optimal as it stands.
+        y = np.zeros(m)
+        y[system] = c[cols] @ inverse
+        return _dual_answer(value, basis, upper, span, y, 0)
+
+    # The tableau over the nonbasic columns that have a range, in id order.
+    stored = np.ones(total, dtype=bool)
+    stored[start] = False
+    stored = (stored & (span > 0)).nonzero()[0]
+    ns = np.searchsorted(stored, n)
+    rest = np.zeros((m, len(stored) + 1))
+    rest[:, :ns] = a[:, stored[:ns]]
+    rest[stored[ns:] - n, np.arange(ns, len(stored))] = 1.0
+    rest[:, -1] = b
+    T = np.empty_like(rest)
+    T[:q] = inverse @ rest[system]
+    T[q:] = rest[slack_rows] - coupling @ T[:q]
+    ids = np.append(stored, total)
+    pos = np.full(total, -1)
+    pos[stored] = np.arange(len(stored))
+    # By stored position: the reduced costs (the objective last), and the
+    # side a column may move to: -1 up from its lower bound, +1 down from
+    # its upper, 0 for a column with no range once it has left the basis.
+    zp = c[cols] @ T[:q]
+    zp[:ns] -= c[stored[:ns]]
+    side = np.full(len(stored), -1.0)
+    side[pos[upper]] = 1.0
+    slack_at = np.zeros(len(stored))
+    slack_at[ns:] = 1.0
+    if not np.isfinite(T).all():
+        return None
+
+    iters = 0
+    stall = 0
+    while True:
+        value = T[:, -1]
+        violation = np.maximum(value - top, -value)
+        bad = (violation > FEAS_TOL).nonzero()[0]
+        if len(bad) == 0:
+            break
+        if len(bad) == 1 or stall >= STALL_LIMIT:  # Bland: the lowest basic id
+            row = int(bad[basis[bad].argmin()])
+        else:
+            norms = np.square(T[bad, :-1]) @ slack_at + (basis[bad] >= n)
+            row = int(bad[np.argmax(np.square(violation[bad]) / norms)])
+        # Below its lower bound the basic column must rise: a column at its
+        # lower bound with a negative entry, or at its upper with a positive.
+        rises = bool(value[row] < 0)
+        entries = T[row, :-1] if rises else -T[row, :-1]
+        cand = (entries * side > PIVOT_TOL).nonzero()[0]
+        if len(cand) == 0:
+            return "infeasible", None, None, iters, None
+        ratios = np.abs(zp[cand] / entries[cand])
+        least = ratios.min()
+        ties = cand[ratios <= least + 1e-12]
+        p = int(ties[np.abs(entries[ties]).argmax()])
+        col, leaving = int(ids[p]), int(basis[row])
+        stall = stall + 1 if least <= 1e-12 else 0
+        _swap(T, basis, ids, pos, row, col)
+        entering_z, zp[p] = zp[p], 0.0
+        zp -= entering_z * T[row]
+        if side[p] > 0:  # its range now sits in its basic value
+            T[row, -1] += span[col]
+        if span[leaving] == 0:
+            side[p] = 0.0
+        elif rises:
+            side[p] = -1.0
+        else:  # the leaving column stops at its upper bound
+            side[p] = 1.0
+            T[:, -1] -= T[:, p] * span[leaving]
+        slack_at[p] = leaving >= n
+        top[row] = span[col]
+        iters += 1
+        if iters > max_iterations:
+            raise LpSolverError("simplex iteration cap exceeded")
+
+    if np.max(side * zp[:-1], initial=0.0) > FEAS_TOL:
+        return None  # not dual feasible: the start was not, or float error
+    slacks = slack_at.nonzero()[0]
+    y = np.zeros(m)
+    y[ids[slacks] - n] = zp[slacks]
+    return _dual_answer(T[:, -1], basis, ids[:-1][side > 0], span, y, iters)
+
+
+def _dual_answer(value, basis, upper, span, y, iters):
+    """The optimal column values, the row duals and the basis."""
+    x = np.zeros(len(span))
+    x[upper] = span[upper]
+    x[basis] = value
+    y[np.abs(y) < PIVOT_TOL] = 0.0
+    np.maximum(y, 0.0, out=y)
+    return "optimal", x, y, iters, np.concatenate([basis, upper])
 
 
 def _price(obj, T, ids, basis, total):
@@ -290,7 +519,7 @@ def _swap(T, basis, ids, pos, row, col):
     T[row] /= piv
     # Rows with a zero factor would only subtract zeros.
     nz = factors.nonzero()[0]
-    T[nz] -= factors[nz, None] * T[row]
+    T[nz] -= np.multiply.outer(factors[nz], T[row])
     basis[row] = col
     ids[p] = leaving
     pos[leaving] = p

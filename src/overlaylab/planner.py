@@ -9,10 +9,13 @@ session range and a span of its utility pieces.  It splits session ranges
 until every count is fixed, then piece spans (disjunctive branching on the
 pieces; Keha, de Farias & Nemhauser 2006), and a box with fixed counts and
 one piece per class is a candidate, solved by the inner LP.  Every other box
-is bounded by the perspective relaxation (Gunluk & Linderoth): with z = n*x,
-the term n*env(Z/n) of a concave envelope env = min_i(a_i x + b_i) is exactly
-min_i(a_i Z + b_i n), linear in (Z, n), and the envelope is taken on the
-rate interval of the box's span (``_perspective_lp``).  Boxes that cannot
+is bounded by the perspective relaxation (Gunluk & Linderoth), written as the
+convex hull of the per-piece perspectives: with z = n*x, each class's
+sessions are weights at the ends of its utility pieces, valued by each
+piece's own line.  The relaxation is one LP per solve whose rows never
+change; a box only sets its bounds, so each bound LP is solved by dual
+simplex from the optimal basis of its nearest solved ancestor
+(``_perspective_lp``, ``mccormick_bound``).  Boxes that cannot
 beat the incumbent, ties included, are dropped, so equal-utility bands are
 not searched.  A candidate pairs the session vector with a class id -> piece
 index dict and is scored by ``cumulative_utility`` at the point it reports.
@@ -29,7 +32,6 @@ are reported with the minimal session count consistent with their rates.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import json
@@ -43,7 +45,6 @@ from .model import (
     INF,
     Flow,
     ModelError,
-    PiecewiseLinearUtility,
     Topology,
     TrafficClass,
     check_sessions,
@@ -54,10 +55,6 @@ from .model import (
 
 FEAS_TOL = 1e-7
 KKT_TOL = 1e-6
-
-
-class PlannerError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -300,43 +297,6 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
 # Perspective relaxation and branch-and-bound
 
 
-def _upper_concave_envelope(u: PiecewiseLinearUtility, lo: float, hi: float):
-    """Linear pieces (slope, intercept) of the concave envelope of U on [lo, hi].
-
-    ``hi`` is finite: at most the sum of a class's route capacities.  At every
-    breakpoint in the interval, ``lo`` included, U takes its larger one-sided
-    value, so an upward jump is enveloped from above.
-    """
-    xs = [lo, hi]
-    for p in u.pieces:
-        xs += [bp for bp in (p.x_lo, p.x_hi) if lo < bp < hi]
-    xs = sorted(set(xs))
-    pts = []
-    for x in xs:
-        v = u.value(x)
-        for i, p in enumerate(u.pieces):
-            if x == p.x_hi and i + 1 < len(u.pieces):
-                v = max(v, u.pieces[i + 1].value(x))
-        pts.append((x, v))
-    # Upper convex hull of the sampled points.
-    hull: list[tuple[float, float]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1) + 1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    segs = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        a = (y2 - y1) / (x2 - x1)
-        segs.append((a, y1 - a * x1))
-    if not segs:
-        segs.append((0.0, pts[-1][1]))
-    return segs
-
-
 def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float]]:
     """Finite per-flow rate intervals implied by route capacities."""
     out = {}
@@ -351,106 +311,126 @@ def _perspective_lp(problem: PlanningProblem):
     """The perspective relaxation of a box: ``(program, holds)``.
 
     A box gives each class, in problem order, a session range and a span of
-    utility pieces, (n_lo, n_hi, i0, i1).  ``program(box)`` is its LP over
-    [z_f (nf) | n_k (nc) | t_k (nc)], where z_f = n_k*x_f is a flow's
-    aggregate rate and t_k = n_k*U_k(x_k), with the capacity rows on z.  On
-    the span's rate interval [lo, hi] = [x_lo(i0), min(x_hi(i1), agg_hi_k)],
-    agg_hi_k being the class's ``default_rate_boxes`` summed, each segment
-    of U_k's concave envelope gives a row t_k <= a*Z_k + b*n_k with
-    Z_k = sum_f z_f; Z_k <= hi*n_k forces Z_k = 0 at n_k = 0, and
-    lo*n_k <= Z_k, written only when lo > 0, keeps the rate off the lower
-    pieces.  An interval that agg_hi_k empties shrinks to lo, where the
-    capacity rows decide.  A class with n_hi = 0 has no rows and all its
-    variables fixed at 0.  ``holds(x, k, entry)`` tells whether the point x
-    of another box's program satisfies class k's rows and bounds under the
-    box entry ``entry``.  Each (class, span) block is built at most once.
+    utility pieces, (n_lo, n_hi, i0, i1).  The relaxation is one program per
+    problem whose objective and rows never change; a box only sets its
+    bounds.  Its columns are [z_f (nf) | n_k (nc) | mu_j], z_f = n_k*x_f
+    being a flow's aggregate rate.  Each class has two weight columns mu_j
+    per piece it can reach, at the piece's ends X_j = x_lo and
+    min(x_hi, agg_hi_k), agg_hi_k being the class's ``default_rate_boxes``
+    summed; a piece starting past agg_hi_k has none.  The rows are the
+    capacity rows on z and, per class, sum_f z_f = sum_j X_j*mu_j and
+    sum_j mu_j = n_k, each as two <= rows, and the objective is
+    sum_j U_j*mu_j with U_j the piece's own line at X_j.  Any n_k sessions
+    at a rate x on a piece are mu = n_k split between the piece's ends, so
+    this is the convex hull of the per-piece perspectives (Balas 1979; Ceria
+    & Soares 1999): each piece is valued by its own closure, which also
+    takes the right-hand value at an upward jump.  The box's session range
+    bounds n_k, and every mu_j of a piece outside its span is fixed at 0
+    (the others are at most n_hi).  ``program(box)`` is that program under
+    the box's bounds.  ``holds(x, k, entry)`` tells whether the point x of
+    another box's program, which differs from this box only in class k,
+    is, up to moving class k's weight between its pieces, a point of this
+    one: n_k is in range, and any weight off the span can move onto it at
+    no loss, its sessions' mean rate and worth lying under the span's
+    envelope.
     """
     classes, flow_class = problem.classes, problem.flow_class
     nf, nc = len(flow_class), len(classes)
     x_box = default_rate_boxes(problem)
     agg_hi = np.bincount(flow_class, [x_box[f.id][1] for f in problem.all_flows()], minlength=nc)
-    sizes = np.bincount(flow_class, minlength=nc)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    # Capacity rows on z, padded to the program's width.
-    capacity_rows = np.zeros((len(problem.link_ids), nf + 2 * nc))
-    capacity_rows[:, :nf] = problem.incidence
-    capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
-    c = np.zeros(nf + 2 * nc)
-    c[nf + nc :] = 1.0
-
-    @functools.cache
-    def block(k: int, i0: int, i1: int):
-        """The span's rows, each <= 0, at full width, and t_k's floor per session.
-
-        A concave envelope is smallest at an end of its interval, so n_k
-        sessions never sum below n_k * min(0, env(lo), env(hi)).
-        """
-        u = classes[k].utility
-        lo = u.pieces[i0].x_lo
-        hi = max(lo, min(u.pieces[i1].x_hi, float(agg_hi[k])))
-        env = _upper_concave_envelope(u, lo, hi)
-        # Each row's coefficients on (Z_k, n_k, t_k).
-        znt = np.array(
-            [(-a, -b, 1.0) for a, b in env] + [(1.0, -hi, 0.0)] + [(-1.0, lo, 0.0)] * (lo > 0)
-        )
-        rows = np.zeros((len(znt), nf + 2 * nc))
-        rows[:, starts[k] : ends[k]] = znt[:, :1]
-        rows[:, nf + k], rows[:, nf + nc + k] = znt[:, 1], znt[:, 2]
-        return rows, min(0.0, *(min(a * lo + b, a * hi + b) for a, b in env))
+    ends = [
+        (k, i, x, p.a * x + p.b)
+        for k, c in enumerate(classes)
+        for i, p in enumerate(c.utility.pieces)
+        if p.x_lo <= agg_hi[k]
+        for x in (p.x_lo, min(p.x_hi, float(agg_hi[k])))
+    ]
+    owner, piece, at, value = (np.array(col) for col in zip(*ends))
+    mu = nf + nc + np.arange(len(ends))
+    w = np.searchsorted(owner, np.arange(nc + 1))  # class k's weights: mu[w[k] : w[k + 1]]
+    # Per class: sum_f z_f - sum_j X_j mu_j, and sum_j mu_j - n_k.
+    rate = np.zeros((nc, mu[-1] + 1))
+    rate[flow_class, np.arange(nf)] = 1.0
+    rate[owner, mu] = -at
+    count = np.zeros_like(rate)
+    count[owner, mu] = 1.0
+    count[np.arange(nc), nf + np.arange(nc)] = -1.0
+    used = problem.incidence.any(axis=1).nonzero()[0]
+    capacity_rows = np.zeros((len(used), len(rate[0])))
+    capacity_rows[:, :nf] = problem.incidence[used]
+    capacity = [problem.topology.links[i].capacity_mbps for i in used]
+    c = np.zeros(len(rate[0]))
+    c[mu] = value
+    relaxation = LinearProgram(
+        c,
+        np.concatenate([capacity_rows, rate, -rate, count, -count]),
+        np.concatenate([capacity, np.zeros(4 * nc)]),
+    )
 
     def program(box) -> LinearProgram:
-        n_lo, n_hi, _, _ = np.array(box).reshape(nc, 4).T
-        on = n_hi.nonzero()[0]
-        blocks = [block(k, *box[k][2:]) for k in on]
-        z_on = n_hi[flow_class] >= 1
-        used = problem.incidence[:, z_on].any(axis=1).nonzero()[0]
-        a = np.concatenate([capacity_rows[used], *(rows for rows, _ in blocks)])
-        rhs = np.zeros(len(a))
-        rhs[: len(used)] = capacity[used]
-        lo, hi = np.zeros(nf + 2 * nc), np.zeros(nf + 2 * nc)
+        n_lo, n_hi, i0, i1 = np.array(box).reshape(nc, 4).T
+        lo, hi = np.zeros(len(c)), np.full(len(c), INF)
         lo[nf : nf + nc], hi[nf : nf + nc] = n_lo, n_hi
-        lo[nf + nc + on] = n_hi[on] * [floor for _, floor in blocks]
-        hi[:nf][z_on] = hi[nf + nc + on] = INF
-        return LinearProgram(c, a, rhs, lo, hi)
+        hi[mu] = np.where((i0[owner] <= piece) & (piece <= i1[owner]), n_hi[owner], 0)
+        return relaxation.with_bounds(lo, hi)
 
     def holds(x: np.ndarray, k: int, entry) -> bool:
         n_lo, n_hi, i0, i1 = entry
-        rows, floor = block(k, i0, i1)
-        return bool(
-            n_lo - FEAS_TOL <= x[nf + k] <= n_hi + FEAS_TOL
-            and x[nf + nc + k] >= n_hi * floor - FEAS_TOL
-            and np.all(rows @ x <= FEAS_TOL)
-        )
+        nk = x[nf + k]
+        if not n_lo - FEAS_TOL <= nk <= n_hi + FEAS_TOL:
+            return False
+        j = slice(w[k], w[k + 1])
+        inside = (i0 <= piece[j]) & (piece[j] <= i1)
+        weights = x[mu[j]]
+        if np.all(weights[~inside] <= FEAS_TOL):
+            return True
+        if nk <= FEAS_TOL:
+            return False
+        # Weight off the span may still be moved onto it: the class's n_k
+        # sessions at their mean rate r, worth t, fit under the upper
+        # envelope of the span's weight points at r.
+        r, t = weights @ at[j] / nk, weights @ value[j]
+        X, U = at[j][inside], value[j][inside]
+        left, right = X <= r + 1e-12, X >= r - 1e-12
+        if not (left.any() and right.any()):
+            return False
+        xa, ua = X[left, None], U[left, None]
+        width = X[right] - xa
+        step = np.divide(r - xa, width, out=np.zeros_like(width), where=width > 1e-12)
+        return bool(nk * (ua + step * (U[right] - ua)).max() >= t - FEAS_TOL)
 
     return program, holds
 
 
-def mccormick_bound(program: LinearProgram) -> tuple[float, np.ndarray | None]:
-    """A box's bound on utility and the relaxation point that attains it.
-
-    ``program`` is the box's ``_perspective_lp`` program.  An infeasible
-    program gives (-INF, None): the box holds no candidate.  The name is
-    kept from the McCormick relaxation this replaced
-    (``tests/mccormick_ref.py``), which is never tighter.
-    """
-    sol = solve_lp(program)
-    if sol.status == "infeasible":
-        return -INF, None
-    if sol.status == "unbounded":
-        return INF, None
-    return float(sol.objective), sol.x
-
-
-# Relative slack on a relaxation bound for the LP's float error, added before
-# the bound is quantised like a utility.  It must stay well below
-# UTILITY_TIE_TOL, or a bound that ties the incumbent would never prune.
+# Relative slack on a relaxation bound for the LP's float error.  It must
+# stay well below UTILITY_TIE_TOL, or a bound that ties the incumbent would
+# never prune.
 BOUND_SLACK = 1e-12
 
 
-def _bound_level(bound: float) -> int:
-    """A finite bound quantised like the utility in ``_plan_sort_key``."""
-    return round((bound + BOUND_SLACK * (1.0 + abs(bound))) / UTILITY_TIE_TOL)
+def mccormick_bound(program: LinearProgram, basis: np.ndarray | None = None):
+    """A box's bound on utility, the relaxation point and the basis that attain it.
+
+    ``program`` is the box's ``_perspective_lp`` program and ``basis`` an
+    optimal basis of another box's, which ``solve_lp`` starts from by dual
+    simplex.  The LP's optimum is raised by ``BOUND_SLACK`` so that its
+    float error cannot leave the bound below a candidate of the box.  An
+    infeasible program gives (-INF, None, None): the box holds no
+    candidate.  The name is kept from the McCormick relaxation this replaced
+    (``tests/mccormick_ref.py``), which is never tighter.
+    """
+    sol = solve_lp(program, basis)
+    if sol.status == "infeasible":
+        return -INF, None, None
+    if sol.status == "unbounded":
+        return INF, None, None
+    bound = float(sol.objective)
+    return bound + BOUND_SLACK * (1.0 + abs(bound)), sol.x, sol.basis
+
+
+def _bound_level(bound: float) -> float:
+    """A bound quantised like the utility in ``_plan_sort_key``; INF stays INF."""
+    return INF if bound == INF else round(bound / UTILITY_TIE_TOL)
 
 
 def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) -> Plan:
@@ -460,13 +440,16 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     maximum session count.  The others are searched best-first (Land &
     Doig) over boxes that give each class a session range and a piece span,
     each box bounded by ``mccormick_bound`` on its ``_perspective_lp``
-    program.  The widest session range splits first, the smallest class id
-    among equals; once every count is fixed, the widest span of a class with
-    sessions splits, the smallest class index among equals.  A box with
-    fixed counts and one piece per class with sessions is a candidate,
-    solved by ``inner_lp`` with no bound LP.  A child takes its parent's
-    bound without an LP when the parent's relaxation point satisfies the
-    child's program, whose optimum it then is; the root gets no LP.
+    program.  The root's program is solved cold; every other bound LP starts
+    from the optimal basis of the box's nearest solved ancestor, which its
+    heap entry carries as column ids, and is solved by dual simplex.  The
+    widest session range splits first, the smallest class id among equals;
+    once every count is fixed, the widest span of a class with sessions
+    splits, the smallest class index among equals.  A box with fixed counts
+    and one piece per class with sessions is a candidate, solved by
+    ``inner_lp`` with no bound LP.  A child takes its parent's bound, point
+    and basis without an LP when the parent's relaxation point ``holds`` in
+    the child's program, whose optimum it then is.
     Equal-utility candidates resolve to the smallest total session count,
     then the lexicographically smallest session vector by class id, then
     the lexicographically smallest rate vector by flow id, then the
@@ -478,11 +461,12 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     incumbent's session total, or equals it with no scalable class and a
     lower corner (the only session vector with that total) sorting after
     the incumbent's session vector, or at it with counts not yet fixed.
-    Equal bounds pop smallest sum(n_lo) first, so the fewest-session
-    incumbent appears before a tied band is searched.  Every expanded box
-    counts toward ``config.bb_node_limit``; a search stopped there returns
-    its incumbent labelled "best-found", with ``gap`` the largest open bound
-    above its utility.
+    The heap orders boxes by that quantised bound, so float noise in a bound
+    cannot reorder them, and equal bounds pop smallest sum(n_lo) first, so
+    the fewest-session incumbent appears before a tied band is searched.
+    Every expanded box counts toward ``config.bb_node_limit``; a search
+    stopped there returns its incumbent labelled "best-found", with ``gap``
+    the largest open bound above its utility, both quantised.
     """
     config = config or PlannerConfig()
     classes = problem.classes
@@ -533,17 +517,22 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
                 incumbent, inc_key = plan, key
 
     counter = itertools.count()
-    heap = [(-INF, 0, next(counter), root, None)]
+    bound, point, basis = INF, None, None
+    if branch(root) is not None:
+        bound, point, basis = mccormick_bound(program(root))
+    heap = [(-_bound_level(bound), 0, next(counter), bound, root, point, basis)]
     nodes = 0
     while heap:
-        neg_bound, lo_sum, _, box, point = heapq.heappop(heap)
-        if dominated(-neg_bound, lo_sum, box):
+        _, lo_sum, _, parent_bound, box, point, basis = heapq.heappop(heap)
+        if dominated(parent_bound, lo_sum, box):
             continue
         nodes += 1
         if nodes > config.bb_node_limit:
-            # Popped best-first, this box holds the largest open bound.
+            # Popped best-first, this box holds the largest open bound level.
             incumbent.optimality = "best-found"
-            incumbent.gap = max(-neg_bound - incumbent.utility, 0.0)
+            # The gap in tie-tolerance steps: 0 when the bound ties the utility.
+            steps = _bound_level(parent_bound) + inc_key[0][0]
+            incumbent.gap = max(steps, 0) * UTILITY_TIE_TOL
             return incumbent
         split = branch(box)
         if split is None:
@@ -555,11 +544,12 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
         for sub in ((lo, mid), (mid + 1, hi)):
             child = (*box[:k], (*box[k][:f], *sub, *box[k][f + 2 :]), *box[k + 1 :])
             child_lo = lo_sum + child[k][0] - box[k][0]
-            bound, x = -neg_bound, point
+            bound, x, child_basis = parent_bound, point, basis
             if branch(child) is not None and (point is None or not holds(point, k, child[k])):
-                bound, x = mccormick_bound(program(child))
+                bound, x, child_basis = mccormick_bound(program(child), basis)
             if bound != -INF and not dominated(bound, child_lo, child):
-                heapq.heappush(heap, (-bound, child_lo, next(counter), child, x))
+                level = -_bound_level(bound)
+                heapq.heappush(heap, (level, child_lo, next(counter), bound, child, x, child_basis))
     return incumbent
 
 

@@ -6,19 +6,56 @@ utilities u and products t = n*u: each bilinear term is replaced by its
 McCormick envelope and each utility by its concave envelope over the rate
 box.  ``overlaylab.planner.mccormick_bound`` now uses the perspective
 reformulation instead, which must never be looser than this bound.  The
+concave envelope, ``_upper_concave_envelope``, is kept here with it.  The
 program this builds also pins the LP kernel against the dense reference
 kernel in ``tests/test_lp_oracle.py``.
 """
 import numpy as np
 
 from overlaylab.lp import LinearProgram, solve_lp
-from overlaylab.model import INF
-from overlaylab.planner import (
-    PlannerError,
-    PlanningProblem,
-    _upper_concave_envelope,
-    default_rate_boxes,
-)
+from overlaylab.model import INF, PiecewiseLinearUtility
+from overlaylab.planner import PlanningProblem, default_rate_boxes
+
+
+class McCormickRefError(RuntimeError):
+    """An empty session box or a relaxation that is not optimal."""
+
+
+def _upper_concave_envelope(u: PiecewiseLinearUtility, lo: float, hi: float):
+    """Linear pieces (slope, intercept) of the concave envelope of U on [lo, hi].
+
+    ``hi`` is finite: at most the sum of a class's route capacities.  At every
+    breakpoint in the interval, ``lo`` included, U takes its larger one-sided
+    value, so an upward jump is enveloped from above.
+    """
+    xs = [lo, hi]
+    for p in u.pieces:
+        xs += [bp for bp in (p.x_lo, p.x_hi) if lo < bp < hi]
+    xs = sorted(set(xs))
+    pts = []
+    for x in xs:
+        v = u.value(x)
+        for i, p in enumerate(u.pieces):
+            if x == p.x_hi and i + 1 < len(u.pieces):
+                v = max(v, u.pieces[i + 1].value(x))
+        pts.append((x, v))
+    # Upper convex hull of the sampled points.
+    hull: list[tuple[float, float]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1) + 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    segs = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        a = (y2 - y1) / (x2 - x1)
+        segs.append((a, y1 - a * x1))
+    if not segs:
+        segs.append((0.0, pts[-1][1]))
+    return segs
 
 
 def mccormick_ref(
@@ -33,7 +70,7 @@ def mccormick_ref(
     nc = len(classes)
     for c in classes:
         if n_box[c.id][0] > n_box[c.id][1]:
-            raise PlannerError(f"empty session box for class {c.id!r}")
+            raise McCormickRefError(f"empty session box for class {c.id!r}")
 
     # variables: [x_f (nf) | z_f (nf) | n_k (nc) | u_k (nc) | t_k (nc)]
     nv = 2 * nf + 3 * nc
@@ -108,5 +145,5 @@ def mccormick_ref(
     if sol.status == "unbounded":
         return INF
     if sol.status != "optimal":
-        raise PlannerError(f"relaxation LP returned {sol.status}")
+        raise McCormickRefError(f"relaxation LP returned {sol.status}")
     return float(sol.objective)

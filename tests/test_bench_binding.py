@@ -6,7 +6,9 @@ its counters reading 0 without an error.  ``bench/workloads.py`` calls the
 public API.  Both are checked against this checkout without running the
 benchmark: every tracing target resolves, and for each workload in
 BENCHMARK.json the seed-1 task list builds and the first task of each
-family runs and passes the workload's own check.
+family runs and passes the workload's own check.  Every LP the planner
+solves, cold or warm-started, must pass through the traced ``solve_lp``, so
+that ``lp.solve_lp.pivots`` counts all of their pivots.
 """
 import importlib
 import json
@@ -54,3 +56,28 @@ def test_first_task_of_each_family_runs_and_checks(bench, workload):
         outcome = task.check(task.run())
         assert outcome.problems == [], (task.label, outcome.problems)
         assert outcome.digests, task.label
+
+
+def test_tracer_sees_every_lp_the_planner_solves(bench, monkeypatch):
+    tracing, workloads = bench
+    from overlaylab import planner
+
+    active = []
+    inner_lp = planner.inner_lp
+
+    def counted(*args):
+        result = inner_lp(*args)
+        active.append(result[0] is not None)  # None: no flow had sessions, no LP
+        return result
+
+    monkeypatch.setattr(planner, "inner_lp", counted)
+    tasks = workloads.WORKLOADS["plan-threshold"].setup(overlaylab, 1)
+    task = next(t for t in tasks if t.family == "b")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        outcome = task.check(task.run())
+    assert outcome.problems == [], (task.label, outcome.problems)
+    bounds = tracer.counter("planner.mccormick_bound", "calls")
+    assert bounds > 1  # the root's bound LP and at least one warm-started child's
+    assert tracer.counter("lp.solve_lp", "calls") == bounds + sum(active)
+    assert tracer.counter("lp.solve_lp", "pivots") > 0

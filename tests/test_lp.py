@@ -132,6 +132,20 @@ def test_verify_rejects_dual_infeasible_certificate():
         verify(np.array([2.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "x, y", [((math.nan, 0.0), (1.0,)), ((2.0, 0.0), (math.nan,)), ((math.nan, 0.0), (math.nan,))]
+)
+def test_verify_rejects_nan_point_or_duals(x, y):
+    # max x1 + x2  s.t.  x1 + x2 <= 2: (2, 0) with y = 1 is optimal.  Every
+    # check of the form min(...) < -tol is false on NaN, so each must be
+    # written to fail instead.
+    prog = LinearProgram(c=[1.0, 1.0], a=[[1.0, 1.0]], b=[2.0])
+    x, y = np.array(x), np.array(y)
+    _verify(prog, np.array([2.0, 0.0]), prog.c - np.ones(1) @ prog.a, 2.0, np.ones(1), prog.b)
+    with pytest.raises(LpSolverError):
+        _verify(prog, x, prog.c - y @ prog.a, float(prog.c @ x), y, prog.b)
+
+
 @st.composite
 def bounded_lps(draw):
     n = draw(st.integers(1, 3))

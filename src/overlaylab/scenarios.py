@@ -24,13 +24,14 @@ from .model import (
     Topology,
     TrafficClass,
     enumerate_paths,
+    json_list,
     json_number,
     json_object,
     link_id,
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, solve_plan
-from .sim import DEFAULT_DT, Event, SimTrace, Simulator
+from .sim import DEFAULT_DT, Event, SimTrace, Simulator, run_batch
 from .weights import DEFAULT_GAIN, compute_weights
 
 PAPER_SCENARIOS = (
@@ -215,10 +216,11 @@ class Scenario:
             k: [Flow(f["id"], k, tuple(f["route"])) for f in fl]
             for k, fl in json_object(obj["flows"], "flows").items()
         }
-        events = [
-            Event(json_number(e["t"], "event t"), e["kind"], dict(e.get("payload", {})))
-            for e in obj.get("events", [])
-        ]
+        events = []
+        for i, e in enumerate(json_list(obj.get("events", []), "events")):
+            e = json_object(e, f"event #{i}")
+            payload = json_object(e.get("payload", {}), f"event #{i} payload")
+            events.append(Event(json_number(e["t"], "event t"), e["kind"], dict(payload)))
         # An absent number takes the field's default.
         numbers = {k: json_number(obj[k], k) for k in ("duration", "dt", "gamma") if k in obj}
         return Scenario(
@@ -559,16 +561,11 @@ def robustness_sweep(
         replace(config, gain=0.0),
         replace(config, weights=dict.fromkeys(config.weights, 1.0)),
     )
-    rows = []
-    for cap in capacities:
-        truth_problem = scenario.problem(scenario.topology.with_capacities({"A->B": cap}))
-        utils = []
-        for cfg in configs:
-            sim = Simulator(truth_problem, cfg, dt=scenario.dt, initial_rates=plan.rates)
-            sim.run(duration=scenario.duration, sample_every=scenario.duration)
-            utils.append(sim.utility())
-        rows.append((cap, utils[0], utils[1], utils[2]))
-    return rows
+    truths = [scenario.problem(scenario.topology.with_capacities({"A->B": cap})) for cap in capacities]
+    sims = [Simulator(truth, cfg, dt=scenario.dt, initial_rates=plan.rates) for truth in truths for cfg in configs]
+    run_batch(sims, scenario.duration)
+    utils = [sim.utility() for sim in sims]
+    return [(cap, *utils[3 * i : 3 * i + 3]) for i, cap in enumerate(capacities)]
 
 
 def demand_sweep(
@@ -579,8 +576,8 @@ def demand_sweep(
     problem_est = scenario.problem()
     plan = scenario.pinned_plan
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
-    rows = []
     n_planned = plan.n["hi"]
+    sims = []
     for m in session_counts:
         cfg = replace(config, sessions=config.sessions | {"hi": m})
         # Sessions beyond the planned count arrive cold, so the class starts
@@ -588,8 +585,10 @@ def demand_sweep(
         init = dict(plan.rates)
         if m > n_planned:
             init["hi:0"] = plan.rates["hi:0"] * n_planned / m
-        sim = Simulator(scenario.problem(scenario.topology), cfg, dt=scenario.dt, initial_rates=init)
-        sim.run(duration=scenario.duration, sample_every=scenario.duration)
+        sims.append(Simulator(scenario.problem(scenario.topology), cfg, dt=scenario.dt, initial_rates=init))
+    run_batch(sims, scenario.duration)
+    rows = []
+    for m, sim in zip(session_counts, sims):
         cg = {}
         good = sim.goodputs()
         for j, f in enumerate(sim.flows):

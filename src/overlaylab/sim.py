@@ -17,6 +17,16 @@ fixed step; everything is vectorized over flows with the problem's link-by-flow
 pure function of its inputs.  ``Event`` is the one timed change, shared with
 the scenario engine; ``SimTrace`` stores per sample.
 
+There is one step, over a leading batch axis: B runs of one flow layout as
+(B, F, 1) rates and (B, L, 1) capacities.  A ``Simulator`` steps a batch of
+one over views of its own 1-D arrays; ``run_batch`` steps event-free runs
+that share a flow layout, a dt and a clock as one batch, and the robustness
+and demand sweeps use it.  The link and route sums are the stacked
+``np.matmul(incidence[None], v[..., None])`` and ``np.matmul(incidence.T[None],
+p[..., None])``, which add each run's terms in the order a per-run ``np.dot``
+does, so a run has the same bits alone and in any batch; ``v @ incidence.T``
+and ``einsum`` add in another order and do not keep them.
+
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
 
@@ -25,9 +35,12 @@ A step is a pure function of the rates, weights, sessions, capacities,
 unchanged (``np.array_equal``, no tolerance), every later step would too
 until an event changes an input: the run is at an exact fixed point.
 ``Simulator.run`` checks for that once per convergence window and, while it
-holds, only advances the clock; sample times, samples and event firing keep
-the bits of a run that steps to the horizon.  Any applied event ends the
-freeze.  ``SimTrace.fixed_at`` records when the run last froze.
+holds, only advances the clock, by the same additions, to the next sample,
+due event or the horizon; sample times, samples and event firing keep the
+bits of a run that steps to the horizon.  Any applied event ends the freeze.
+``SimTrace.fixed_at`` records when the run last froze.  A run at a fixed
+point keeps its bits in any batch, so ``run_batch`` moves only the clock
+once every run in it is at one.
 """
 from __future__ import annotations
 
@@ -47,7 +60,7 @@ DEFAULT_DT = 0.01
 CONVERGENCE_WINDOW = 1.0  # seconds of simulated time
 
 # The step's constants as 0-d arrays, which numpy broadcasts faster than floats.
-_ZERO, _ONE, _MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, 1.0 - 1e-12, RATE_FLOOR))
+_ZERO, _ONE, _NEG_MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, -(1.0 - 1e-12), RATE_FLOOR))
 
 
 @dataclass
@@ -159,6 +172,41 @@ class SimTrace:
 _CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
 
 
+def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
+    """``step``, which moves the (B, F, 1) rates ``x`` in place and allocates
+    nothing; ``success``, each flow's route success; and the buffer in which
+    ``success`` leaves each link's loss, negated."""
+    inc, inc_t, dt = incidence[None], incidence.T[None], np.array(dt)
+    y, neg_loss, q = (np.empty(capacity.shape) for _ in range(3))
+    s, d = np.empty(x.shape), np.empty(x.shape)
+    # Closure variables are the cheapest names to read, once per operation.
+    add, sub, mul, div, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
+    minimum, maximum, log1p, exp = np.minimum, np.maximum, np.log1p, np.exp
+
+    def success():
+        # Loss p = max(y - C, 0) / max(y, C) is kept negated, which is exact
+        # but for the sign of a zero (no sum or exp below can tell), to save
+        # a negation before log1p(-min(p, 1 - 1e-12)).
+        matmul(inc, mul(n, x, s), y)
+        minimum(sub(capacity, y, neg_loss), _ZERO, out=neg_loss)
+        div(neg_loss, maximum(y, capacity, out=y), neg_loss)
+        log1p(maximum(neg_loss, _NEG_MAX_LOSS, out=q), q)
+        return exp(matmul(inc_t, q, s), s)
+
+    def step():
+        # dx = gain_norm * x * (succ * w - loss * x) and x = max(RATE_FLOOR,
+        # x + dt * dx), operation by operation.
+        succ = success()
+        sub(_ONE, succ, d)
+        sub(mul(succ, w, succ), mul(d, x, d), succ)
+        mul(gain_norm, x, d)
+        mul(d, succ, d)
+        mul(dt, d, d)
+        maximum(add(x, d, x), _RATE_FLOOR, out=x)
+
+    return step, success, neg_loss
+
+
 class Simulator:
     """Fluid network with one weighted proportionally-fair controller per flow.
 
@@ -207,6 +255,11 @@ class Simulator:
         )
         w_max = float(self.w.max()) if self.w.size else 0.0
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
+        # A batch of one over views of this run's arrays, so that events and
+        # ``_set_rates``, which write in place, reach the step.
+        self._step, self._success, self._neg_loss = _stepper(
+            self.incidence, *(a.reshape(1, -1, 1) for a in (self.x, self.w, self.n, self.capacity)),
+            np.array(self.gain_norm), self.dt)
 
     def _set_rates(self, rates: dict[str, float]) -> None:
         """Move each listed flow to its rate, lifted to ``RATE_FLOOR``."""
@@ -230,35 +283,19 @@ class Simulator:
     # -- dynamics ---------------------------------------------------------
 
     def link_loss(self) -> np.ndarray:
-        y = np.dot(self.incidence, np.multiply(self.n, self.x))
-        p = np.subtract(y, self.capacity)
-        np.maximum(p, _ZERO, out=p)
-        return np.divide(p, np.maximum(y, self.capacity, out=y), p)
+        self._success()
+        return np.subtract(_ZERO, self._neg_loss[0, :, 0])
 
     def path_success(self) -> np.ndarray:
-        p = self.link_loss()
-        np.minimum(p, _MAX_LOSS, out=p)
-        np.log1p(np.negative(p, p), p)
-        s = np.dot(self.incidence.T, p)
-        return np.exp(s, s)
+        return self._success()[0, :, 0].copy()
 
     def step(self) -> None:
-        # dx = gain_norm * x * (succ * w - loss * x) and x = max(RATE_FLOOR,
-        # x + dt * dx), operation by operation in reused buffers.
-        x = self.x
-        succ = self.path_success()
-        loss = np.subtract(_ONE, succ)
-        np.subtract(np.multiply(succ, self.w, succ), np.multiply(loss, x, loss), succ)
-        dx = np.multiply(self.gain_norm, x)
-        np.multiply(dx, succ, dx)
-        np.multiply(self.dt, dx, dx)
-        np.add(x, dx, dx)
-        self.x = np.maximum(dx, _RATE_FLOOR, out=dx)
+        self._step()
         self.t += self.dt
 
     def goodputs(self) -> np.ndarray:
         """Per-session goodput per flow: send rate times route success."""
-        return self.x * self.path_success()
+        return self.x * self._success()[0, :, 0]
 
     def utility(self) -> float:
         return self._utility(self.goodputs())
@@ -290,10 +327,7 @@ class Simulator:
         """
         if not (math.isfinite(sample_every) and sample_every > 0):
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
-        # A NaN or negative duration would end the run at t = 0 without a
-        # step, and an infinite one would never end.
-        if not (math.isfinite(duration) and duration >= 0):
-            raise ValueError(f"duration must be finite and >= 0, got {duration}")
+        _check_duration(duration)
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
         horizon = self.t + duration
@@ -303,7 +337,7 @@ class Simulator:
         steps = 0
         frozen = False
         self._sample(trace)
-        end, n_events = horizon - 1e-12, len(events)
+        end, n_events, dt = horizon - 1e-12, len(events), self.dt
         while self.t < end:
             while ei < n_events and events[ei].t <= self.t + 1e-12:
                 self._apply(events[ei])
@@ -312,16 +346,25 @@ class Simulator:
                 trace.fixed_at = None
                 ei += 1
             if frozen:
-                self.t += self.dt
+                # Only the clock moves, by the additions ``step`` makes, up to
+                # the next sample, the next due event or the horizon.
+                t, due = self.t, events[ei].t if ei < n_events else math.inf
+                while True:
+                    t += dt
+                    steps += 1
+                    if steps % sample_steps == 0 or not t < end or due <= t + 1e-12:
+                        break
+                self.t = t
             else:
-                # ``step`` rebinds self.x, so ``before`` keeps the rates the
-                # step started from.
-                before = self.x
+                # ``step`` moves self.x in place; keep the rates the window's
+                # last step starts from.
+                if steps % window == window - 1:
+                    before = self.x.copy()
                 self.step()
-            steps += 1
+                steps += 1
             if steps % sample_steps == 0:
                 self._sample(trace)
-            if steps % window == 0 and not frozen and np.array_equal(self.x, before):
+            if not frozen and steps % window == 0 and np.array_equal(self.x, before):
                 frozen = True
                 trace.fixed_at = self.t
         if steps % sample_steps != 0:
@@ -347,3 +390,43 @@ class Simulator:
         trace.good.append(good)
         trace.sessions.append(self.n.copy())
         trace.utility.append(self._utility(good))
+
+
+def _check_duration(duration: float) -> None:
+    # A NaN or negative duration would end a run at its start without a
+    # step, and an infinite one would never end.
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
+
+
+def run_batch(sims: list[Simulator], duration: float) -> None:
+    """Step event-free runs that share a flow layout, a dt and a clock as one
+    batch, and leave each as ``sim.run(duration, sample_every=duration)``
+    would.  A single run goes through ``sim.run``.
+    """
+    if len(sims) <= 1:
+        for sim in sims:
+            sim.run(duration, sample_every=duration)
+        return
+    first = sims[0]
+    _check_duration(duration)
+    if any(s.dt != first.dt or s.t != first.t or not np.array_equal(s.incidence, first.incidence) for s in sims):
+        raise ValueError("batched runs must share a flow layout, a dt and a clock")
+    x, w, n, capacity = (np.stack([getattr(sim, a) for sim in sims])[..., None] for a in ("x", "w", "n", "capacity"))
+    step = _stepper(first.incidence, x, w, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
+                    first.dt)[0]
+    t, dt, end = first.t, first.dt, first.t + duration - 1e-12
+    window = max(1, int(round(CONVERGENCE_WINDOW / dt)))
+    steps = 0
+    while t < end:
+        if steps % window == window - 1:
+            before = x.copy()
+        step()
+        t += dt
+        steps += 1
+        if steps % window == 0 and np.array_equal(x, before):
+            while t < end:
+                t += dt
+    for sim, rates in zip(sims, x):
+        sim.x[:] = rates[:, 0]
+        sim.t = t

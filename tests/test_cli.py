@@ -364,6 +364,27 @@ HOLES = {
         "scenario", _scenario("demand-sweep", (("pinned_plan", "optimality"), "weird")),
         "plan optimality must be proved-optimal or best-found, got 'weird'",
     ),
+    # events must be a list of objects, each payload an object.
+    "object-events": (
+        "scenario", _scenario("failure-triangle", (("events",), {"a": 1})),
+        "events must be a JSON list, got dict",
+    ),
+    "string-events": (
+        "scenario", _scenario("failure-triangle", (("events",), "abc")),
+        "events must be a JSON list, got str",
+    ),
+    "number-event": (
+        "scenario", _scenario("failure-triangle", (("events",), [5])),
+        "event #0 must be a JSON object, got int",
+    ),
+    "string-event-payload": (
+        "scenario", _scenario("failure-triangle", (("events", 0, "payload"), "abc")),
+        "event #0 payload must be a JSON object, got str",
+    ),
+    "list-event-payload": (
+        "scenario", _scenario("failure-triangle", (("events", 1, "payload"), ["knowledge"])),
+        "event #1 payload must be a JSON object, got list",
+    ),
 }
 
 

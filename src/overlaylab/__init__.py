@@ -32,7 +32,7 @@ from .weights import (
     TransportConfig,
     compute_weights,
 )
-from .sim import Simulator, Event, SimTrace, RATE_FLOOR, DEFAULT_DT, run_batch
+from .sim import Simulator, Event, SimTrace, RATE_FLOOR, DEFAULT_DT
 from .scenarios import (
     ScenarioError,
     Scenario,
@@ -80,7 +80,6 @@ __all__ = [
     "SimTrace",
     "RATE_FLOOR",
     "DEFAULT_DT",
-    "run_batch",
     "ScenarioError",
     "Scenario",
     "ExperimentResult",

@@ -57,13 +57,6 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-def json_list(value, what: str) -> list:
-    """``value`` if it is a JSON list; the JSON readers call this before iterating."""
-    if not isinstance(value, list):
-        raise ModelError(f"{what} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number; ``true`` and ``"0.5"`` are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -24,7 +24,6 @@ from .model import (
     Topology,
     TrafficClass,
     enumerate_paths,
-    json_list,
     json_number,
     json_object,
     link_id,
@@ -216,8 +215,10 @@ class Scenario:
             k: [Flow(f["id"], k, tuple(f["route"])) for f in fl]
             for k, fl in json_object(obj["flows"], "flows").items()
         }
+        if not isinstance(obj.get("events", []), list):
+            raise ScenarioError(f"events must be a JSON list, got {type(obj['events']).__name__}")
         events = []
-        for i, e in enumerate(json_list(obj.get("events", []), "events")):
+        for i, e in enumerate(obj.get("events", [])):
             e = json_object(e, f"event #{i}")
             payload = json_object(e.get("payload", {}), f"event #{i} payload")
             events.append(Event(json_number(e["t"], "event t"), e["kind"], dict(payload)))

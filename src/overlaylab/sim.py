@@ -17,15 +17,12 @@ fixed step; everything is vectorized over flows with the problem's link-by-flow
 pure function of its inputs.  ``Event`` is the one timed change, shared with
 the scenario engine; ``SimTrace`` stores per sample.
 
-There is one step, over a leading batch axis: B runs of one flow layout as
-(B, F, 1) rates and (B, L, 1) capacities.  A ``Simulator`` steps a batch of
-one over views of its own 1-D arrays; ``run_batch`` steps event-free runs
-that share a flow layout, a dt and a clock as one batch, and the robustness
-and demand sweeps use it.  The link and route sums are the stacked
-``np.matmul(incidence[None], v[..., None])`` and ``np.matmul(incidence.T[None],
-p[..., None])``, which add each run's terms in the order a per-run ``np.dot``
-does, so a run has the same bits alone and in any batch; ``v @ incidence.T``
-and ``einsum`` add in another order and do not keep them.
+There is one step, over a leading batch axis of B runs of one flow layout.
+A ``Simulator`` steps a batch of one; ``run_batch`` steps event-free runs
+that share a layout, a dt and a clock together.  The link and route sums are
+stacked ``np.matmul(incidence[None], v[..., None])`` and ``np.matmul(
+incidence.T[None], p[..., None])``, which keep each run's per-run ``np.dot``
+bits in any batch; ``v @ incidence.T`` and ``einsum`` do not.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -35,12 +32,9 @@ A step is a pure function of the rates, weights, sessions, capacities,
 unchanged (``np.array_equal``, no tolerance), every later step would too
 until an event changes an input: the run is at an exact fixed point.
 ``Simulator.run`` checks for that once per convergence window and, while it
-holds, only advances the clock, by the same additions, to the next sample,
-due event or the horizon; sample times, samples and event firing keep the
-bits of a run that steps to the horizon.  Any applied event ends the freeze.
-``SimTrace.fixed_at`` records when the run last froze.  A run at a fixed
-point keeps its bits in any batch, so ``run_batch`` moves only the clock
-once every run in it is at one.
+holds, only advances the clock; sample times, samples and event firing keep
+the bits of a run that steps to the horizon.  Any applied event ends the
+freeze.  ``SimTrace.fixed_at`` records when the run last froze.
 """
 from __future__ import annotations
 
@@ -173,20 +167,17 @@ _CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
 
 
 def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
-    """``step``, which moves the (B, F, 1) rates ``x`` in place and allocates
-    nothing; ``success``, each flow's route success; and the buffer in which
-    ``success`` leaves each link's loss, negated."""
+    """``step``, which moves the (B, F, 1) rates ``x`` in place; ``success``,
+    each flow's route success; and the buffer of each link's negated loss."""
     inc, inc_t, dt = incidence[None], incidence.T[None], np.array(dt)
-    y, neg_loss, q = (np.empty(capacity.shape) for _ in range(3))
-    s, d = np.empty(x.shape), np.empty(x.shape)
+    y, neg_loss, q, s, d = (np.empty(a.shape) for a in (capacity, capacity, capacity, x, x))
     # Closure variables are the cheapest names to read, once per operation.
     add, sub, mul, div, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
     minimum, maximum, log1p, exp = np.minimum, np.maximum, np.log1p, np.exp
 
     def success():
-        # Loss p = max(y - C, 0) / max(y, C) is kept negated, which is exact
-        # but for the sign of a zero (no sum or exp below can tell), to save
-        # a negation before log1p(-min(p, 1 - 1e-12)).
+        # Loss max(y - C, 0) / max(y, C), kept negated (exact but for the sign
+        # of a zero, which nothing below can see) to save a negation.
         matmul(inc, mul(n, x, s), y)
         minimum(sub(capacity, y, neg_loss), _ZERO, out=neg_loss)
         div(neg_loss, maximum(y, capacity, out=y), neg_loss)
@@ -194,8 +185,7 @@ def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
         return exp(matmul(inc_t, q, s), s)
 
     def step():
-        # dx = gain_norm * x * (succ * w - loss * x) and x = max(RATE_FLOOR,
-        # x + dt * dx), operation by operation.
+        # x = max(RATE_FLOOR, x + dt * gain_norm * x * (succ * w - loss * x))
         succ = success()
         sub(_ONE, succ, d)
         sub(mul(succ, w, succ), mul(d, x, d), succ)
@@ -255,8 +245,7 @@ class Simulator:
         )
         w_max = float(self.w.max()) if self.w.size else 0.0
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
-        # A batch of one over views of this run's arrays, so that events and
-        # ``_set_rates``, which write in place, reach the step.
+        # A batch of one over views, so in-place writes by events reach it.
         self._step, self._success, self._neg_loss = _stepper(
             self.incidence, *(a.reshape(1, -1, 1) for a in (self.x, self.w, self.n, self.capacity)),
             np.array(self.gain_norm), self.dt)
@@ -337,7 +326,7 @@ class Simulator:
         steps = 0
         frozen = False
         self._sample(trace)
-        end, n_events, dt = horizon - 1e-12, len(events), self.dt
+        end, n_events = horizon - 1e-12, len(events)
         while self.t < end:
             while ei < n_events and events[ei].t <= self.t + 1e-12:
                 self._apply(events[ei])
@@ -346,25 +335,17 @@ class Simulator:
                 trace.fixed_at = None
                 ei += 1
             if frozen:
-                # Only the clock moves, by the additions ``step`` makes, up to
-                # the next sample, the next due event or the horizon.
-                t, due = self.t, events[ei].t if ei < n_events else math.inf
-                while True:
-                    t += dt
-                    steps += 1
-                    if steps % sample_steps == 0 or not t < end or due <= t + 1e-12:
-                        break
-                self.t = t
+                self.t += self.dt
             else:
                 # ``step`` moves self.x in place; keep the rates the window's
                 # last step starts from.
                 if steps % window == window - 1:
                     before = self.x.copy()
                 self.step()
-                steps += 1
+            steps += 1
             if steps % sample_steps == 0:
                 self._sample(trace)
-            if not frozen and steps % window == 0 and np.array_equal(self.x, before):
+            if steps % window == 0 and not frozen and np.array_equal(self.x, before):
                 frozen = True
                 trace.fixed_at = self.t
         if steps % sample_steps != 0:
@@ -416,17 +397,9 @@ def run_batch(sims: list[Simulator], duration: float) -> None:
     step = _stepper(first.incidence, x, w, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
                     first.dt)[0]
     t, dt, end = first.t, first.dt, first.t + duration - 1e-12
-    window = max(1, int(round(CONVERGENCE_WINDOW / dt)))
-    steps = 0
     while t < end:
-        if steps % window == window - 1:
-            before = x.copy()
         step()
         t += dt
-        steps += 1
-        if steps % window == 0 and np.array_equal(x, before):
-            while t < end:
-                t += dt
     for sim, rates in zip(sims, x):
         sim.x[:] = rates[:, 0]
         sim.t = t

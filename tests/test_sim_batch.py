@@ -77,8 +77,8 @@ def robustness_runs(caps=(2.0, 2.0, 2.0)):
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_small_batches_match_lone_runs(size):
-    # The gain-0 run (the second) freezes at its first window while the
-    # others keep stepping beside it.
+    # The gain-0 run (the second) is at a fixed point from its first step,
+    # and a lone run of it freezes, while the others keep moving beside it.
     sims, lone = robustness_runs()[:size], robustness_runs()[:size]
     run_batch(sims, 60.0)
     for sim in lone:
@@ -104,10 +104,14 @@ def test_float_clock_takes_one_step_more_than_duration_over_dt():
         t += 0.1
         steps += 1
     assert steps == 40_001
-    # Gain-0 runs freeze at their first window, so this is mostly clock.
-    sims = robustness_runs((4.0, 4.0, 4.0, 4.0, 4.0))[1::3]
+    # Gain-0 runs: a lone run freezes and only moves its clock, while the
+    # batch steps all 40 001 times.
+    sims, lone = (robustness_runs((4.0, 4.0, 4.0, 4.0, 4.0))[1::3] for _ in range(2))
     run_batch(sims, 4000.0)
-    assert [sim.t for sim in sims] == [t, t]
+    for sim, ref in zip(sims, lone):
+        ref.run(4000.0, sample_every=4000.0)
+        assert sim.t == t
+        assert_same_run(sim, ref)
 
 
 def test_batch_rejects_runs_that_do_not_share_layout_dt_and_clock():

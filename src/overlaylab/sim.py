@@ -22,7 +22,11 @@ A ``Simulator`` steps a batch of one; ``run_batch`` steps event-free runs
 that share a layout, a dt and a clock together.  The link and route sums are
 stacked ``np.matmul(incidence[None], v[..., None])`` and ``np.matmul(
 incidence.T[None], p[..., None])``, which keep each run's per-run ``np.dot``
-bits in any batch; ``v @ incidence.T`` and ``einsum`` do not.
+bits in any batch; ``v @ incidence.T`` and ``einsum`` do not.  A batch of one
+takes that ``np.dot`` on 1-D views: the same bits, cheaper per call.  ``run``
+takes each free stretch (the steps up to the next sample, window test, due
+event or horizon, counted by a step-by-step loop's clock) in one ``step(k)``;
+``run_batch`` counts its clock first.  Neither calls ``Simulator.step``.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -137,62 +142,79 @@ class SimTrace:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(self._iter_rows())
+        rows, cidx = [], self.class_idx.tolist()
+        for t, x, good, cg, total_send, total_good, util in self._samples():
+            rows += zip(repeat(t), self.flow_ids, x, good, self.class_ids, map(cg.__getitem__, cidx), repeat(util))
+            # Summary row: aggregate (session-weighted) send rate and goodput.
+            rows.append((t, "", total_send, total_good, "", total_good, util))
+        return rows
 
-    def _iter_rows(self):
-        cidx = self.class_idx.tolist()
+    def _samples(self):
+        """Per sample: t, rates, goodputs, class goodputs, totals and utility."""
         for t, x, good, n, util in zip(self.times, self.send, self.good, self.sessions, self.utility):
             session_good = n * good
             # bincount adds in flow order, as a running sum per class would.
             cg = np.bincount(self.class_idx, weights=session_good).tolist()
-            yield from zip(repeat(t), self.flow_ids, x.tolist(), good.tolist(),
-                           self.class_ids, map(cg.__getitem__, cidx), repeat(util))
-            # Summary row: aggregate (session-weighted) send rate and goodput.
-            total_good = float(np.sum(session_good))
-            yield (t, "", float(np.sum(n * x)), total_good, "", total_good, util)
+            yield t, x.tolist(), good.tolist(), cg, float(np.sum(n * x)), float(np.sum(session_good)), util
 
     def to_csv(self) -> str:
+        # ``rows`` with each float as "%.9g", the package's one float format
+        # (``study_csv`` uses it too).  Each flow row is a template of its ids,
+        # "%" escaped, so a row formats only its two rates.
+        templates = ["%s," + f.replace("%", "%%") + ",%.9g,%.9g," + c.replace("%", "%%") + ",%s"
+                     for f, c in zip(self.flow_ids, self.class_ids)]
+        cidx = self.class_idx.tolist()
         buf = io.StringIO()
         buf.write(self.CSV_HEADER + "\n")
-        buf.writelines(map(_CSV_ROW.__mod__, self._iter_rows()))
+        for t, x, good, cg, total_send, total_good, util in self._samples():
+            t, util, total_good = "%.9g" % t, "%.9g" % util, "%.9g" % total_good
+            tails = ["%.9g,%s\n" % (g, util) for g in cg]
+            buf.writelines(map(str.__mod__, templates, zip(repeat(t), x, good, map(tails.__getitem__, cidx))))
+            buf.write("%s,,%.9g,%s,,%s,%s\n" % (t, total_send, total_good, total_good, util))
         return buf.getvalue()
 
     def final_goodputs(self) -> dict[str, float]:
         return dict(zip(self.flow_ids, self.good[-1].tolist())) if self.good else {}
 
 
-# One trace row.  "%.9g" is the package's one float format (``study_csv``
-# uses it too): nine significant digits, so identical runs emit identical bytes.
-_CSV_ROW = "%.9g,%s,%.9g,%.9g,%s,%.9g,%.9g\n"
-
-
 def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
-    """``step``, which moves the (B, F, 1) rates ``x`` in place; ``success``,
-    each flow's route success; and the buffer of each link's negated loss."""
-    inc, inc_t, dt = incidence[None], incidence.T[None], np.array(dt)
+    """``step(k=1)``, which takes k steps of the (B, F, 1) rates ``x`` in place;
+    ``success``, each flow's route success; and each link's negated loss."""
+    dt = np.array(dt)
     y, neg_loss, q, s, d = (np.empty(a.shape) for a in (capacity, capacity, capacity, x, x))
+    # Link and route sums; a lone run's np.dot on 1-D views adds in the
+    # stacked matmul's order (the same bits) at less cost per call.
+    if len(x) == 1:
+        link_sum = partial(np.dot, incidence, s[0, :, 0], y[0, :, 0])
+        route_sum = partial(np.dot, incidence.T, q[0, :, 0], s[0, :, 0])
+    else:
+        link_sum = partial(np.matmul, incidence[None], s, y)
+        route_sum = partial(np.matmul, incidence.T[None], q, s)
     # Closure variables are the cheapest names to read, once per operation.
-    add, sub, mul, div, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     minimum, maximum, log1p, exp = np.minimum, np.maximum, np.log1p, np.exp
 
     def success():
         # Loss max(y - C, 0) / max(y, C), kept negated (exact but for the sign
         # of a zero, which nothing below can see) to save a negation.
-        matmul(inc, mul(n, x, s), y)
+        mul(n, x, s)
+        link_sum()
         minimum(sub(capacity, y, neg_loss), _ZERO, out=neg_loss)
         div(neg_loss, maximum(y, capacity, out=y), neg_loss)
         log1p(maximum(neg_loss, _NEG_MAX_LOSS, out=q), q)
-        return exp(matmul(inc_t, q, s), s)
+        route_sum()
+        return exp(s, s)
 
-    def step():
+    def step(k=1):
         # x = max(RATE_FLOOR, x + dt * gain_norm * x * (succ * w - loss * x))
-        succ = success()
-        sub(_ONE, succ, d)
-        sub(mul(succ, w, succ), mul(d, x, d), succ)
-        mul(gain_norm, x, d)
-        mul(d, succ, d)
-        mul(dt, d, d)
-        maximum(add(x, d, x), _RATE_FLOOR, out=x)
+        for _ in repeat(None, k):
+            succ = success()
+            sub(_ONE, succ, d)
+            sub(mul(succ, w, succ), mul(d, x, d), succ)
+            mul(gain_norm, x, d)
+            mul(d, succ, d)
+            mul(dt, d, d)
+            maximum(add(x, d, x), _RATE_FLOOR, out=x)
 
     return step, success, neg_loss
 
@@ -319,35 +341,42 @@ class Simulator:
         _check_duration(duration)
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
-        horizon = self.t + duration
         ei = 0
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
         sample_steps = max(1, int(round(sample_every / self.dt)))
         steps = 0
         frozen = False
         self._sample(trace)
-        end, n_events = horizon - 1e-12, len(events)
-        while self.t < end:
-            while ei < n_events and events[ei].t <= self.t + 1e-12:
+        end, n_events, dt, t = self.t + duration - 1e-12, len(events), self.dt, self.t
+        while t < end:
+            while ei < n_events and events[ei].t <= t + 1e-12:
                 self._apply(events[ei])
                 steps = 0
                 frozen = False
                 trace.fixed_at = None
                 ei += 1
-            if frozen:
-                self.t += self.dt
-            else:
-                # ``step`` moves self.x in place; keep the rates the window's
-                # last step starts from.
+            # A free stretch: the steps to the next sample, window test, due
+            # event or horizon, counted with a step-by-step run's additions; a
+            # window's last step, whose start the test keeps, stands alone.
+            free = sample_steps - steps % sample_steps
+            if not frozen:
+                free = min(free, window - 1 - steps % window or 1)
+            next_t = events[ei].t if ei < n_events else math.inf
+            for k in range(1, free + 1):
+                t += dt
+                if t >= end or next_t <= t + 1e-12:
+                    break
+            if not frozen:
                 if steps % window == window - 1:
-                    before = self.x.copy()
-                self.step()
-            steps += 1
+                    before = self.x.copy()  # the step moves self.x in place
+                self._step(k)
+            steps += k
+            self.t = t
             if steps % sample_steps == 0:
                 self._sample(trace)
             if steps % window == 0 and not frozen and np.array_equal(self.x, before):
                 frozen = True
-                trace.fixed_at = self.t
+                trace.fixed_at = t
         if steps % sample_steps != 0:
             self._sample(trace)
         return trace
@@ -396,10 +425,11 @@ def run_batch(sims: list[Simulator], duration: float) -> None:
     x, w, n, capacity = (np.stack([getattr(sim, a) for sim in sims])[..., None] for a in ("x", "w", "n", "capacity"))
     step = _stepper(first.incidence, x, w, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
                     first.dt)[0]
-    t, dt, end = first.t, first.dt, first.t + duration - 1e-12
+    t, dt, end, k = first.t, first.dt, first.t + duration - 1e-12, 0
     while t < end:
-        step()
         t += dt
+        k += 1
+    step(k)
     for sim, rates in zip(sims, x):
         sim.x[:] = rates[:, 0]
         sim.t = t

@@ -17,12 +17,13 @@ import pytest
 
 import sim_ref
 from overlaylab import scenarios
-from overlaylab.planner import solve_plan
+from overlaylab.model import Flow, PiecewiseLinearUtility, Topology, TrafficClass
+from overlaylab.planner import PlanningProblem, solve_plan
 from overlaylab.sim import RATE_FLOOR, Event, Simulator
 from overlaylab.weights import compute_weights
 from test_acceptance import _random_mapping_instance
+from test_sim import L, fast_one_flow, one_flow_problem
 from test_sim import config as make_config
-from test_sim import fast_one_flow, one_flow_problem
 
 MODES = ("weighted", "fixed", "unit")
 
@@ -247,3 +248,39 @@ def test_acceptance_2_instance_freezes_and_matches_reference():
     assert len(sim.flows) == 5
     assert trace.fixed_at is not None and trace.fixed_at < 2000.0
     assert_same_run(sim, trace, ref, want)
+
+
+def test_free_stretches_stop_off_the_sample_and_window_grids():
+    # dt 0.05 puts a sample every 7 steps and a window test every 20, and the
+    # events fall off both grids: 45.01 and 45.06 in consecutive steps, and
+    # 250.02 on a run frozen since about 113 s.  ``Simulator.run`` steps in
+    # free stretches between these points, and each stretch must stop where
+    # the reference's step-by-step loop acts.
+    events = [
+        Event(12.37, "set-capacity", {"link": "A->B", "capacity_mbps": 7.0}),
+        Event(45.01, "set-sessions", {"class": "k", "n": 2}),
+        Event(45.06, "set-capacity", {"link": "A->B", "capacity_mbps": 12.0}),
+        Event(250.02, "set-capacity", {"link": "A->B", "capacity_mbps": 10.0}),
+    ]
+    assert fast_one_flow(dt=0.05).run(duration=250.0, events=events[:3]).fixed_at < 250.0
+    sim, trace, ref, want = run_both(
+        lambda cls: fast_one_flow(cls, dt=0.05), duration=400.0, events=events, sample_every=0.35,
+    )
+    assert trace.fixed_at > 250.02
+    assert_same_run(sim, trace, ref, want)
+
+
+def test_csv_keeps_ids_with_format_characters():
+    # Ids are free strings, and the trace writer builds a row template from them.
+    topo = Topology("pct", {"A": "site", "B": "site"}, [L("A", "B", 6.0)])
+    classes = [TrafficClass(c, "A", "B", 2, PiecewiseLinearUtility.linear(0.1)) for c in ("50%", "%s{}")]
+    flows = {"50%": [Flow("%s:0", "50%", ("A->B",)), Flow("{}%d", "50%", ("A->B",))],
+             "%s{}": [Flow("a%%b{0}", "%s{}", ("A->B",))]}
+    problem = PlanningProblem(topo, classes, flows)
+    weights = {"%s:0": 1.0, "{}%d": 2.0, "a%%b{0}": 0.5}
+    trace = Simulator(problem, make_config(weights, {"50%": 2, "%s{}": 1}, gain=0.1)).run(
+        duration=3.0, sample_every=0.5)
+    text = trace.to_csv()
+    assert text == sim_ref.to_csv(trace)
+    ids = {tuple(line.split(",")[1::3][:2]) for line in text.splitlines()[1:]}
+    assert ids == {("%s:0", "50%"), ("{}%d", "50%"), ("a%%b{0}", "%s{}"), ("", "")}

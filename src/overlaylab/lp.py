@@ -124,11 +124,9 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
     whose bounds were no tighter, the solve starts there by dual simplex and
     ``iterations`` counts its pivots.  A basis that does not fit this
     program, that gives a singular or dual infeasible tableau, or whose
-    answer fails verification is dropped for a cold solve.  Cold, a
-    variable with lo == hi is a constant: it moves to the right-hand side
-    and the simplex never sees its column.  Raises LpSolverError instead of
-    returning a silently wrong answer when the ``MAX_ITERATIONS`` cap is hit
-    or the final tableau fails verification.
+    answer fails verification is dropped for a cold solve.  Raises
+    LpSolverError instead of returning a silently wrong answer when the
+    ``MAX_ITERATIONS`` cap is hit or the final tableau fails verification.
     """
     if basis is not None:
         try:
@@ -143,28 +141,24 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
 def _cold(lp):
     m, n = lp.a.shape
     # Shift lower bounds to zero and fold finite upper bounds into extra rows,
-    # so internally the problem is max c.x', A' x' <= b', x' >= 0 over the
-    # free variables.
+    # so internally the problem is max c.x', A' x' <= b', x' >= 0.
     shift = lp.lo
     b_rows = lp.b - lp.a @ shift
-    free = lp.lo < lp.hi
-    cols = free.nonzero()[0]
-    c, a_rows, hi = (lp.c, lp.a, lp.hi) if free.all() else (lp.c[free], lp.a[:, free], lp.hi[free])
-    ub_idx = np.flatnonzero(np.isfinite(hi))
+    a_rows = lp.a
+    ub_idx = np.flatnonzero(np.isfinite(lp.hi))
     if len(ub_idx):
-        ub_a = np.zeros((len(ub_idx), len(c)))
+        ub_a = np.zeros((len(ub_idx), n))
         ub_a[np.arange(len(ub_idx)), ub_idx] = 1.0
         a_rows = np.vstack([a_rows, ub_a])
-        b_rows = np.concatenate([b_rows, hi[ub_idx] - shift[free][ub_idx]])
+        b_rows = np.concatenate([b_rows, lp.hi[ub_idx] - shift[ub_idx]])
 
-    status, x_shifted, y_all, iters, final = _simplex(c, a_rows, b_rows, MAX_ITERATIONS)
+    status, x_shifted, y_all, iters, final = _simplex(lp.c, a_rows, b_rows, MAX_ITERATIONS)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
 
-    x = shift.copy()
-    x[free] += x_shifted
+    x = shift + x_shifted
     duals = y_all[:m]
-    reduced = c - y_all @ a_rows  # includes upper-bound rows in the price
+    reduced = lp.c - y_all @ a_rows  # includes upper-bound rows in the price
     objective = float(lp.c @ x)
 
     _verify(lp, x, reduced, objective, y_all, b_rows)
@@ -173,9 +167,9 @@ def _cold(lp):
         # Internal ids as program ids, the upper-bound slack of variable j as
         # -1 - j.  A variable whose upper-bound slack is nonbasic is basic at
         # that bound internally, and nonbasic at its upper bound here.
-        ids = np.concatenate([cols, n + np.arange(m), -1 - cols[ub_idx]])[final]
+        ids = np.concatenate([np.arange(n + m), -1 - ub_idx])[final]
         upper = np.zeros(n + m, dtype=bool)
-        upper[cols[ub_idx]] = True
+        upper[ub_idx] = True
         upper[-1 - ids[ids < 0]] = False
         basic = ids[ids >= 0]
         basis = np.concatenate([basic[~upper[basic]], upper.nonzero()[0]])

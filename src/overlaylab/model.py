@@ -50,6 +50,12 @@ def check_sessions(n: int, owner: str, name: str = "n") -> None:
         raise ModelError(f"{owner} requires an integer {name} >= 0, got {n!r}")
 
 
+def check_id(value: str, what: str) -> None:
+    """The one id rule: a non-empty str with no ``,``, ``"``, CR or LF, so it is one CSV field."""
+    if not (isinstance(value, str) and value and frozenset(',"\r\n').isdisjoint(value)):
+        raise ModelError(f"{what} must be a non-empty string without , \" CR or LF, got {value!r}")
+
+
 def json_object(value, what: str) -> dict:
     """``value`` if it is a JSON object; the JSON readers call this before ``.get``."""
     if not isinstance(value, dict):
@@ -91,7 +97,9 @@ class Topology:
 
     def __post_init__(self):
         seen: set[tuple[str, str]] = set()
-        for kind in self.nodes.values():
+        check_id(self.name, "topology name")
+        for node, kind in self.nodes.items():
+            check_id(node, "node id")
             if kind not in (SITE, ROUTER):
                 raise ModelError(f"unknown node kind {kind!r}")
         for ln in self.links:
@@ -294,8 +302,7 @@ class TrafficClass:
     utility: PiecewiseLinearUtility
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ModelError(f"class id must be a string, got {self.id!r}")
+        check_id(self.id, "class id")
         if self.src == self.dst:
             raise ModelError(f"class {self.id!r}: src == dst")
         check_sessions(self.max_sessions, f"class {self.id!r}", "max_sessions")
@@ -330,8 +337,7 @@ class Flow:
     route: tuple[str, ...]
 
     def validate(self, topology: Topology, cls: TrafficClass) -> None:
-        if not isinstance(self.id, str):
-            raise ModelError(f"flow id must be a string, got {self.id!r}")
+        check_id(self.id, "flow id")
         fault = _route_fault(topology, self.route)
         if fault is None and (
             topology.link(self.route[0]).src != cls.src

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, LpSolution, LpSolverError, solve_lp
 from .model import (
     INF,
     Flow,
@@ -61,10 +61,11 @@ KKT_TOL = 1e-6
 class PlanningProblem:
     """Estimated topology plus traffic classes and their candidate flows.
 
-    The flow layout shared by the planner's LPs and the simulator is built once,
-    read-only and outside the dataclass fields: ``link_ids`` in topology order,
-    ``flow_class`` (each flow's class index, in ``all_flows()`` order) and the
-    0/1 link-by-flow ``incidence`` of the routes.
+    The flow layout shared by the planner's LPs, the KKT check and the
+    simulator is built once, read-only and outside the dataclass fields:
+    ``link_ids`` in topology order, ``capacity`` (the link capacities in that
+    order), ``flow_class`` (each flow's class index, in ``all_flows()``
+    order) and the 0/1 link-by-flow ``incidence`` of the routes.
     """
 
     topology: Topology
@@ -88,6 +89,7 @@ class PlanningProblem:
         for c in self.classes:
             self.flows.setdefault(c.id, [])
         self.link_ids = tuple(ln.id for ln in self.topology.links)
+        self.capacity = np.array([ln.capacity_mbps for ln in self.topology.links], dtype=float)
         row = {lid: i for i, lid in enumerate(self.link_ids)}
         flows = self.all_flows()
         sizes = [len(self.flows[c.id]) for c in self.classes]
@@ -95,7 +97,8 @@ class PlanningProblem:
         self.incidence = np.zeros((len(self.link_ids), len(flows)))
         for j, f in enumerate(flows):
             self.incidence[[row[lid] for lid in f.route], j] = 1.0
-        self.flow_class.flags.writeable = self.incidence.flags.writeable = False
+        for table in (self.capacity, self.flow_class, self.incidence):
+            table.flags.writeable = False
 
     def all_flows(self) -> list[Flow]:
         out: list[Flow] = []
@@ -201,7 +204,7 @@ def inner_lp(
     a = np.zeros((len(used) + sum(lower) + sum(upper), nf))
     rhs = np.empty(len(a))
     a[: len(used)] = incidence[used] * sessions[sessions >= 1]
-    rhs[: len(used)] = [problem.topology.links[i].capacity_mbps for i in used]
+    rhs[: len(used)] = problem.capacity[used]
 
     cvec = np.zeros(nf)
     r = len(used)
@@ -299,12 +302,8 @@ def _zero_plan(problem: PlanningProblem) -> Plan:
 
 def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float]]:
     """Finite per-flow rate intervals implied by route capacities."""
-    out = {}
-    for c in problem.classes:
-        for f in problem.flows[c.id]:
-            cap = min(problem.topology.link(l).capacity_mbps for l in f.route)
-            out[f.id] = (0.0, cap)
-    return out
+    caps = np.where(problem.incidence > 0, problem.capacity[:, None], INF).min(axis=0, initial=INF)
+    return {f.id: (0.0, float(cap)) for f, cap in zip(problem.all_flows(), caps)}
 
 
 def _perspective_lp(problem: PlanningProblem):
@@ -358,13 +357,12 @@ def _perspective_lp(problem: PlanningProblem):
     used = problem.incidence.any(axis=1).nonzero()[0]
     capacity_rows = np.zeros((len(used), len(rate[0])))
     capacity_rows[:, :nf] = problem.incidence[used]
-    capacity = [problem.topology.links[i].capacity_mbps for i in used]
     c = np.zeros(len(rate[0]))
     c[mu] = value
     relaxation = LinearProgram(
         c,
         np.concatenate([capacity_rows, rate, -rate, count, -count]),
-        np.concatenate([capacity, np.zeros(4 * nc)]),
+        np.concatenate([problem.capacity[used], np.zeros(4 * nc)]),
     )
 
     def program(box) -> LinearProgram:
@@ -416,14 +414,16 @@ def mccormick_bound(program: LinearProgram, basis: np.ndarray | None = None):
     simplex.  The LP's optimum is raised by ``BOUND_SLACK`` so that its
     float error cannot leave the bound below a candidate of the box.  An
     infeasible program gives (-INF, None, None): the box holds no
-    candidate.  The name is kept from the McCormick relaxation this replaced
+    candidate.  The relaxation is bounded (each column has a finite upper
+    bound or a capacity row), so any other status raises ``LpSolverError``.
+    The name is kept from the McCormick relaxation this replaced
     (``tests/mccormick_ref.py``), which is never tighter.
     """
     sol = solve_lp(program, basis)
     if sol.status == "infeasible":
         return -INF, None, None
-    if sol.status == "unbounded":
-        return INF, None, None
+    if sol.status != "optimal":
+        raise LpSolverError(f"perspective relaxation is {sol.status}")
     bound = float(sol.objective)
     return bound + BOUND_SLACK * (1.0 + abs(bound)), sol.x, sol.basis
 
@@ -589,47 +589,30 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
     counts are integers, so no gradient condition is checked for them.  A NaN
     anywhere in the plan makes the residual it enters NaN, which fails ``ok``.
     """
-    loads: dict[str, float] = {lid: 0.0 for lid in problem.link_ids}
-    for c in problem.classes:
-        nk = plan.n.get(c.id, 0)
-        for f in problem.flows[c.id]:
-            r = plan.rates.get(f.id, 0.0)
-            for lid in f.route:
-                loads[lid] += nk * r
-
-    feas: list[float] = []
-    comp: list[float] = []
-    dual_sign: list[float] = []
-    for lid, load in loads.items():
-        cap = problem.topology.link(lid).capacity_mbps
-        lam = plan.duals.get(lid, 0.0)
-        feas.append(load - cap)
-        dual_sign.append(-lam)
-        comp.append(abs(lam * (load - cap)))
-    for c in problem.classes:
-        nk = plan.n.get(c.id, 0)
-        feas += [float(nk - c.max_sessions), float(-nk)]
+    flows, flow_class = problem.all_flows(), problem.flow_class
+    nk = np.array([plan.n.get(c.id, 0) for c in problem.classes])
+    n = nk[flow_class]
+    rates = np.array([plan.rates.get(f.id, 0.0) for f in flows])
+    lam = np.array([plan.duals.get(lid, 0.0) for lid in problem.link_ids])
+    over = problem.incidence @ (n * rates) - problem.capacity
+    feas = [*over, *(nk - [c.max_sessions for c in problem.classes]), *-nk]
     feas += [-r for r in plan.rates.values()]
 
-    grad: list[float] = []
-    skipped: list[tuple[str, str]] = []
+    # Each class's utility slope interval at its aggregate rate.  It is NaN for
+    # a class without sessions, whose flows are skipped, and for one whose
+    # aggregate is not finite, whose flows are all checked and read NaN.
     agg = plan.aggregate_rates(problem)
-    for c in problem.classes:
-        nk = plan.n.get(c.id, 0)
-        if nk == 0:
-            for f in problem.flows[c.id]:
-                skipped.append((f.id, "class admits no sessions"))
-            continue
-        if not math.isfinite(agg[c.id]):
-            grad.append(math.nan)
-            continue
-        lo_a, hi_a = c.utility.slope_range(agg[c.id])
-        for f in problem.flows[c.id]:
-            if plan.rates.get(f.id, 0.0) <= FEAS_TOL:
-                skipped.append((f.id, "zero rate"))
-                continue
-            lam_sum = sum(plan.duals.get(lid, 0.0) for lid in f.route)
-            val = nk * lam_sum
-            lo_v, hi_v = nk * lo_a, (INF if hi_a == INF else nk * hi_a)
-            grad += [lo_v - val, val - hi_v]
-    return KktReport(_worst(feas), _worst(dual_sign), _worst(comp), _worst(grad), skipped)
+    slopes = np.array([
+        c.utility.slope_range(agg[c.id]) if nk[k] and math.isfinite(agg[c.id]) else (math.nan,) * 2
+        for k, c in enumerate(problem.classes)
+    ]).reshape(-1, 2)
+    lo, hi = n * slopes[flow_class].T
+    val = n * (problem.incidence.T @ lam)
+    checked = (n != 0) & ((rates > FEAS_TOL) | np.isnan(lo))
+    grad = [*(lo - val)[checked], *(val - hi)[checked]]
+    skipped = [
+        (f.id, "zero rate" if nf else "class admits no sessions")
+        for f, nf, check in zip(flows, n, checked)
+        if not check
+    ]
+    return KktReport(_worst(feas), _worst(-lam), _worst(abs(lam * over)), _worst(grad), skipped)

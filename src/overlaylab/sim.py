@@ -250,7 +250,7 @@ class Simulator:
         self._class_idx, self.incidence = problem.flow_class, problem.incidence
         self.link_ids = problem.link_ids
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
-        self.capacity = np.array([ln.capacity_mbps for ln in problem.topology.links])
+        self.capacity = problem.capacity.copy()  # ``set_capacity`` writes into it
         self.t = 0.0
         self.x = np.full(len(self.flows), RATE_FLOOR)
         self._set_rates(initial_rates or {})

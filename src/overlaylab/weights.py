@@ -68,6 +68,8 @@ def compute_weights(
             if nk == 0 or rate <= FEAS_TOL:
                 weights[f.id] = 0.0
                 continue
+            # A walk of the route, not ``incidence.T @ duals``: this sum's bits
+            # reach every weight and so every trace byte.
             lam_sum = 0.0
             for lid in f.route:
                 if lid not in plan.duals:

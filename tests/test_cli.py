@@ -385,6 +385,29 @@ HOLES = {
         "scenario", _scenario("failure-triangle", (("events", 1, "payload"), ["knowledge"])),
         "event #1 payload must be a JSON object, got list",
     ),
+    # Ids are CSV fields: a comma, quote, CR or LF would split or fake a row.
+    "comma-class-id": (
+        "scenario",
+        _scenario(
+            "triangle-basic",
+            (("classes", 0, "id"), "a,c"),
+            (("flows", "a,c"), build_paper_scenario("triangle-basic").to_json_dict()["flows"]["ac"]),
+            (("flows", "ac"), None),
+        ),
+        "class id must be a non-empty string without , \" CR or LF, got 'a,c'",
+    ),
+    "comma-scenario-flow-id": (
+        "scenario", _scenario("triangle-basic", (("flows", "ac", 0, "id"), "ac,0")),
+        "flow id must be a non-empty string without , \" CR or LF, got 'ac,0'",
+    ),
+    "empty-scenario-flow-id": (
+        "scenario", _scenario("triangle-basic", (("flows", "ac", 0, "id"), "")),
+        "flow id must be a non-empty string without , \" CR or LF, got ''",
+    ),
+    "newline-node-id": (
+        "topology", {**TOPOLOGY, "nodes": [*TOPOLOGY["nodes"], {"id": "D\nE", "kind": "router"}]},
+        "node id must be a non-empty string without , \" CR or LF, got 'D\\nE'",
+    ),
 }
 
 

@@ -4,9 +4,11 @@ There is no linter in the toolchain, so this reads each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must also appear as a name
 elsewhere in the module (annotations count).  ``__init__.py`` exists to
 re-export names, so it is exempt; instead its ``__all__`` must list exactly
-the names it imports, plus ``__version__``.
+the names it imports, plus ``__version__``.  Every absolute import names a
+standard-library module or numpy, the one runtime dependency.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,26 @@ def test_all_lists_exactly_what_init_imports():
     assert set(overlaylab.__all__) == set(imported) | {"__version__"}
     for name in overlaylab.__all__:
         assert hasattr(overlaylab, name), name
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the standard library and numpy."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    tree = ast.parse(source)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted({name for name in names if name.split(".")[0] not in allowed})
+
+
+def test_the_check_finds_foreign_imports():
+    source = "import scipy.optimize\nimport os, numpy as np\nfrom xml import etree\nfrom . import lp\n"
+    assert foreign_imports(source) == ["scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_runtime_dependency_is_numpy_only(path):
+    assert foreign_imports(path.read_text()) == []

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from overlaylab.lp import solve_lp
 from overlaylab.model import (
     INF,
     Flow,
@@ -25,6 +26,7 @@ from overlaylab.model import (
 from overlaylab.planner import (
     Plan,
     PlanningProblem,
+    _perspective_lp,
     check_kkt,
     solve_plan,
 )
@@ -212,7 +214,7 @@ def test_determinism():
 # -- flow layout --------------------------------------------------------------
 
 
-def test_problem_builds_the_flow_layout_the_simulator_shares():
+def abilene_problem():
     topo = add_sites(load_bundled_topology("abilene"), uplink_mbps=30.0, core_mbps=10.0)
     s = topo.sites()
     classes = [
@@ -224,17 +226,24 @@ def test_problem_builds_the_flow_layout_the_simulator_shares():
         c.id: [Flow(f"{c.id}:{j}", c.id, r) for j, r in enumerate(enumerate_paths(topo, c.src, c.dst, 2))]
         for c in (classes[0], classes[2])
     }
-    problem = PlanningProblem(topo, classes, by_class)
+    return PlanningProblem(topo, classes, by_class)
+
+
+def test_problem_builds_the_flow_layout_the_simulator_shares():
+    problem = abilene_problem()
+    topo, classes, by_class = problem.topology, problem.classes, problem.flows
     flows = problem.all_flows()
 
     assert problem.link_ids == tuple(ln.id for ln in topo.links)
+    assert problem.capacity.tolist() == [ln.capacity_mbps for ln in topo.links]
     assert problem.incidence.shape == (len(topo.links), len(flows))
     assert set(np.unique(problem.incidence)) == {0.0, 1.0}
     for j, f in enumerate(flows):
         marked = [problem.link_ids[i] for i in np.flatnonzero(problem.incidence[:, j])]
         assert sorted(marked) == sorted(f.route)
     assert [classes[k].id for k in problem.flow_class] == [f.class_id for f in flows]
-    assert not (problem.incidence.flags.writeable or problem.flow_class.flags.writeable)
+    tables = (problem.capacity, problem.incidence, problem.flow_class)
+    assert not any(table.flags.writeable for table in tables)
     # The layout is not a dataclass field, so equality is unchanged.
     assert [f.name for f in dataclasses.fields(problem)] == ["topology", "classes", "flows"]
     assert problem == PlanningProblem(topo, classes, dict(by_class))
@@ -244,6 +253,27 @@ def test_problem_builds_the_flow_layout_the_simulator_shares():
     assert sim.incidence is problem.incidence
     assert sim._class_idx is problem.flow_class
     assert sim.link_ids is problem.link_ids
+    # The simulator's capacities are a copy: its events leave the problem's alone.
+    assert sim.capacity.tolist() == problem.capacity.tolist()
+    sim.set_capacity(problem.link_ids[0], 1.0)
+    assert sim.capacity[0] == 1.0 and problem.capacity[0] == topo.links[0].capacity_mbps != 1.0
+
+
+def test_every_root_relaxation_is_bounded():
+    # Capacity rows and lower bounds are >= 0, so a column with a positive
+    # capacity entry is bounded by that row; every other column must have a
+    # finite upper bound.  Then no bound LP can be unbounded.
+    instances = [single_link(), single_link(utility=U_A, max_sessions=3), triangle_problem(),
+                 abilene_problem(), *map(_random_instance, range(20))]
+    for problem in instances:
+        program, _ = _perspective_lp(problem)
+        lp = program(tuple((0, c.max_sessions, 0, len(c.utility.pieces) - 1) for c in problem.classes))
+        used = problem.incidence.any(axis=1)
+        capacity_rows = lp.a[: used.sum()]
+        assert list(lp.b[: used.sum()]) == list(problem.capacity[used])
+        assert (capacity_rows >= 0).all() and (lp.lo >= 0).all()
+        assert (np.isfinite(lp.hi) | (capacity_rows > 0).any(axis=0)).all()
+        assert solve_lp(lp).status == "optimal"
 
 
 # -- oracle equivalence -----------------------------------------------------
@@ -350,3 +380,53 @@ def test_kkt_fails_on_nan_plan_values():
     report = check_kkt(problem, nan_rates)
     assert math.isnan(report.feasibility) and math.isnan(report.gradient)
     assert not report.ok()
+
+
+def _kkt_by_loops(problem, plan):
+    """``check_kkt``'s residuals summed flow by flow and route by route."""
+    loads = dict.fromkeys(problem.link_ids, 0.0)
+    for c in problem.classes:
+        for f in problem.flows[c.id]:
+            for lid in f.route:
+                loads[lid] += plan.n.get(c.id, 0) * plan.rates.get(f.id, 0.0)
+    over = {lid: load - problem.topology.link(lid).capacity_mbps for lid, load in loads.items()}
+    feas = [*over.values(), *(-r for r in plan.rates.values())]
+    for c in problem.classes:
+        feas += [plan.n.get(c.id, 0) - c.max_sessions, -plan.n.get(c.id, 0)]
+    comp = [abs(plan.duals.get(lid, 0.0) * v) for lid, v in over.items()]
+    grad, skipped = [], []
+    agg = plan.aggregate_rates(problem)
+    for c in problem.classes:
+        nk = plan.n.get(c.id, 0)
+        lo, hi = c.utility.slope_range(agg[c.id]) if nk else (0.0, 0.0)
+        for f in problem.flows[c.id]:
+            if nk == 0 or plan.rates.get(f.id, 0.0) <= 1e-7:
+                skipped.append((f.id, "zero rate" if nk else "class admits no sessions"))
+                continue
+            price = nk * sum(plan.duals.get(lid, 0.0) for lid in f.route)
+            grad += [nk * lo - price, price - nk * hi]
+    dual_sign = [-plan.duals.get(lid, 0.0) for lid in problem.link_ids]
+    return [max([0.0, *r]) for r in (feas, dual_sign, comp, grad)], skipped
+
+
+def test_kkt_residuals_match_a_loop_over_routes():
+    # Link loads and route prices are matrix products over the flow layout;
+    # they may add in another order than these loops, so they agree to a
+    # relative 1e-12, and the skipped flows and verdicts are equal.
+    for problem in [triangle_problem(), abilene_problem(), *map(_random_instance, range(20))]:
+        plan = solve_plan(problem)
+        rng = np.random.default_rng(len(problem.all_flows()))
+        for scale in (0.0, 0.05, 0.5):
+            noisy = Plan(
+                n={k: max(0, v - int(scale > 0.1)) for k, v in plan.n.items()},
+                rates={k: v * (1 + scale * rng.random()) for k, v in plan.rates.items()},
+                duals={k: v + scale * rng.random() for k, v in plan.duals.items()},
+                utility=plan.utility,
+                optimality=plan.optimality,
+            )
+            report = check_kkt(problem, noisy)
+            residuals, skipped = _kkt_by_loops(problem, noisy)
+            got = [report.feasibility, report.dual_sign, report.complementary_slackness, report.gradient]
+            assert got == pytest.approx(residuals, rel=1e-12, abs=1e-15)
+            assert report.skipped_flows == skipped
+            assert report.ok() == (max(residuals) <= 1e-6)

@@ -286,6 +286,13 @@ def test_set_capacity_requires_finite_positive(capacity):
     assert sim.capacity[0] == 10.0
 
 
+def test_set_capacity_keeps_a_fraction_on_an_integer_capacity_link():
+    # The capacities are floats even when every link was given an int.
+    sim = Simulator(one_flow_problem(cap=10), config({"k:0": 2.0}, {"k": 1}))
+    sim.set_capacity("A->B", 2.5)
+    assert sim.capacity[0] == 2.5
+
+
 def test_trace_csv_shape_and_summary_rows():
     sim = Simulator(two_flow_problem(8.0), config({"p:0": 1.0, "q:0": 3.0}, {"p": 1, "q": 1}))
     trace = sim.run(duration=2.0, sample_every=1.0)

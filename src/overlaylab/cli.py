@@ -14,11 +14,11 @@ import sys
 from .lp import LpInputError, LpSolverError
 from .model import (
     ModelError,
-    Flow,
     Topology,
     TrafficClass,
     enumerate_paths,
     json_object,
+    numbered_flows,
 )
 from .planner import (
     Plan,
@@ -90,11 +90,7 @@ def _load_problem(topology_path: str, classes_path: str, max_hops: int) -> Plann
             else enumerate_paths(topo, c.src, c.dst, max_hops)
             for c in classes
         } | explicit  # PlanningProblem rejects a key that is not a class id
-        flows = {
-            k: [Flow(f"{k}:{i}", k, tuple(route)) for i, route in enumerate(rs)]
-            for k, rs in routes.items()
-        }
-        return PlanningProblem(topo, classes, flows)
+        return PlanningProblem(topo, classes, {k: numbered_flows(k, rs) for k, rs in routes.items()})
 
     return _load(classes_path, read)
 

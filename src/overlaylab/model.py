@@ -10,6 +10,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 
 INF = math.inf
 
@@ -159,7 +160,6 @@ class Topology:
         """Read a topology; a top-level ``directed`` is each link's default."""
         nodes = {n["id"]: n.get("kind", ROUTER) for n in obj["nodes"]}
         links: list[Link] = []
-        seen: set[tuple[str, str]] = set()
         directed = json_bool(obj.get("directed", False), "directed")
         for e in obj["links"]:
             src, dst, cap = e["src"], e["dst"], json_number(e["capacity_mbps"], "capacity_mbps")
@@ -169,9 +169,6 @@ class Topology:
                 # Undirected input edges expand to two directed links.
                 pairs = [(src, dst), (dst, src)]
             for a, b in pairs:
-                if (a, b) in seen:
-                    raise ModelError(f"duplicate directed link ({a}, {b})")
-                seen.add((a, b))
                 links.append(Link(link_id(a, b), a, b, cap))
         return Topology(obj.get("name", "unnamed"), nodes, links)
 
@@ -348,6 +345,11 @@ class Flow:
             raise ModelError(f"flow {self.id!r}: {fault}")
 
 
+def numbered_flows(class_id: str, routes) -> list[Flow]:
+    """One class's flows over ``routes``, in order, with ids ``<class id>:<index>``."""
+    return [Flow(f"{class_id}:{i}", class_id, tuple(r)) for i, r in enumerate(routes)]
+
+
 def cumulative_utility(
     classes: list[TrafficClass],
     n: dict[str, int],
@@ -404,54 +406,35 @@ def enumerate_paths(
     """All simple routes from src to dst with at most the given overlay hops.
 
     An overlay hop is one site-to-site leg; the underlay portion of each leg
-    follows the shortest path.  Output is ordered by hop count then
-    lexicographically, so the result for h hops is a prefix-closed subset of
-    the result for h+1.  A src or dst that is not a topology node is a
-    ``ModelError``.
+    follows the shortest path (``shortest_leg``).  Site sequences are tried by
+    hop count and, within a count, in lexicographic order of their relay
+    sites, and a route is listed once, at the first sequence that builds it.
+    So the result for h hops is a prefix of the result for h+1.  A src or dst
+    that is not a topology node is a ``ModelError``.
     """
     if max_overlay_hops < 1:
         raise ModelError("max_overlay_hops must be >= 1")
     for what, node in (("src", src), ("dst", dst)):
         if node not in topology.nodes:
             raise ModelError(f"{what} {node!r} is not a topology node")
-    intermediates = [s for s in topology.sites() if s not in (src, dst)]
-
+    relays = [s for s in topology.sites() if s not in (src, dst)]
     legs: dict[tuple[str, str], list[str] | None] = {}
-
-    def leg(a: str, b: str):
-        if (a, b) not in legs:
-            legs[(a, b)] = shortest_leg(topology, a, b)
-        return legs[(a, b)]
-
-    results: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-    seen_routes: set[tuple[str, ...]] = set()
-
-    def recurse(prefix: list[str], hops_left: int):
-        emit(prefix + [dst])
-        if hops_left <= 1:
-            return
-        for s in intermediates:
-            if s not in prefix:
-                recurse(prefix + [s], hops_left - 1)
-
-    def emit(seq: list[str]):
-        route: list[str] = []
-        for a, b in zip(seq, seq[1:]):
-            part = leg(a, b)
-            if part is None:
-                return
-            route.extend(part)
-        if _route_fault(topology, route) is not None:
-            return
-        key = tuple(route)
-        if key in seen_routes:
-            return
-        seen_routes.add(key)
-        results.append((len(seq) - 1, tuple(seq), key))
-
-    recurse([src], max_overlay_hops)
-    results.sort(key=lambda t: (t[0], t[1]))
-    return [r for _, _, r in results]
+    routes: dict[tuple[str, ...], None] = {}  # insertion-ordered set
+    for hops in range(1, min(max_overlay_hops, len(relays) + 1) + 1):
+        for via in permutations(relays, hops - 1):  # lexicographic: relays are sorted
+            seq = (src, *via, dst)
+            route: list[str] = []
+            for ab in zip(seq, seq[1:]):
+                if ab not in legs:
+                    legs[ab] = shortest_leg(topology, *ab)
+                if legs[ab] is None:
+                    break
+                route += legs[ab]
+            else:
+                key = tuple(route)
+                if key not in routes and _route_fault(topology, key) is None:
+                    routes[key] = None
+    return list(routes)
 
 
 def _route_fault(topology: Topology, route) -> str | None:

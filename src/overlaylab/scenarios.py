@@ -27,6 +27,7 @@ from .model import (
     json_number,
     json_object,
     link_id,
+    numbered_flows,
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, solve_plan
@@ -342,13 +343,8 @@ def triangle_topology() -> Topology:
     return Topology("triangle", nodes, links)
 
 
-def _flows_for(
-    topology: Topology, cls: TrafficClass, max_hops: int
-) -> list[Flow]:
-    routes = enumerate_paths(topology, cls.src, cls.dst, max_hops)
-    return [
-        Flow(f"{cls.id}:{i}", cls.id, route) for i, route in enumerate(routes)
-    ]
+def _flows_for(topology: Topology, cls: TrafficClass, max_hops: int) -> list[Flow]:
+    return numbered_flows(cls.id, enumerate_paths(topology, cls.src, cls.dst, max_hops))
 
 
 def _triangle_classes() -> tuple[list[TrafficClass], dict[str, list[Flow]]]:
@@ -489,9 +485,12 @@ def hop_study(
     hop_limits: tuple[int, ...] = (1, 2, 3, 4),
     seed: int = 7,
 ) -> list[tuple[str, int, float]]:
-    """Optimal utility per (topology, hop limit); monotone in the limit."""
+    """Optimal utility per (topology, hop limit), for strictly increasing limits >= 1;
+    monotone in the limit."""
     if not hop_limits or min(hop_limits) < 1:
         raise ScenarioError(f"hop limits must be at least one value >= 1, got {list(hop_limits)}")
+    if any(a >= b for a, b in zip(hop_limits, hop_limits[1:])):
+        raise ScenarioError(f"hop limits must be strictly increasing, got {list(hop_limits)}")
     rows: list[tuple[str, int, float]] = []
     for name in sorted(topologies):
         topo = topologies[name]
@@ -535,10 +534,7 @@ def random_path_study(
                 picked = sample_random_paths(
                     [f.route for f in indirect], k, seed * 10_000 + trial * 100 + ci
                 )
-                routes = [f.route for f in direct] + picked
-                flows[c.id] = [
-                    Flow(f"{c.id}:{i}", c.id, r) for i, r in enumerate(routes)
-                ]
+                flows[c.id] = numbered_flows(c.id, [f.route for f in direct] + picked)
             total += solve_plan(PlanningProblem(topology, classes, flows)).utility
         rows.append((k, total / trials / optimum))
     return rows

@@ -245,7 +245,6 @@ class Simulator:
         self.flows = problem.all_flows()
         self._flow_ids = [f.id for f in self.flows]
         self._class_ids = [f.class_id for f in self.flows]
-        self._class_first = {c: j for j, c in reversed(list(enumerate(self._class_ids)))}
         # The problem's read-only flow layout, shared rather than rebuilt.
         self._class_idx, self.incidence = problem.flow_class, problem.incidence
         self.link_ids = problem.link_ids
@@ -262,9 +261,9 @@ class Simulator:
         """Adopt new weights, session counts and gain; the rates carry on."""
         self.config = config
         self.w = np.array([config.weights.get(f.id, 0.0) for f in self.flows])
-        self.n = np.array(
-            [float(config.sessions.get(f.class_id, 0)) for f in self.flows]
-        )
+        # Sessions per class, a class without flows included; ``n`` is per flow.
+        self.sessions = {c.id: config.sessions.get(c.id, 0) for c in self.problem.classes}
+        self.n = np.array([float(self.sessions[k]) for k in self._class_ids])
         w_max = float(self.w.max()) if self.w.size else 0.0
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
         # A batch of one over views, so in-place writes by events reach it.
@@ -289,6 +288,7 @@ class Simulator:
         if class_id not in ids:
             raise ValueError(f"unknown class id {class_id!r}")
         check_sessions(n, f"class {class_id!r}")
+        self.sessions[class_id] = n
         self.n[self._class_idx == ids.index(class_id)] = float(n)
 
     # -- dynamics ---------------------------------------------------------
@@ -312,11 +312,10 @@ class Simulator:
         return self._utility(self.goodputs())
 
     def _utility(self, goodputs: np.ndarray) -> float:
-        classes, first, n = self.problem.classes, self._class_first, self.n.tolist()
-        sessions = {c.id: int(round(n[first[c.id]])) if c.id in first else 0 for c in classes}
+        classes = self.problem.classes
         # bincount adds in flow order, as a running sum per class would.
         good = np.bincount(self._class_idx, weights=goodputs).tolist()
-        return cumulative_utility(classes, sessions, {c.id: g for c, g in zip(classes, good)})
+        return cumulative_utility(classes, self.sessions, {c.id: g for c, g in zip(classes, good)})
 
     # -- runs -------------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Command-line interface tests (exit codes, data-only stdout, determinism)."""
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,6 +514,23 @@ def test_unread_flag_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    # Each row of the README's "subcommand | flags" table names exactly the
+    # long options its subparser takes (--help and positionals aside).
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, name, flags, _ = row.split("|")
+        documented[name.strip().strip("`")] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == parsed
 
 
 # -- loader fuzzing ---------------------------------------------------------

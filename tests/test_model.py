@@ -1,4 +1,6 @@
 """Topology, utility, and path-enumeration unit tests."""
+import hashlib
+import json
 import math
 import random
 
@@ -286,6 +288,57 @@ def test_enumerate_paths_direct_first(triangle):
 def test_enumerate_paths_respects_hop_limit(triangle):
     routes = enumerate_paths(triangle, "A", "C", 1)
     assert routes == [("A->C",)]
+
+
+def test_a_route_keeps_its_place_as_the_hop_limit_grows():
+    # A->B->C->D is built at two hops, by the relay C (A->C is A->B->C), and
+    # again at three, by B and C.  It is listed at its first sequence, the
+    # two-hop one, so it is second in both lists.
+    topo = Topology.from_json_dict({
+        "name": "five",
+        "nodes": [{"id": s, "kind": "site"} for s in "ABCDE"],
+        "links": [{"src": a, "dst": b, "capacity_mbps": 10} for a, b in ("AB", "BC", "CD", "AD", "AE", "ED")],
+    })
+    expected = [("A->D",), ("A->B", "B->C", "C->D"), ("A->E", "E->D")]
+    assert enumerate_paths(topo, "A", "D", 2) == expected
+    assert enumerate_paths(topo, "A", "D", 3) == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_route_lists_are_prefix_closed_in_the_hop_limit(seed):
+    # 3-6 sites, each directed link present with probability 1/2.
+    rng = random.Random(seed)
+    names = "ABCDEF"[: 3 + seed % 4]
+    links = [L(a, b) for a in names for b in names if a != b and rng.random() < 0.5]
+    topo = Topology(f"r{seed}", sites(*names), links)
+    for a in names:
+        for b in names.replace(a, ""):
+            lists = [enumerate_paths(topo, a, b, h) for h in range(1, 5)]
+            for short, long in zip(lists, lists[1:]):
+                assert long[: len(short)] == short, (a, b)
+
+
+# Per hop limit 1-4: the length and a sha256 prefix of the JSON of
+# enumerate_paths' list, recorded from the depth-first enumeration that
+# preceded the breadth-first one.
+ABILENE_ROUTE_LISTS = {
+    ("s-Atlanta", "s-Chicago"): [(1, "0e4913194630d978"), (10, "cb529c0dac6ba0a1"),
+                                 (79, "40c4de35773a4c35"), (452, "05e1d6e6f3a64587")],
+    ("s-Seattle", "s-NewYork"): [(1, "09605bd4ad19b71c"), (10, "ec4da3f6ae5d42a0"),
+                                 (62, "f6264f9cbb384ad7"), (317, "2f41dc63e1a81e9c")],
+    ("s-Denver", "s-Houston"): [(1, "a0285707eb62fa8d"), (10, "11f36990c8321d7e"),
+                                (73, "dc80e77c8969b4b3"), (408, "60d4f4b9e0e5afc9")],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ABILENE_ROUTE_LISTS))
+def test_abilene_route_lists_are_unchanged(pair):
+    topo = add_sites(load_bundled_topology("abilene"), uplink_mbps=30.0, core_mbps=10.0)
+    got = []
+    for h in range(1, 5):
+        routes = [list(r) for r in enumerate_paths(topo, *pair, h)]
+        got.append((len(routes), hashlib.sha256(json.dumps(routes).encode()).hexdigest()[:16]))
+    assert got == ABILENE_ROUTE_LISTS[pair]
 
 
 def test_relay_through_router_is_allowed():

@@ -179,6 +179,15 @@ def test_hop_study_rejects_an_empty_or_nonpositive_hop_range(hop_limits):
         hop_study({"toy": topo}, hop_limits=hop_limits)
 
 
+@pytest.mark.parametrize("hop_limits", [(2, 1), (2, 2)])
+def test_hop_study_rejects_hop_limits_that_do_not_increase(hop_limits):
+    # Unsorted limits would read as a planner fault ("utility decreased"),
+    # and a repeated one as a duplicate row.
+    topo = add_sites(parse_graphml(GRAPHML), uplink_mbps=30.0, core_mbps=10.0)
+    with pytest.raises(ScenarioError, match=r"hop limits must be strictly increasing, got \[2, [12]\]"):
+        hop_study({"toy": topo}, hop_limits=hop_limits)
+
+
 def test_random_path_study_monotone_in_k():
     topo = add_sites(load_bundled_topology("abilene"), uplink_mbps=30.0, core_mbps=10.0)
     rows = random_path_study(topo, k_values=(0, 2), trials=2, seed=3)

@@ -19,7 +19,7 @@ from overlaylab.model import (
     link_id,
 )
 from overlaylab.planner import PlanningProblem, solve_plan
-from overlaylab.scenarios import build_paper_scenario
+from overlaylab.scenarios import build_paper_scenario, triangle_topology
 from overlaylab.sim import RATE_FLOOR, Event, Simulator
 from overlaylab.weights import TransportConfig, compute_weights
 
@@ -325,6 +325,23 @@ def test_utility_uses_goodput_not_send_rate():
     )
     # Send rate 20, goodput 10, slope 0.2 -> utility 2.0.
     assert sim.utility() == pytest.approx(2.0, rel=1e-9)
+
+
+def test_a_class_without_flows_keeps_its_sessions():
+    # bc has no route, so each of its sessions is worth U(0) = 0.5, as the
+    # planner counts it: 1 * 0.2 * 10 + 3 * 0.5 = 3.5.
+    classes = [
+        TrafficClass("ac", "A", "C", 2, PiecewiseLinearUtility.linear(0.2)),
+        TrafficClass("bc", "B", "C", 3, PiecewiseLinearUtility.from_points([(0.0, 0.1, 0.5)])),
+    ]
+    problem = PlanningProblem(triangle_topology(), classes, {"ac": [Flow("ac:0", "ac", ("A->C",))], "bc": []})
+    plan = solve_plan(problem)
+    assert plan.n == {"ac": 1, "bc": 3} and plan.utility == pytest.approx(3.5)
+    # Sent at 20 Mbps, ac:0 delivers the 10 Mbps of A->C from the start.
+    sim = Simulator(problem, compute_weights(problem, plan), initial_rates={"ac:0": 20.0})
+    trace = sim.run(2.0, events=[Event(1.5, "set-sessions", {"class": "bc", "n": 1})])
+    assert trace.utility[:2] == pytest.approx([3.5, 3.5])
+    assert trace.utility[-1] == sim.utility() == pytest.approx(2.5)
 
 
 def test_install_config_rejects_reset_rates():

@@ -129,6 +129,10 @@ def cmd_check(args) -> int:
     for fid in plan.rates:
         if fid not in flow_ids:
             raise _InputError(f"plan references unknown flow {fid!r}")
+    class_ids = {c.id for c in problem.classes}
+    for cid in plan.n:
+        if cid not in class_ids:
+            raise _InputError(f"plan references unknown class {cid!r}")
     report = check_kkt(problem, plan)
     rows = [
         ("feasibility", report.feasibility),

@@ -17,14 +17,15 @@ program give bit-identical answers.
 
 An optimal answer also reports its basis, as column ids of the program.  A
 program that differs from an earlier one only in tighter bounds can start
-from that basis: it is factorised once, which keeps the dual feasibility of
-the earlier optimum, and a bounded dual simplex restores primal feasibility
-through the same pivot routine.  Upper bounds are not rows there: a
-nonbasic variable sits at either of its bounds, so tighter bounds change
-only the right-hand side.  The leaving row is chosen by dual steepest edge, and
-Bland's rule takes over after a run of degenerate pivots.  A start that
-does not fit, or an answer that fails verification, falls back to a cold
-solve.
+from that basis, which keeps the dual feasibility of the earlier optimum,
+and a revised bounded dual simplex restores primal feasibility.  It keeps
+B^-1 rather than a tableau: a pivot forms one row of B^-1 [A I] and one
+column B^-1 a_q, and updates B^-1 by a rank-1 step.  Upper bounds are not
+rows there: a nonbasic variable sits at either of its bounds, so tighter
+bounds change only the right-hand side.  The leaving row is chosen by dual
+steepest edge, and Bland's rule takes over after a run of degenerate
+pivots.  A start that does not fit, or an answer that fails verification,
+falls back to a cold solve.
 
 Every optimal answer, cold or warm, is verified before it is returned, and
 the checks do not depend on how the basis was reached: x, the duals and the
@@ -123,8 +124,8 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
     Given ``basis``, optimal for a program with the same objective and rows
     whose bounds were no tighter, the solve starts there by dual simplex and
     ``iterations`` counts its pivots.  A basis that does not fit this
-    program, that gives a singular or dual infeasible tableau, or whose
-    answer fails verification is dropped for a cold solve.  Raises
+    program, that is singular, whose final basis is not dual feasible, or
+    whose answer fails verification is dropped for a cold solve.  Raises
     LpSolverError instead of returning a silently wrong answer when the
     ``MAX_ITERATIONS`` cap is hit or the final tableau fails verification.
     """
@@ -349,28 +350,26 @@ def _simplex(c, a, b, max_iterations):
 
 
 def _dual_simplex(c, a, b, start, upper, span, max_iterations):
-    """Bounded dual simplex for max c.x, A x + s = b, 0 <= (x, s) <= span.
+    """Revised bounded dual simplex for max c.x, A x + s = b, 0 <= (x, s) <= span.
 
     ``start`` holds the m basic column ids and ``upper`` the nonbasic ones
     at their upper bound, whose part of the rhs ``b`` already carries; every
-    other column is at 0.  ``start`` is factorised once; if its basic
-    values are within their bounds it is optimal as it stands.  Otherwise
-    the tableau is built over the nonbasic columns that have a range, in id
-    order (a column with no range never enters).  The leaving row is the
-    one whose bound violation is largest over the norm of its row of B^-1
-    (dual steepest edge; the lowest basic id under Bland's rule), and it
-    leaves at the bound it violates.  The entering column has the smallest
-    dual ratio, the largest pivot among ties, and pivots through ``_swap``.
-    A violated row that no column can move proves the program infeasible.
-    Returns (status, column values, row duals, pivots, basis), or None when
-    ``start`` is singular or the tableau is not dual feasible.
+    other column is at 0.  The basic values are B^-1 b.  The leaving row is
+    the one whose bound violation is largest over the norm of its row of
+    B^-1 (dual steepest edge; the lowest basic id under Bland's rule), and
+    it leaves at the bound it violates.  The entering column has the
+    smallest dual ratio and the largest pivot among ties; a column with no
+    range never enters.  A violated row that no column can move proves the
+    program infeasible.  Returns (status, column values, row duals, pivots,
+    basis), or None when ``start`` is singular or the final basis is not
+    dual feasible.
     """
     m, n = a.shape
-    total = n + m
     # B is factorised through the rows whose slack is nonbasic: a basic
-    # slack is a unit column, so those rows form a system over the basic
-    # structurals, and the rows of the basic slacks, placed after them,
-    # follow by substitution.
+    # slack is a unit column, so those rows form a system A_SS over the
+    # basic structurals, and the rows of the basic slacks, placed after
+    # them, follow by substitution.  With C the basic structurals' entries
+    # in those rows, B^-1 = [[A_SS^-1, 0], [-C A_SS^-1, I]].
     cols, slack_rows = start[start < n], start[start >= n] - n
     system = np.ones(m, dtype=bool)
     system[slack_rows] = False
@@ -378,50 +377,29 @@ def _dual_simplex(c, a, b, start, upper, span, max_iterations):
         inverse = np.linalg.inv(a[system][:, cols])
     except np.linalg.LinAlgError:
         return None
-    coupling = a[slack_rows][:, cols]
     q = len(cols)
     basis = np.concatenate([cols, n + slack_rows])
-    top = span[basis]
-    value = np.empty(m)
-    value[:q] = inverse @ b[system]
-    value[q:] = b[slack_rows] - coupling @ value[:q]
-    if np.max(np.maximum(value - top, -value), initial=0.0) <= FEAS_TOL:
-        # Still primal feasible: the basis is optimal as it stands.
-        y = np.zeros(m)
-        y[system] = c[cols] @ inverse
-        return _dual_answer(value, basis, upper, span, y, 0)
-
-    # The tableau over the nonbasic columns that have a range, in id order.
-    stored = np.ones(total, dtype=bool)
-    stored[start] = False
-    stored = (stored & (span > 0)).nonzero()[0]
-    ns = np.searchsorted(stored, n)
-    rest = np.zeros((m, len(stored) + 1))
-    rest[:, :ns] = a[:, stored[:ns]]
-    rest[stored[ns:] - n, np.arange(ns, len(stored))] = 1.0
-    rest[:, -1] = b
-    T = np.empty_like(rest)
-    T[:q] = inverse @ rest[system]
-    T[q:] = rest[slack_rows] - coupling @ T[:q]
-    ids = np.append(stored, total)
-    pos = np.full(total, -1)
-    pos[stored] = np.arange(len(stored))
-    # By stored position: the reduced costs (the objective last), and the
-    # side a column may move to: -1 up from its lower bound, +1 down from
-    # its upper, 0 for a column with no range once it has left the basis.
-    zp = c[cols] @ T[:q]
-    zp[:ns] -= c[stored[:ns]]
-    side = np.full(len(stored), -1.0)
-    side[pos[upper]] = 1.0
-    slack_at = np.zeros(len(stored))
-    slack_at[ns:] = 1.0
-    if not np.isfinite(T).all():
+    binv = np.zeros((m, m))
+    binv[:q, system] = inverse
+    binv[q:, system] = -a[slack_rows][:, cols] @ inverse
+    binv[np.arange(q, m), slack_rows] = 1.0
+    if not np.isfinite(binv).all():
         return None
+    top = span[basis]
+    # By column id: the reduced costs (a slack's is its row's dual), and
+    # the side a column may move to: -1 up from its lower bound, +1 down
+    # from its upper, 0 while basic or for a column with no range.
+    y = c[cols] @ binv[:q]
+    d = np.concatenate([y @ a - c, y])
+    d[basis] = 0.0
+    side = np.where(span > 0, -1.0, 0.0)
+    side[upper] = 1.0
+    side[basis] = 0.0
 
     iters = 0
     stall = 0
     while True:
-        value = T[:, -1]
+        value = binv @ b
         violation = np.maximum(value - top, -value)
         bad = (violation > FEAS_TOL).nonzero()[0]
         if len(bad) == 0:
@@ -429,52 +407,53 @@ def _dual_simplex(c, a, b, start, upper, span, max_iterations):
         if len(bad) == 1 or stall >= STALL_LIMIT:  # Bland: the lowest basic id
             row = int(bad[basis[bad].argmin()])
         else:
-            norms = np.square(T[bad, :-1]) @ slack_at + (basis[bad] >= n)
+            norms = np.square(binv[bad]).sum(axis=1)
             row = int(bad[np.argmax(np.square(violation[bad]) / norms)])
+        # The pivot row of B^-1 [A I]; a basic column's entry is exact.
+        alpha = np.concatenate([binv[row] @ a, binv[row]])
+        leaving = int(basis[row])
+        alpha[basis] = 0.0
+        alpha[leaving] = 1.0
         # Below its lower bound the basic column must rise: a column at its
         # lower bound with a negative entry, or at its upper with a positive.
         rises = bool(value[row] < 0)
-        entries = T[row, :-1] if rises else -T[row, :-1]
+        entries = alpha if rises else -alpha
         cand = (entries * side > PIVOT_TOL).nonzero()[0]
         if len(cand) == 0:
             return "infeasible", None, None, iters, None
-        ratios = np.abs(zp[cand] / entries[cand])
+        ratios = np.abs(d[cand] / entries[cand])
         least = ratios.min()
         ties = cand[ratios <= least + 1e-12]
-        p = int(ties[np.abs(entries[ties]).argmax()])
-        col, leaving = int(ids[p]), int(basis[row])
+        col = int(ties[np.abs(entries[ties]).argmax()])
         stall = stall + 1 if least <= 1e-12 else 0
-        _swap(T, basis, ids, pos, row, col)
-        entering_z, zp[p] = zp[p], 0.0
-        zp -= entering_z * T[row]
-        if side[p] > 0:  # its range now sits in its basic value
-            T[row, -1] += span[col]
-        if span[leaving] == 0:
-            side[p] = 0.0
-        elif rises:
-            side[p] = -1.0
-        else:  # the leaving column stops at its upper bound
-            side[p] = 1.0
-            T[:, -1] -= T[:, p] * span[leaving]
-        slack_at[p] = leaving >= n
+        d -= d[col] / alpha[col] * alpha
+        d[col] = 0.0
+        entering = binv @ a[:, col] if col < n else binv[:, col - n].copy()
+        binv[row] /= entering[row]
+        entering[row] = 0.0
+        binv -= np.multiply.outer(entering, binv[row])
+        # Only a structural has a finite upper bound, so only a structural
+        # enters from it or leaves at it.
+        if side[col] > 0:  # its range moves from the rhs into its basic value
+            b = b + a[:, col] * span[col]
+        side[col] = 0.0
+        if not rises:  # the leaving column stops at its upper bound
+            b = b - a[:, leaving] * span[leaving]
+        if span[leaving] > 0:
+            side[leaving] = -1.0 if rises else 1.0
+        basis[row] = col
         top[row] = span[col]
         iters += 1
         if iters > max_iterations:
             raise LpSolverError("simplex iteration cap exceeded")
 
-    if np.max(side * zp[:-1], initial=0.0) > FEAS_TOL:
+    if np.max(side * d, initial=0.0) > FEAS_TOL:
         return None  # not dual feasible: the start was not, or float error
-    slacks = slack_at.nonzero()[0]
-    y = np.zeros(m)
-    y[ids[slacks] - n] = zp[slacks]
-    return _dual_answer(T[:, -1], basis, ids[:-1][side > 0], span, y, iters)
-
-
-def _dual_answer(value, basis, upper, span, y, iters):
-    """The optimal column values, the row duals and the basis."""
-    x = np.zeros(len(span))
+    upper = (side > 0).nonzero()[0]
+    x = np.zeros(n + m)
     x[upper] = span[upper]
     x[basis] = value
+    y = d[n:]
     y[np.abs(y) < PIVOT_TOL] = 0.0
     np.maximum(y, 0.0, out=y)
     return "optimal", x, y, iters, np.concatenate([basis, upper])

@@ -577,8 +577,9 @@ class KktReport:
 
 
 def _worst(residuals: list[float]) -> float:
-    """Largest residual, floored at 0; NaN if any residual is NaN."""
-    return float(np.max(np.array(residuals, dtype=float), initial=0.0))
+    """Largest residual, floored at +0.0; NaN if any residual is NaN."""
+    # Adding +0.0 turns a -0.0 maximum into +0.0 and keeps NaN.
+    return float(np.max(np.array(residuals, dtype=float), initial=0.0)) + 0.0
 
 
 def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:

@@ -76,6 +76,8 @@ class RefSimulator:
         self.n = np.array(
             [float(config.sessions.get(f.class_id, 0)) for f in self.flows]
         )
+        # Sessions per class: a class without flows has no entry in ``n``.
+        self.sessions = {c.id: config.sessions.get(c.id, 0) for c in self.problem.classes}
         if self.mode == "unit":
             self.w = np.ones_like(self.w)
         w_max = float(self.w.max()) if self.w.size else 0.0
@@ -93,6 +95,7 @@ class RefSimulator:
     def set_sessions(self, class_id, n):
         if n < 0:
             raise ValueError("session count must be >= 0")
+        self.sessions[class_id] = n
         for j, f in enumerate(self.flows):
             if f.class_id == class_id:
                 self.n[j] = float(n)
@@ -128,7 +131,7 @@ class RefSimulator:
         n = {}
         for c in self.problem.classes:
             idxs = [j for j, f in enumerate(self.flows) if f.class_id == c.id]
-            n[c.id] = int(round(self.n[idxs[0]])) if idxs else 0
+            n[c.id] = int(round(self.n[idxs[0]])) if idxs else self.sessions[c.id]
         return cumulative_utility(self.problem.classes, n, per_session)
 
     def run(self, duration=None, events=None, sample_every=1.0, stop_on_convergence=False, max_time=10_000.0):

@@ -147,6 +147,20 @@ def test_check_rejects_non_finite_plan(files, capsys, field, key):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, key", [("duals", "Z->Y"), ("rates", "zz:0"), ("n", "zz")])
+def test_check_rejects_a_plan_with_an_unknown_id(files, capsys, field, key):
+    tmp, topo, classes = files
+    out = str(tmp / "plan.json")
+    main(["solve", "--topology", topo, "--classes", classes, "--out", out])
+    plan = json.loads((tmp / "plan.json").read_text())
+    plan[field][key] = 5
+    (tmp / "plan.json").write_text(json.dumps(plan))
+    rc = main(["check", "--topology", topo, "--classes", classes, "--plan", out])
+    assert rc == 2
+    kind = {"duals": "link", "rates": "flow", "n": "class"}[field]
+    _one_error_line(capsys, f"plan references unknown {kind} {key!r}")
+
+
 @pytest.mark.parametrize(
     "kind, payload, message",
     [

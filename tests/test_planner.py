@@ -27,6 +27,7 @@ from overlaylab.planner import (
     Plan,
     PlanningProblem,
     _perspective_lp,
+    _worst,
     check_kkt,
     solve_plan,
 )
@@ -380,6 +381,17 @@ def test_kkt_fails_on_nan_plan_values():
     report = check_kkt(problem, nan_rates)
     assert math.isnan(report.feasibility) and math.isnan(report.gradient)
     assert not report.ok()
+
+
+def test_kkt_residuals_of_a_solved_plan_are_never_negative_zero():
+    # A residual is a maximum floored at 0, and -0.0 must not survive it:
+    # a zero dual enters the dual-sign maximum negated, as -0.0.
+    assert math.copysign(1.0, _worst([-0.0, -1.0])) == 1.0
+    assert math.isnan(_worst([-0.0, math.nan]))
+    for problem in [triangle_problem(), abilene_problem(), *map(_random_instance, range(10))]:
+        report = check_kkt(problem, solve_plan(problem))
+        residuals = [report.feasibility, report.dual_sign, report.complementary_slackness, report.gradient]
+        assert [math.copysign(1.0, r) for r in residuals] == [1.0] * 4, residuals
 
 
 def _kkt_by_loops(problem, plan):

@@ -17,6 +17,7 @@ import pytest
 
 import sim_ref
 from overlaylab import scenarios
+from overlaylab.scenarios import triangle_topology
 from overlaylab.model import Flow, PiecewiseLinearUtility, Topology, TrafficClass
 from overlaylab.planner import PlanningProblem, solve_plan
 from overlaylab.sim import RATE_FLOOR, Event, Simulator
@@ -267,6 +268,27 @@ def test_free_stretches_stop_off_the_sample_and_window_grids():
         lambda cls: fast_one_flow(cls, dt=0.05), duration=400.0, events=events, sample_every=0.35,
     )
     assert trace.fixed_at > 250.02
+    assert_same_run(sim, trace, ref, want)
+
+
+def test_a_class_without_flows_matches_reference():
+    # bc has no route, so each of its sessions counts U(0) = 0.5, in the
+    # reference as in the planner: 1 * 0.2 * 10 + 3 * 0.5 = 3.5 until an
+    # event leaves bc one session.
+    classes = [
+        TrafficClass("ac", "A", "C", 2, PiecewiseLinearUtility.linear(0.2)),
+        TrafficClass("bc", "B", "C", 3, PiecewiseLinearUtility.from_points([(0.0, 0.1, 0.5)])),
+    ]
+    problem = PlanningProblem(triangle_topology(), classes, {"ac": [Flow("ac:0", "ac", ("A->C",))], "bc": []})
+    plan = solve_plan(problem)
+    assert plan.n == {"ac": 1, "bc": 3}
+    config = compute_weights(problem, plan)
+    events = [Event(1.5, "set-sessions", {"class": "bc", "n": 1})]
+    sim, trace, ref, want = run_both(
+        lambda cls: cls(problem, config, initial_rates={"ac:0": 20.0}), duration=2.0, events=events,
+    )
+    assert want.utility[:2] == pytest.approx([3.5, 3.5])
+    assert want.utility[-1] == pytest.approx(2.5)
     assert_same_run(sim, trace, ref, want)
 
 

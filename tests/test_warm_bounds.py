@@ -111,3 +111,23 @@ def test_a_basis_that_does_not_fit_is_solved_cold(monkeypatch):
     # The row's slack (id 2) listed at an upper bound, which a slack lacks.
     assert solve_lp(parent, np.array([0, 1, 2])) is cold
     assert calls == [1]
+
+
+def test_a_start_that_is_already_feasible_returns_without_a_pivot(monkeypatch):
+    program = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [2.0], hi=[1.5, 1.5, 1.5])
+    cold = solve_lp(program)
+    monkeypatch.setattr(lp, "_cold", lambda prog: pytest.fail("solved cold"))
+    sol = solve_lp(program, cold.basis)
+    assert sol.iterations == 0
+    assert sol.objective == cold.objective == 2.0
+    assert np.array_equal(sol.x, cold.x)
+
+
+def test_a_singular_start_is_solved_cold(monkeypatch):
+    # Both structurals basic over rows that are multiples of each other.
+    program = LinearProgram([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0])
+    cold = solve_lp(program)
+    calls = []
+    monkeypatch.setattr(lp, "_cold", lambda prog: calls.append(1) or cold)
+    assert solve_lp(program, np.array([0, 1])) is cold
+    assert calls == [1]

@@ -208,6 +208,8 @@ def _study_topologies(names: list[str]) -> dict[str, Topology]:
         else:
             base = load_bundled_topology(name)
             key = name
+        if key in out:  # a study row names its topology, so the names must differ
+            raise _InputError(f"topology {key!r} is given twice")
         out[key] = add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
     return out
 

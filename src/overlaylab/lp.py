@@ -1,14 +1,9 @@
 """Bounded-variable linear programming with dual extraction.
 
 Maximizes c.x subject to A x <= b and per-variable bounds, returning both the
-primal optimum and the duals of the inequality rows.  The implementation is a
-two-phase simplex on a condensed dense tableau: it stores only the nonbasic
-columns and the right-hand side, since each basic column is a unit vector.
-On each pivot the entering and leaving columns swap places, and a full-length
-reduced-cost row keeps pricing in terms of column ids.  The pivot path is the
-one a full tableau takes: every pivot choice, and every stored entry's
-arithmetic, is the same.  Desk-scale instances do not justify sparse
-machinery.
+primal optimum and the duals of the inequality rows.  A cold solve is a
+two-phase simplex on a dense tableau, whose pivots skip the rows with a zero
+factor.  Desk-scale instances do not justify sparse machinery.
 
 Pricing uses Dantzig's rule with index tie-breaks for speed, and switches to
 Bland's rule after a run of degenerate pivots so cycling cannot occur.  The
@@ -233,16 +228,11 @@ def _verify(lp, x, reduced, objective, y_all, b_rows):
 
 
 def _simplex(c, a, b, max_iterations):
-    """Two-phase simplex for max c.x, A x <= b, x >= 0 on a condensed tableau.
+    """Two-phase dense tableau simplex for max c.x, A x <= b, x >= 0.
 
-    Column ids follow the full layout [structural (n) | slacks (m) |
-    artificials (n_art)], but the tableau stores only the nonbasic columns
-    and the right-hand side: a basic column is a unit vector and carries no
-    information.  ``ids`` maps a stored position to its column id (the rhs
-    is id ``total``) and ``pos`` maps an id back (-1 while basic).  The
-    reduced-cost row ``z`` stays full length, indexed by id, so every pricing
-    and tie-break decision is the one the full tableau makes.  Returns
-    (status, x, y, pivots, basis), the basis None while an artificial is in it.
+    The tableau's columns are [structural (n) | slacks (m) | artificials
+    (n_art)], then the right-hand side.  Returns (status, x, y, pivots,
+    basis), the basis None while an artificial is in it.
     """
     m, n = a.shape
     # Flip rows with negative rhs and give them artificial variables.
@@ -257,20 +247,17 @@ def _simplex(c, a, b, max_iterations):
     if total == 0:  # no variable and no row: the empty program
         return "optimal", np.zeros(0), np.zeros(0), 0, np.zeros(0, dtype=int)
 
-    # Each flipped row starts with its artificial basic; every other row with
-    # its slack.  The nonbasic columns are the structurals and the flipped
-    # rows' slacks, which enter with -1 (it was  a.x - s = b  originally).
+    T = np.zeros((m, total + 1))
+    T[:, :n] = a
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    # A flipped row's slack enters with -1 (it was  a.x - s = b  originally),
+    # and the row starts with its artificial basic; every other row with its
+    # slack.
+    T[neg_rows, n + neg_rows] = -1.0
+    T[neg_rows, n + m + np.arange(n_art)] = 1.0
+    T[:, -1] = b
     basis = n + np.arange(m)
     basis[neg_rows] = n + m + np.arange(n_art)
-    cols = np.concatenate([np.arange(n), n + neg_rows])
-    width = n + n_art
-    T = np.zeros((m, width + 1))
-    T[:, :n] = a
-    T[neg_rows, n + np.arange(n_art)] = -1.0
-    T[:, -1] = b
-    ids = np.append(cols, total)  # id of every stored column, rhs last
-    pos = np.full(total, -1)
-    pos[cols] = np.arange(width)
 
     iters = 0
     # Work buffers shared by both phases: reduced costs, ratios, ratio mask.
@@ -278,7 +265,8 @@ def _simplex(c, a, b, max_iterations):
 
     def run_phase(obj, blocked, iters):
         """Price with obj over unblocked columns; pivot until optimal."""
-        z = _price(obj, T, ids, basis, total)
+        z = obj[basis] @ T
+        z[:total] -= obj
         shield = np.where(blocked, -INF, 0.0)  # shield - z prices the unblocked columns
         stall = 0
         last_obj = -INF
@@ -293,7 +281,7 @@ def _simplex(c, a, b, max_iterations):
                 if len(improving) == 0:
                     return z, iters, True
                 col = int(improving[0])
-            colvec = T[:, pos[col]]
+            colvec = T[:, col]
             np.greater(colvec, PIVOT_TOL, out=mask)
             if not mask.any():
                 return z, iters, False  # unbounded in this phase
@@ -302,9 +290,10 @@ def _simplex(c, a, b, max_iterations):
             # deterministic tie-break: smallest basis column id among ties
             ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
             row = int(ties[0]) if len(ties) == 1 else int(ties[basis[ties].argmin()])
-            _swap(T, basis, ids, pos, row, col)
-            z[ids] -= z[col] * T[row]
+            _pivot(T, row, col)
+            z -= z[col] * T[row]
             z[col] = 0.0  # exact after pivot
+            basis[row] = col
             iters += 1
             if iters > max_iterations:
                 raise LpSolverError("simplex iteration cap exceeded")
@@ -327,10 +316,11 @@ def _simplex(c, a, b, max_iterations):
         # the row clears the pivot tolerance.
         for i in range(m):
             if basis[i] >= n + m:
-                row_vals = np.abs(T[i, :-1])
-                cand = np.flatnonzero((ids[:-1] < n + m) & (row_vals > PIVOT_TOL))
+                row_vals = np.abs(T[i, : n + m])
+                cand = (row_vals > PIVOT_TOL).nonzero()[0]
                 if len(cand):
-                    _swap(T, basis, ids, pos, i, int(np.min(ids[cand])))
+                    _pivot(T, i, int(cand[0]))
+                    basis[i] = int(cand[0])
         blocked[n + m :] = True
 
     obj = np.zeros(total)
@@ -347,6 +337,20 @@ def _simplex(c, a, b, max_iterations):
     y[np.abs(y) < PIVOT_TOL] = 0.0
     np.maximum(y, 0.0, out=y)
     return "optimal", x[:n], y, iters, (basis if basis.max(initial=0) < n + m else None)
+
+
+def _pivot(T, row, col):
+    """Pivot the tableau on entry (row, col).
+
+    A row whose factor is 0 would only subtract zeros, so it is skipped.
+    """
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    nz = factors.nonzero()[0]
+    T[nz] -= np.multiply.outer(factors[nz], T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
 
 
 def _dual_simplex(c, a, b, start, upper, span, max_iterations):
@@ -457,43 +461,3 @@ def _dual_simplex(c, a, b, start, upper, span, max_iterations):
     y[np.abs(y) < PIVOT_TOL] = 0.0
     np.maximum(y, 0.0, out=y)
     return "optimal", x, y, iters, np.concatenate([basis, upper])
-
-
-def _price(obj, T, ids, basis, total):
-    """Reduced-cost row obj_B.T - obj over every column id and the rhs.
-
-    The product is taken on the full-width tableau, basic unit columns
-    included, so that each entry is summed in the same order, and so rounded
-    the same way, as a full tableau would sum it.
-    """
-    m = T.shape[0]
-    full = np.zeros((m, total + 1))
-    full[:, ids] = T
-    full[np.arange(m), basis] = 1.0
-    z = obj[basis] @ full
-    z[:total] -= obj
-    return z
-
-
-def _swap(T, basis, ids, pos, row, col):
-    """Pivot column id ``col`` into the basis at ``row``.
-
-    The entering column leaves the stored set and the leaving column, the
-    unit vector e_row until now, takes its stored position.  Every stored
-    entry gets the arithmetic the full tableau pivot gives it.
-    """
-    p = pos[col]
-    leaving = basis[row]
-    piv = T[row, p]
-    factors = T[:, p].copy()
-    factors[row] = 0.0
-    T[:, p] = 0.0
-    T[row, p] = 1.0
-    T[row] /= piv
-    # Rows with a zero factor would only subtract zeros.
-    nz = factors.nonzero()[0]
-    T[nz] -= np.multiply.outer(factors[nz], T[row])
-    basis[row] = col
-    ids[p] = leaving
-    pos[leaving] = p
-    pos[col] = -1

@@ -447,9 +447,11 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     once every count is fixed, the widest span of a class with sessions
     splits, the smallest class index among equals.  A box with fixed counts
     and one piece per class with sessions is a candidate, solved by
-    ``inner_lp`` with no bound LP.  A child takes its parent's bound, point
-    and basis without an LP when the parent's relaxation point ``holds`` in
-    the child's program, whose optimum it then is.
+    ``inner_lp`` once it is popped; it is bounded when pushed like any other
+    box, so a candidate whose bound cannot win is never solved.  A child
+    takes its parent's bound, point and basis without an LP when the
+    parent's relaxation point ``holds`` in the child's program, whose
+    optimum it then is.
     Equal-utility candidates resolve to the smallest total session count,
     then the lexicographically smallest session vector by class id, then
     the lexicographically smallest rate vector by flow id, then the
@@ -545,7 +547,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
             child = (*box[:k], (*box[k][:f], *sub, *box[k][f + 2 :]), *box[k + 1 :])
             child_lo = lo_sum + child[k][0] - box[k][0]
             bound, x, child_basis = parent_bound, point, basis
-            if branch(child) is not None and (point is None or not holds(point, k, child[k])):
+            if point is None or not holds(point, k, child[k]):
                 bound, x, child_basis = mccormick_bound(program(child), basis)
             if bound != -INF and not dominated(bound, child_lo, child):
                 level = -_bound_level(bound)

@@ -1,8 +1,10 @@
 """Dense two-phase tableau simplex, kept as the reference for ``overlaylab.lp``.
 
-This is the kernel ``lp._simplex`` used before it moved to a condensed tableau
-that stores only the nonbasic columns.  Both must take the same pivots, so the
-tests compare their answers with ``==``, not with a tolerance.
+This is a frozen copy of the cold kernel, which ``lp._simplex`` must match.
+The package kernel adds only what cannot change an answer: it returns its
+basis, solves the empty program, and skips the rows a pivot would subtract
+zeros from.  Both must take the same pivots, so the tests compare their
+answers with ``==``, not with a tolerance.
 """
 import numpy as np
 

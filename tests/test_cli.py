@@ -209,6 +209,37 @@ def test_hops_below_one_exits_2(capsys, max_hops):
     assert captured.err == "error: hop limits must be at least one value >= 1, got []\n"
 
 
+def _graphml(graph_attrs):
+    return (
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        f'<graph{graph_attrs} edgedefault="undirected">'
+        '<node id="a"/><node id="b"/><node id="c"/>'
+        '<edge source="a" target="b"/><edge source="b" target="c"/>'
+        "</graph></graphml>"
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second, name",
+    [("", "", "graphml"), (None, ' id="abilene"', "abilene")],
+    ids=["two-unnamed-graphml", "graphml-named-like-a-bundled-one"],
+)
+def test_hops_with_a_repeated_topology_name_exits_2(tmp_path, capsys, first, second, name):
+    # Study rows are keyed by topology name, so a repeated name would drop rows.
+    args = []
+    for i, attrs in enumerate((first, second)):
+        if attrs is None:
+            args.append("abilene")
+        else:
+            path = tmp_path / f"t{i}.graphml"
+            path.write_text(_graphml(attrs))
+            args.append(str(path))
+    assert main(["hops", *args, "--max-hops", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: topology {name!r} is given twice\n"
+
+
 def test_run_paper_scenario_outputs(tmp_path, capsys):
     rc = main(["run", "--paper", "triangle-basic", "--out", str(tmp_path)])
     assert rc == 0

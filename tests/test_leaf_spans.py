@@ -184,3 +184,20 @@ def test_eight_classes_solve_few_inner_lps(monkeypatch):
     plan = solve_plan(threshold_problem(ABILENE, 8, 2, 8))
     assert plan.optimality == "proved-optimal"
     assert len(calls) <= 50
+
+
+def test_a_candidate_is_bounded_before_its_inner_lp(monkeypatch):
+    # A leaf child gets its own bound LP, like any other child, so a
+    # candidate whose bound cannot reach the incumbent is never solved: on
+    # the same instance the search solves 12 inner LPs, where pushing each
+    # leaf with its parent's bound solved 23.
+    calls = []
+    inner_lp = planner.inner_lp
+
+    def counted(*args):
+        calls.append(1)
+        return inner_lp(*args)
+
+    monkeypatch.setattr(planner, "inner_lp", counted)
+    solve_plan(threshold_problem(ABILENE, 8, 2, 8))
+    assert len(calls) <= 12

@@ -1,8 +1,9 @@
-"""The condensed-tableau simplex against the dense tableau simplex it replaced.
+"""The package's cold simplex kernel against its frozen reference.
 
-``dense_simplex_ref`` keeps the dense kernel.  Both take the same pivots, so
-status, point, duals and pivot count must agree exactly: arrays with
-``np.array_equal`` and scalars with ``==``, never with a tolerance.
+``dense_simplex_ref`` is the frozen copy of the dense tableau kernel that
+``lp._simplex`` must match.  Both take the same pivots, so status, point,
+duals and pivot count must agree exactly: arrays with ``np.array_equal`` and
+scalars with ``==``, never with a tolerance.
 """
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from overlaylab.planner import (
     PlanningProblem,
     default_rate_boxes,
     inner_lp,
+    solve_plan,
 )
 from overlaylab.scenarios import add_sites, build_paper_scenario, load_bundled_topology
 
@@ -156,3 +158,18 @@ def test_inner_programs_match_dense_kernel(monkeypatch, problem, sessions, piece
     inner_lp(problem, n, {c.id: p for c, p in zip(problem.classes, pieces)})
     (program,) = programs
     assert_same_answer(*program)
+
+
+def test_every_cold_program_of_a_btn_plan_matches_dense_kernel(monkeypatch):
+    # The programs the kernel meets in a real solve: the root relaxation and
+    # every inner LP of eight threshold classes over BTN with sites.
+    # Imported here: test_planner_oracle imports this module.
+    from test_leaf_spans import BTN
+    from test_planner_oracle import threshold_problem as planner_threshold_problem
+
+    programs = _record_programs(monkeypatch)
+    solve_plan(planner_threshold_problem(BTN, 8, 2, 8))
+    monkeypatch.undo()  # stop recording before the kernels are compared
+    assert len(programs) >= 20
+    for program in programs:
+        assert_same_answer(*program)

@@ -9,12 +9,21 @@ are fixed: a MILP at Abilene k = 8, N = 5 can take over ten seconds, and
 these each take well under half a second.  At ten and twelve classes the
 planner's cost varies severalfold with the class pairs, so those seeds are
 ones the planner proves in about a second or less.
+
+A second MILP (``milp_min_sessions``) checks the session tie-break on the
+``SEEDED`` instances: the fewest sessions that reach U* - 1e-6 (1 + U*) must
+be the plan's session total.  Listing every session vector whose MILP
+utility lies within 1e-6 of U* found exactly one on each of them, every
+class at its maximum count, so no near-tie lies within the MILP's
+``HALF_OPEN_EPS`` fuzz.  The triangle tie band is kept to utilities only:
+among its many tied vectors are some 3.8e-10 and 8.6e-10 below U*, inside
+that fuzz, where the MILP cannot tell a tie from a loss.
 """
 import pytest
 
 pytest.importorskip("scipy")
 
-from milp_ref import milp_utility  # noqa: E402
+from milp_ref import milp_min_sessions, milp_utility  # noqa: E402
 from overlaylab.planner import solve_plan  # noqa: E402
 from test_leaf_spans import BTN  # noqa: E402
 from test_planner_oracle import ABILENE, threshold_problem, triangle_threshold  # noqa: E402
@@ -43,6 +52,14 @@ def assert_matches_milp(problem):
 def test_seeded_threshold_instances_match_milp(name, k, n_max, seed):
     topology = {"abilene": ABILENE, "btn": BTN}[name]
     assert_matches_milp(threshold_problem(topology, k, n_max, seed))
+
+
+@pytest.mark.parametrize("name, k, n_max, seed", SEEDED)
+def test_seeded_threshold_instances_take_the_fewest_sessions(name, k, n_max, seed):
+    problem = threshold_problem({"abilene": ABILENE, "btn": BTN}[name], k, n_max, seed)
+    plan = solve_plan(problem)
+    floor = plan.utility - 1e-6 * (1.0 + plan.utility)
+    assert milp_min_sessions(problem, floor) == sum(plan.n.values())
 
 
 @pytest.mark.parametrize("n_max", [20, 26, 34])

@@ -1,8 +1,9 @@
 """Domain types for overlay topologies, traffic classes, routes and utilities.
 
 Rates are real Mbps throughout; there is no packet-level accounting here.
-All types are plain values and all functions are pure, so everything in this
-module is safe to share across threads.
+All types are plain values and all functions are pure; the one memo, a
+``Topology``'s breadth-first tree per source, is filled by a deterministic
+search that a race only repeats.  So this module is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class Link:
 
 def check_capacity(value: float, owner: str) -> None:
     """The one capacity rule: a number, not a bool, that is finite (so not NaN) and > 0."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    if ((type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
             or not (math.isfinite(value) and value > 0)):
         raise ModelError(f"{owner} requires a finite capacity_mbps > 0, got {value!r}")
 
@@ -88,8 +89,8 @@ class Topology:
 
     A second instance of the same type holds the planner's *estimate* of the
     network when estimate and truth differ.  ``out_links`` maps each node to
-    its outgoing links sorted by far end; it is built once, after validation,
-    and is not a dataclass field.
+    its outgoing links sorted by far end and ``tree`` keeps one breadth-first
+    search per source; neither is a field, and both assume the links never change.
     """
 
     name: str
@@ -117,6 +118,7 @@ class Topology:
         for ln in sorted(self.links, key=lambda ln: ln.dst):
             out[ln.src].append(ln)
         self.out_links = {n: tuple(lns) for n, lns in out.items()}
+        self._trees: dict[str, dict[str, Link | None]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -132,12 +134,26 @@ class Topology:
     def sites(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k == SITE)
 
+    def tree(self, src: str) -> dict[str, Link | None]:
+        """Each node reachable from ``src`` -> the link a breadth-first search
+        first reaches it by (None for ``src``); searched once, on first use."""
+        via = self._trees.get(src)
+        if via is None:
+            via, queue = {src: None}, [src]
+            for node in queue:  # first in, first out: the list grows as it is read
+                for ln in self.out_links.get(node, ()):
+                    if ln.dst not in via:
+                        via[ln.dst] = ln
+                        queue.append(ln.dst)
+            self._trees[src] = via
+        return via
+
     def with_capacities(self, overrides: dict[str, float]) -> "Topology":
-        """A copy with some link capacities replaced."""
+        """A copy with some link capacities replaced; unchanged (frozen) links are shared."""
         for lid in overrides:
             self.link(lid)
         links = [
-            Link(ln.id, ln.src, ln.dst, overrides.get(ln.id, ln.capacity_mbps))
+            Link(ln.id, ln.src, ln.dst, overrides[ln.id]) if ln.id in overrides else ln
             for ln in self.links
         ]
         return Topology(self.name, dict(self.nodes), links)
@@ -371,23 +387,14 @@ def cumulative_utility(
 
 
 def shortest_leg(topology: Topology, src: str, dst: str) -> list[str] | None:
-    """Shortest underlay path (in links) from src to dst as link ids.
+    """Shortest underlay path (in links) from src to dst as link ids, read off ``topology.tree``.
 
     Ties break on the lexicographically smallest node-id sequence: the
     breadth-first search scans each level in that order and each node's
     ``out_links`` by far end, so the first link to reach a node ends the
     smallest shortest sequence to it.
     """
-    via: dict[str, Link | None] = {src: None}
-    level = [src]
-    while level and dst not in via:
-        nxt = []
-        for node in level:
-            for ln in topology.out_links.get(node, ()):
-                if ln.dst not in via:
-                    via[ln.dst] = ln
-                    nxt.append(ln.dst)
-        level = nxt
+    via = topology.tree(src)
     if dst not in via:
         return None
     route: list[str] = []
@@ -448,8 +455,9 @@ def _route_fault(topology: Topology, route) -> str | None:
         return "empty route"
     if len(set(route)) != len(route):
         return "route repeats a link"
-    nodes = [topology.link(route[0]).src]
-    for lid in route:
+    ln = topology.link(route[0])
+    nodes = [ln.src, ln.dst]
+    for lid in route[1:]:
         ln = topology.link(lid)
         if ln.src != nodes[-1]:
             return "route is not connected"

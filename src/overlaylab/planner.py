@@ -95,8 +95,8 @@ class PlanningProblem:
         sizes = [len(self.flows[c.id]) for c in self.classes]
         self.flow_class = np.repeat(np.arange(len(self.classes)), sizes)
         self.incidence = np.zeros((len(self.link_ids), len(flows)))
-        for j, f in enumerate(flows):
-            self.incidence[[row[lid] for lid in f.route], j] = 1.0
+        cols = np.repeat(np.arange(len(flows)), [len(f.route) for f in flows])
+        self.incidence[[row[lid] for f in flows for lid in f.route], cols] = 1.0
         for table in (self.capacity, self.flow_class, self.incidence):
             table.flags.writeable = False
 

@@ -286,19 +286,18 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
     sim = Simulator(truth_problem, config, dt=scenario.dt, initial_rates=plan.rates)
 
     # Every event reaches the simulator as it is, except that a re-plan
-    # becomes the install of its new plan's config and rates.
+    # becomes the install of its new plan's config and rates.  The truth it
+    # plans on is built there once, from the capacities set so far.
     events: list[Event] = []
-    current_truth = scenario.topology
+    changed: dict[str, float] = {}
     for ev in scenario.events:
         if ev.kind == "set-capacity":
-            current_truth = current_truth.with_capacities(
-                {ev.payload["link"]: ev.payload["capacity_mbps"]}
-            )
+            changed[ev.payload["link"]] = ev.payload["capacity_mbps"]
         if ev.kind != "rerun-planner":
             events.append(ev)
             continue
         stale = ev.payload.get("knowledge") == "stale"
-        prob = scenario.problem(scenario.estimated_topology() if stale else current_truth)
+        prob = scenario.problem(None if stale else scenario.topology.with_capacities(changed))
         new_plan = solve_plan(prob)
         plans.append((ev.t, new_plan))
         new_config = compute_weights(prob, new_plan, gain=scenario.gamma)

@@ -1,4 +1,5 @@
 """Topology, utility, and path-enumeration unit tests."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -68,6 +69,27 @@ def test_with_capacities_overrides_without_mutating(triangle):
     t2 = triangle.with_capacities({"A->B": 3.0})
     assert t2.link("A->B").capacity_mbps == 3.0
     assert triangle.link("A->B").capacity_mbps == 10.0
+
+
+def test_with_capacities_keeps_unchanged_links(triangle):
+    t2 = triangle.with_capacities({"A->B": 3.0, "C->B": 7})
+    for old, new in zip(triangle.links, t2.links):
+        if old.id in ("A->B", "C->B"):
+            assert new is not old and (new.id, new.src, new.dst) == (old.id, old.src, old.dst)
+        else:
+            assert new is old
+    assert [ln.capacity_mbps for ln in t2.links if ln.id in ("A->B", "C->B")] == [3.0, 7]
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, True, "7", None])
+def test_with_capacities_still_checks_each_override(triangle, cap):
+    with pytest.raises(ModelError, match="finite capacity_mbps > 0"):
+        triangle.with_capacities({"A->B": cap})
+
+
+def test_with_capacities_rejects_an_unknown_link(triangle):
+    with pytest.raises(ModelError, match="unknown link id"):
+        triangle.with_capacities({"A->D": 1.0})
 
 
 def test_topology_json_round_trip(triangle):
@@ -269,6 +291,37 @@ def _bundled(name, with_sites):
 def test_shortest_leg_matches_brute_force_oracle(topology):
     for (src, dst), leg in _oracle_legs(topology).items():
         assert shortest_leg(topology, src, dst) == leg, (src, dst)
+
+
+@pytest.mark.parametrize("name", ["abilene", "btn"])
+@pytest.mark.parametrize("with_sites", [False, True])
+def test_memoised_legs_match_the_oracle_in_any_query_order(name, with_sites):
+    oracle = _oracle_legs(_bundled(name, with_sites))
+    pairs = sorted(oracle)
+    random.Random(5).shuffle(pairs)
+    shuffled = _bundled(name, with_sites)
+    assert {pair: shortest_leg(shuffled, *pair) for pair in pairs} == oracle
+    # Every source's tree is searched, in reverse order, before any leg is read.
+    late = _bundled(name, with_sites)
+    for src in sorted(late.nodes, reverse=True):
+        late.tree(src)
+    assert {pair: shortest_leg(late, *pair) for pair in sorted(oracle)} == oracle
+    # The memo is not a field: equality and JSON do not see it.
+    assert [f.name for f in dataclasses.fields(late)] == ["name", "nodes", "links"]
+    assert late == _bundled(name, with_sites) and late.to_json_dict() == _bundled(name, with_sites).to_json_dict()
+
+
+@pytest.mark.parametrize("with_sites", [False, True])
+def test_a_capacity_variant_has_the_same_legs_and_routes(with_sites):
+    topo = _bundled("abilene", with_sites)
+    variant = topo.with_capacities({ln.id: 0.5 for ln in topo.links[::3]})
+    nodes = sorted(topo.nodes)
+    for a in nodes:
+        for b in nodes:
+            assert shortest_leg(variant, a, b) == shortest_leg(topo, a, b), (a, b)
+    ends = topo.sites() if with_sites else nodes
+    for a, b in zip(ends, ends[3:] + ends[:3]):
+        assert enumerate_paths(variant, a, b, 2) == enumerate_paths(topo, a, b, 2), (a, b)
 
 
 def test_shortest_leg_unreachable_and_same_node():

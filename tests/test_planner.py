@@ -260,6 +260,25 @@ def test_problem_builds_the_flow_layout_the_simulator_shares():
     assert sim.capacity[0] == 1.0 and problem.capacity[0] == topo.links[0].capacity_mbps != 1.0
 
 
+def _loop_incidence(problem):
+    """The 0/1 link-by-flow incidence built one flow and one link at a time."""
+    row = {lid: i for i, lid in enumerate(problem.link_ids)}
+    flows = problem.all_flows()
+    ref = np.zeros((len(row), len(flows)))
+    for j, f in enumerate(flows):
+        for lid in f.route:
+            ref[row[lid], j] = 1.0
+    return ref
+
+
+def test_incidence_equals_a_loop_built_reference():
+    no_flows = PlanningProblem(single_link().topology, single_link().classes, {})
+    instances = [no_flows, single_link(), triangle_problem(), abilene_problem(), *map(_random_instance, range(20))]
+    for problem in instances:
+        ref = _loop_incidence(problem)
+        assert problem.incidence.dtype == ref.dtype and np.array_equal(problem.incidence, ref)
+
+
 def test_every_root_relaxation_is_bounded():
     # Capacity rows and lower bounds are >= 0, so a column with a positive
     # capacity entry is bounded by that row; every other column must have a

@@ -15,7 +15,10 @@ A second MILP (``milp_min_sessions``) checks the session tie-break on the
 be the plan's session total.  Listing every session vector whose MILP
 utility lies within 1e-6 of U* found exactly one on each of them, every
 class at its maximum count, so no near-tie lies within the MILP's
-``HALF_OPEN_EPS`` fuzz.  The triangle tie band is kept to utilities only:
+``HALF_OPEN_EPS`` fuzz.  ``TIGHT`` gives the check a real tie band: its
+core links are so thin that classes compete for sessions, and vectors with
+10 and with 11 sessions tie at U*, still within 1e-6 of it when the MILP's
+fuzz is 1e-5 instead of 1e-9.  The triangle tie band is kept to utilities only:
 among its many tied vectors are some 3.8e-10 and 8.6e-10 below U*, inside
 that fuzz, where the MILP cannot tell a tie from a loss.
 """
@@ -25,6 +28,7 @@ pytest.importorskip("scipy")
 
 from milp_ref import milp_min_sessions, milp_utility  # noqa: E402
 from overlaylab.planner import solve_plan  # noqa: E402
+from overlaylab.scenarios import add_sites, load_bundled_topology  # noqa: E402
 from test_leaf_spans import BTN  # noqa: E402
 from test_planner_oracle import ABILENE, threshold_problem, triangle_threshold  # noqa: E402
 
@@ -39,6 +43,10 @@ SEEDED = [
     ("btn", 7, 2, 720), ("btn", 7, 2, 721), ("btn", 8, 2, 820), ("btn", 8, 2, 821),
     ("btn", 8, 3, 830),
 ]
+
+
+# Abilene with 2.4 Mbps core links: classes compete for sessions.
+TIGHT = add_sites(load_bundled_topology("abilene"), uplink_mbps=4.8, core_mbps=2.4)
 
 
 def assert_matches_milp(problem):
@@ -71,3 +79,13 @@ def test_five_class_abilene_matches_milp():
     # threshold_problem draws its pairs as the bench's _pairs(Random(0), ...) does.
     problem = threshold_problem(ABILENE, 5, 3, 0)
     assert assert_matches_milp(problem).utility == pytest.approx(1.96)
+
+
+def test_tight_instance_takes_the_fewest_sessions_of_its_tie_band():
+    # Within 1e-6 of U* = 1.2 lie (3, 1, 3, 3), (3, 2, 3, 2) and (3, 3, 3, 1)
+    # with 10 sessions, (3, 2, 3, 3) and (3, 3, 3, 2) with 11, and, only
+    # through the MILP's fuzz, (3, 3, 3, 3): at a fuzz of 1e-5 it reaches 1.086.
+    problem = threshold_problem(TIGHT, 4, 3, 2)
+    plan = assert_matches_milp(problem)
+    floor = plan.utility - 1e-6 * (1.0 + plan.utility)
+    assert sum(plan.n.values()) == milp_min_sessions(problem, floor) == 10

@@ -1,9 +1,11 @@
 """Scenario engine, GraphML ingestion, and study tests."""
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
+from overlaylab.model import Topology
 from overlaylab.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
@@ -154,6 +156,28 @@ def test_failure_scenario_has_three_phases():
     lines = result.phase_csv().strip().split("\n")
     assert lines[0] == "phase_start,phase_end,mean_utility"
     assert len(lines) == 4
+
+
+# sha256 of failure-large's (seed 7) trace, summary and phase CSVs, recorded
+# when each capacity event still built its own copy of the truth topology.
+FAILURE_LARGE_CSVS = (
+    "8b365ce2843f254ec7c8bba6f84b8246451288f084b66721f710fdff38ba60fe",
+    "c2825a79ffd3528d0adf9adf75de56940f9ae785615a205cf3443f14f1c9c6fa",
+    "ea78a2f7f36e29597ece9185f16f9cf8ae453815cca33c1f1e870b7d33a0426b",
+)
+
+
+def test_failure_large_builds_one_truth_per_replan(monkeypatch):
+    scenario = build_paper_scenario("failure-large")
+    calls = []
+    original = Topology.with_capacities
+    monkeypatch.setattr(Topology, "with_capacities", lambda self, o: calls.append(o) or original(self, o))
+    result = run_experiment(scenario)
+    replans = sum(e.kind == "rerun-planner" for e in scenario.events)
+    assert sum(e.kind == "set-capacity" for e in scenario.events) == 12 and replans == 1
+    assert len(calls) <= 1 + replans  # the estimate, then one truth per re-plan
+    texts = (result.trace.to_csv(), result.summary_csv(), result.phase_csv())
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == FAILURE_LARGE_CSVS
 
 
 def test_experiment_determinism():

@@ -30,10 +30,10 @@ from .scenarios import (
     PAPER_SCENARIOS,
     Scenario,
     ScenarioError,
+    _bundled,
     add_sites,
     build_paper_scenario,
     hop_study,
-    load_bundled_topology,
     parse_graphml,
     random_path_study,
     run_experiment,
@@ -204,13 +204,12 @@ def _study_topologies(names: list[str]) -> dict[str, Topology]:
     for name in names:
         if name.endswith(".graphml"):
             base = _load_topology(name)
-            key = base.name
+            key, topo = base.name, add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
         else:
-            base = load_bundled_topology(name)
-            key = name
+            key, topo = name, _bundled(name, 30.0, 10.0).with_capacities({})
         if key in out:  # a study row names its topology, so the names must differ
             raise _InputError(f"topology {key!r} is given twice")
-        out[key] = add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
+        out[key] = topo
     return out
 
 

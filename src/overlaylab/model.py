@@ -1,9 +1,10 @@
 """Domain types for overlay topologies, traffic classes, routes and utilities.
 
 Rates are real Mbps throughout; there is no packet-level accounting here.
-All types are plain values and all functions are pure; the one memo, a
-``Topology``'s breadth-first tree per source, is filled by a deterministic
-search that a race only repeats.  So this module is safe to share across threads.
+All types are plain values and all functions are pure, but for two memos a ``Topology``
+shares with its copies of the same links: a breadth-first tree per source and the routes
+found overlay-simple.  Links and node kinds never change after construction, and a race
+only repeats a deterministic fill, so this module is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -88,9 +89,10 @@ class Topology:
     """Directed links between nodes; nodes are tagged ``site`` or ``router``.
 
     A second instance of the same type holds the planner's *estimate* of the
-    network when estimate and truth differ.  ``out_links`` maps each node to
-    its outgoing links sorted by far end and ``tree`` keeps one breadth-first
-    search per source; neither is a field, and both assume the links never change.
+    network when estimate and truth differ.  ``out_links`` maps each node to its
+    outgoing links sorted by far end.  The memos, ``tree``'s one search per source
+    and the routes found overlay-simple, are shared with ``with_capacities`` copies.
+    None is a field, and all assume the links and node kinds never change.
     """
 
     name: str
@@ -118,7 +120,8 @@ class Topology:
         for ln in sorted(self.links, key=lambda ln: ln.dst):
             out[ln.src].append(ln)
         self.out_links = {n: tuple(lns) for n, lns in out.items()}
-        self._trees: dict[str, dict[str, Link | None]] = {}
+        self._trees: dict[str, dict[str, str | None]] = {}
+        self._simple: set[tuple[str, ...]] = set()
 
     # -- lookups -----------------------------------------------------------
 
@@ -134,29 +137,31 @@ class Topology:
     def sites(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k == SITE)
 
-    def tree(self, src: str) -> dict[str, Link | None]:
-        """Each node reachable from ``src`` -> the link a breadth-first search
-        first reaches it by (None for ``src``); searched once, on first use."""
+    def tree(self, src: str) -> dict[str, str | None]:
+        """Each node reachable from ``src`` -> the id of the link a breadth-first
+        search first reaches it by (None for ``src``); searched once, on first use."""
         via = self._trees.get(src)
         if via is None:
             via, queue = {src: None}, [src]
             for node in queue:  # first in, first out: the list grows as it is read
                 for ln in self.out_links.get(node, ()):
                     if ln.dst not in via:
-                        via[ln.dst] = ln
+                        via[ln.dst] = ln.id
                         queue.append(ln.dst)
             self._trees[src] = via
         return via
 
     def with_capacities(self, overrides: dict[str, float]) -> "Topology":
-        """A copy with some link capacities replaced; unchanged (frozen) links are shared."""
+        """A copy with some link capacities replaced; unchanged (frozen) links and the memos are shared."""
         for lid in overrides:
             self.link(lid)
         links = [
             Link(ln.id, ln.src, ln.dst, overrides[ln.id]) if ln.id in overrides else ln
             for ln in self.links
         ]
-        return Topology(self.name, dict(self.nodes), links)
+        copy = Topology(self.name, dict(self.nodes), links)
+        copy._trees, copy._simple = self._trees, self._simple
+        return copy
 
     # -- JSON --------------------------------------------------------------
 
@@ -398,9 +403,9 @@ def shortest_leg(topology: Topology, src: str, dst: str) -> list[str] | None:
     if dst not in via:
         return None
     route: list[str] = []
-    while (ln := via[dst]) is not None:
-        route.append(ln.id)
-        dst = ln.src
+    while (lid := via[dst]) is not None:
+        route.append(lid)
+        dst = topology.link(lid).src
     return route[::-1]
 
 
@@ -445,7 +450,7 @@ def enumerate_paths(
 
 
 def _route_fault(topology: Topology, route) -> str | None:
-    """Why a route is not overlay-simple, or None if it is.
+    """Why a route is not overlay-simple, or None if it is; ``topology`` remembers the simple ones.
 
     Overlay-simple: non-empty, connected, no repeated directed link, no
     repeated site.  Routers may repeat — relaying through an intermediate site
@@ -453,6 +458,8 @@ def _route_fault(topology: Topology, route) -> str | None:
     """
     if not route:
         return "empty route"
+    if (key := tuple(route)) in topology._simple:
+        return None
     if len(set(route)) != len(route):
         return "route repeats a link"
     ln = topology.link(route[0])
@@ -465,6 +472,7 @@ def _route_fault(topology: Topology, route) -> str | None:
     sites = [n for n in nodes if topology.nodes[n] == SITE]
     if len(set(sites)) != len(sites):
         return "route revisits a site"
+    topology._simple.add(key)
     return None
 
 

@@ -8,6 +8,7 @@ GraphML files (two are bundled under ``data/``).
 from __future__ import annotations
 
 import bisect
+import functools
 import importlib.resources
 import json
 import math
@@ -94,13 +95,21 @@ def parse_graphml(text: str | bytes) -> Topology:
     return Topology(name, nodes, links)
 
 
-def load_bundled_topology(name: str) -> Topology:
-    """Load one of the GraphML files shipped with the package."""
+@functools.cache
+def _bundled(name: str, *sites: float) -> Topology:
+    """A bundled topology, parsed once, with sites at (uplink, core) Mbps if given; only copies leave."""
+    if sites:
+        return add_sites(_bundled(name), *sites)
     path = importlib.resources.files("overlaylab").joinpath(f"data/{name}.graphml")
     try:
         return parse_graphml(path.read_text())
     except FileNotFoundError:
         raise ScenarioError(f"no bundled topology named {name!r}") from None
+
+
+def load_bundled_topology(name: str) -> Topology:
+    """A fresh copy of one of the GraphML files shipped with the package."""
+    return _bundled(name).with_capacities({})
 
 
 def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 10.0) -> Topology:
@@ -127,7 +136,8 @@ def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 
 
 @dataclass
 class Scenario:
-    """A full experiment description: who talks, over what, and what changes."""
+    """A full experiment description: who talks, over what, and what changes.  It keeps
+    the problem it validates: change it by ``dataclasses.replace``, never by setting a field."""
 
     name: str
     topology: Topology  # ground truth
@@ -159,7 +169,7 @@ class Scenario:
             if not (0 <= e.t <= self.duration):
                 raise ScenarioError(f"event at t={e.t} outside [0, duration]")
         # Checks the overrides, and the classes and flows against the topology.
-        self.problem()
+        self._problem = PlanningProblem(self.estimated_topology(), self.classes, dict(self.flows))
         for e in self.events:
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
@@ -170,11 +180,7 @@ class Scenario:
         return self.topology.with_capacities(self.estimate_overrides)
 
     def problem(self, topology: Topology | None = None) -> PlanningProblem:
-        return PlanningProblem(
-            topology if topology is not None else self.estimated_topology(),
-            self.classes,
-            {k: list(v) for k, v in self.flows.items()},
-        )
+        return self._problem.with_topology(topology if topology is not None else self.estimated_topology())
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -346,35 +352,25 @@ def _flows_for(topology: Topology, cls: TrafficClass, max_hops: int) -> list[Flo
     return numbered_flows(cls.id, enumerate_paths(topology, cls.src, cls.dst, max_hops))
 
 
-def _triangle_classes() -> tuple[list[TrafficClass], dict[str, list[Flow]]]:
-    topo = triangle_topology()
-    c1 = TrafficClass("ac", "A", "C", 1, PiecewiseLinearUtility.linear(0.2))
-    c2 = TrafficClass("bc", "B", "C", 1, PiecewiseLinearUtility.linear(0.1))
-    flows = {c.id: _flows_for(topo, c, 2) for c in (c1, c2)}
-    return [c1, c2], flows
-
-
 def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
     """Construct one of the named experiment scenarios."""
-    if name == "triangle-basic":
+    if name in ("triangle-basic", "failure-triangle"):
         topo = triangle_topology()
-        classes, flows = _triangle_classes()
-        return Scenario("triangle-basic", topo, classes, flows, duration=200.0)
-
-    if name == "failure-triangle":
-        topo = triangle_topology()
-        classes, flows = _triangle_classes()
+        classes = [TrafficClass("ac", "A", "C", 1, PiecewiseLinearUtility.linear(0.2)),
+                   TrafficClass("bc", "B", "C", 1, PiecewiseLinearUtility.linear(0.1))]
+        flows = {c.id: _flows_for(topo, c, 2) for c in classes}
+        if name == "triangle-basic":
+            return Scenario(name, topo, classes, flows, duration=200.0)
         events = [
             Event(60.0, "set-capacity", {"link": "A->B", "capacity_mbps": 1.0}),
             Event(140.0, "rerun-planner", {"knowledge": "current-truth"}),
         ]
-        return Scenario("failure-triangle", topo, classes, flows, events=events, duration=220.0)
+        return Scenario(name, topo, classes, flows, events=events, duration=220.0)
 
     if name == "failure-large":
-        base = load_bundled_topology("abilene")
-        topo = add_sites(base, uplink_mbps=10.0, core_mbps=10.0)
+        topo = _bundled("abilene", 10.0, 10.0).with_capacities({})
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
-        dead = _links_of_busiest_routers(base, count=2)
+        dead = _links_of_busiest_routers(_bundled("abilene"), count=2)
         events = [
             Event(40.0, "set-capacity", {"link": lid, "capacity_mbps": 0.001})
             for lid in dead
@@ -421,8 +417,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         )
 
     if name in ("hop-study", "random-path-study"):
-        base = load_bundled_topology("abilene")
-        topo = add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
+        topo = _bundled("abilene", 30.0, 10.0).with_capacities({})
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
         return Scenario(name, topo, classes, flows, duration=200.0)
 

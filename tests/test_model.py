@@ -279,7 +279,8 @@ def _random_digraph(seed):
 
 def _bundled(name, with_sites):
     topo = load_bundled_topology(name)
-    return add_sites(topo, uplink_mbps=30.0, core_mbps=10.0) if with_sites else topo
+    topo = add_sites(topo, uplink_mbps=30.0, core_mbps=10.0) if with_sites else topo
+    return Topology(topo.name, topo.nodes, topo.links)  # its own memos, searched afresh
 
 
 @pytest.mark.parametrize(
@@ -316,12 +317,15 @@ def test_a_capacity_variant_has_the_same_legs_and_routes(with_sites):
     topo = _bundled("abilene", with_sites)
     variant = topo.with_capacities({ln.id: 0.5 for ln in topo.links[::3]})
     nodes = sorted(topo.nodes)
+    # The variant shares the memos, so it is checked against a build of its own links.
+    assert variant._trees is topo._trees and variant._simple is topo._simple
+    fresh = Topology(variant.name, variant.nodes, variant.links)
     for a in nodes:
         for b in nodes:
-            assert shortest_leg(variant, a, b) == shortest_leg(topo, a, b), (a, b)
+            assert shortest_leg(variant, a, b) == shortest_leg(fresh, a, b), (a, b)
     ends = topo.sites() if with_sites else nodes
     for a, b in zip(ends, ends[3:] + ends[:3]):
-        assert enumerate_paths(variant, a, b, 2) == enumerate_paths(topo, a, b, 2), (a, b)
+        assert enumerate_paths(variant, a, b, 2) == enumerate_paths(fresh, a, b, 2), (a, b)
 
 
 def test_shortest_leg_unreachable_and_same_node():
@@ -421,6 +425,37 @@ def test_route_must_not_repeat_links(triangle):
 def test_route_must_not_revisit_sites(triangle):
     with pytest.raises(ModelError):
         Flow("f", "k", ("A->B", "B->A", "A->C")).validate(triangle, _cls("A", "C"))
+
+
+def test_a_route_given_as_a_list_is_checked_and_remembered(triangle):
+    with pytest.raises(ModelError, match="flow 'f': route repeats a link"):
+        Flow("f", "k", ["A->B", "B->A", "A->B", "B->C"]).validate(triangle, _cls("A", "C"))
+    with pytest.raises(ModelError, match="flow 'f': route revisits a site"):
+        Flow("f", "k", ["A->B", "B->A", "A->C"]).validate(triangle, _cls("A", "C"))
+    with pytest.raises(ModelError, match="flow 'f': empty route"):
+        Flow("f", "k", []).validate(triangle, _cls("A", "C"))
+    assert not triangle._simple  # a route that fails is not remembered
+    Flow("f", "k", ["A->B", "B->C"]).validate(triangle, _cls("A", "C"))
+    assert triangle._simple == {("A->B", "B->C")}
+    # A known route is still checked against its class's endpoints.
+    with pytest.raises(ModelError, match="flow 'f': route does not join class endpoints"):
+        Flow("f", "k", ("A->B", "B->C")).validate(triangle, _cls("B", "C"))
+
+
+def test_the_route_memo_is_shared_only_by_copies_of_one_layout():
+    nodes = {"A": "site", "B": "router", "C": "site"}
+    links = [L("A", "B"), L("B", "C"), L("C", "B")]
+    route = ("A->B", "B->C", "C->B")  # crosses router B twice
+    topo = Topology("t", nodes, links)
+    Flow("f", "k", route).validate(topo, _cls("A", "B"))
+    variant = topo.with_capacities({"A->B": 1.0})
+    assert variant._simple is topo._simple and route in variant._simple
+    assert variant.links is not topo.links and variant.nodes is not topo.nodes
+    # The same links with B a site: the route revisits a site, whatever the first memo holds.
+    other = Topology("t", {**nodes, "B": "site"}, links)
+    with pytest.raises(ModelError, match="route revisits a site"):
+        Flow("f", "k", route).validate(other, _cls("A", "B"))
+    assert route not in other._simple
 
 
 def test_sample_random_paths_deterministic(triangle):

@@ -1,11 +1,16 @@
 """Scenario engine, GraphML ingestion, and study tests."""
 import hashlib
 import json
-from dataclasses import replace
+import random
+from collections import Counter
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from overlaylab.model import Topology
+from overlaylab import model, scenarios
+from overlaylab.model import Flow, ModelError, Topology
+from overlaylab.planner import PlanningProblem
 from overlaylab.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
@@ -16,6 +21,7 @@ from overlaylab.scenarios import (
     load_bundled_topology,
     parse_graphml,
     random_path_study,
+    robustness_sweep,
     run_experiment,
 )
 from overlaylab.sim import DEFAULT_DT, Event
@@ -68,6 +74,110 @@ def test_bundled_topologies_load():
 def test_unknown_bundled_topology():
     with pytest.raises(ScenarioError):
         load_bundled_topology("nope")
+
+
+# sha256 of each scenario's to_json(), recorded before bundled topologies were
+# cached and scenarios kept their problem: neither may change a byte.
+SCENARIO_JSON = {
+    ("triangle-basic", 7): "fd0b20c1848b3a961fafc09ad1029de23b73762b7520c203a9433e82354b00ce",
+    ("failure-triangle", 7): "bb1c0f43bcaea3e64157a055bffb1ed0dd48367b54b0ab992659f8e8fa1779a1",
+    ("failure-large", 7): "31ee596b01e95b560bd4306832a81bde9c04fe38bfd8b72c6bee704ea52a8a58",
+    ("failure-large", 33): "d7ab9e1b39b15d7fe35089ecb32fd4f144a16ed5f2c20596db59cb1167c7a672",
+    ("failure-large", 58): "4247828f2918446ed8a40c852513e33d849f8285973f85a378579b13d010fcb1",
+    ("hop-study", 7): "0b029a2158133d9fce06584f122aaa58b9c1e88892ba42361e79b80f4929be49",
+    ("hop-study", 11): "8277137e2265a7fc79346412c11c239b1b52b13b35849d946c0d5855bc8ba0ed",
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(SCENARIO_JSON))
+def test_paper_scenario_json_is_pinned(name, seed):
+    text = build_paper_scenario(name, seed=seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_JSON[name, seed]
+
+
+def test_cached_topologies_hand_out_fresh_containers():
+    base = load_bundled_topology("abilene").to_json_dict()
+    built = {name: build_paper_scenario(name, seed=5) for name in ("failure-large", "hop-study")}
+    texts = {name: sc.to_json() for name, sc in built.items()}
+    for topo in (load_bundled_topology("abilene"), *(sc.topology for sc in built.values())):
+        topo.nodes[sorted(topo.nodes)[0]] = "site"
+        topo.nodes["extra"] = "router"
+        topo.links.pop()
+        topo.links.append(topo.links[0])
+    assert load_bundled_topology("abilene").to_json_dict() == base
+    for name, text in texts.items():
+        assert build_paper_scenario(name, seed=5).to_json() == text
+    for _ in range(2):  # a failed load is not remembered as a topology
+        with pytest.raises(ScenarioError, match="no bundled topology named 'nope'"):
+            load_bundled_topology("nope")
+
+
+def test_a_paper_pipeline_set_up_parses_once_and_checks_each_route_once(monkeypatch):
+    # The scenarios of the benchmark's paper-pipeline set-up at seed 3, from cold caches.
+    scenarios._bundled.cache_clear()
+    counts = Counter()
+    parse, fault, post_init = scenarios.parse_graphml, model._route_fault, PlanningProblem.__post_init__
+
+    def counting_fault(topology, route):
+        counts["full route checks"] += not (route and tuple(route) in topology._simple)
+        return fault(topology, route)
+
+    monkeypatch.setattr(scenarios, "parse_graphml", lambda text: counts.update(["parses"]) or parse(text))
+    monkeypatch.setattr(model, "_route_fault", counting_fault)
+    monkeypatch.setattr(PlanningProblem, "__post_init__", lambda self: counts.update(["builds"]) or post_init(self))
+    built = [build_paper_scenario(name) for name in ("triangle-basic", "failure-triangle")]
+    rng = random.Random(3)
+    for name, count in (("failure-large", 16), ("hop-study", 6)):
+        built += [build_paper_scenario(name, seed=m) for m in rng.sample(range(10**6), count)]
+    assert counts["parses"] == 1  # 22 when every scenario parsed the file
+    assert counts["full route checks"] <= 700  # 2216 when each route was checked twice per scenario
+    assert counts["builds"] == len(built) == 24  # one validated problem per scenario
+
+
+def test_a_derived_problem_equals_a_fresh_build():
+    scenario = build_paper_scenario("failure-large", seed=33)
+    dead = {e.payload["link"]: e.payload["capacity_mbps"] for e in scenario.events if e.kind == "set-capacity"}
+    kept = scenario.problem()
+    for topo in (scenario.topology, scenario.topology.with_capacities(dead)):
+        derived = scenario.problem(topo)
+        fresh = PlanningProblem(topo, scenario.classes, {k: list(v) for k, v in scenario.flows.items()})
+        assert derived.topology is topo and derived == fresh
+        assert derived.link_ids == fresh.link_ids and derived.all_flows() == fresh.all_flows()
+        for table in ("capacity", "flow_class", "incidence"):
+            a, b = getattr(derived, table), getattr(fresh, table)
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable, table
+        assert derived.incidence is kept.incidence and derived.flow_class is kept.flow_class
+    assert not np.array_equal(derived.capacity, kept.capacity)  # only capacity is new
+    # The kept problem is not a field: equality and JSON do not see it.
+    assert "_problem" not in {f.name for f in fields(Scenario)}
+    assert scenario == build_paper_scenario("failure-large", seed=33)
+
+
+def test_a_topology_with_other_links_is_validated_in_full(monkeypatch):
+    scenario = build_paper_scenario("failure-large", seed=33)
+    topo = scenario.topology
+    calls = []
+    validate = Flow.validate
+    monkeypatch.setattr(Flow, "validate", lambda self, t, c: calls.append(self.id) or validate(self, t, c))
+    # The same links in a new topology: no memo is shared, so every flow is checked.
+    rebuilt = Topology(topo.name, dict(topo.nodes), list(topo.links))
+    assert scenario.problem(rebuilt) == PlanningProblem(rebuilt, scenario.classes, dict(scenario.flows))
+    assert len(calls) == 2 * sum(len(fl) for fl in scenario.flows.values())
+    used = scenario.flows[scenario.classes[0].id][0].route[-1]
+    missing = Topology(topo.name, dict(topo.nodes), [ln for ln in topo.links if ln.id != used])
+    with pytest.raises(ModelError, match=f"unknown link id '{used}'"):
+        scenario.problem(missing)
+
+
+def test_a_scenario_validates_its_flows_only_at_construction(monkeypatch):
+    scenario = build_paper_scenario("failure-large", seed=33)
+    calls = []
+    validate = Flow.validate
+    monkeypatch.setattr(Flow, "validate", lambda self, t, c: calls.append(self.id) or validate(self, t, c))
+    run_experiment(scenario)
+    assert calls == []  # 150: the estimate, the truth and the re-plan each validated 50 flows
+    robustness_sweep((1.0, 5.0))
+    assert len(calls) <= 2  # the sweep scenario's two flows, once; 8 when every truth was validated
 
 
 def test_add_sites_attaches_one_site_per_router():

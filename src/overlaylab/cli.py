@@ -30,9 +30,9 @@ from .scenarios import (
     PAPER_SCENARIOS,
     Scenario,
     ScenarioError,
-    _bundled,
     add_sites,
     build_paper_scenario,
+    bundled_with_sites,
     hop_study,
     parse_graphml,
     random_path_study,
@@ -206,7 +206,7 @@ def _study_topologies(names: list[str]) -> dict[str, Topology]:
             base = _load_topology(name)
             key, topo = base.name, add_sites(base, uplink_mbps=30.0, core_mbps=10.0)
         else:
-            key, topo = name, _bundled(name, 30.0, 10.0).with_capacities({})
+            key, topo = name, bundled_with_sites(name, 30.0, 10.0)
         if key in out:  # a study row names its topology, so the names must differ
             raise _InputError(f"topology {key!r} is given twice")
         out[key] = topo

@@ -32,12 +32,11 @@ are reported with the minimal session count consistent with their rates.
 """
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,17 +99,6 @@ class PlanningProblem:
         self.incidence[[row[lid] for f in flows for lid in f.route], cols] = 1.0
         for table in (self.capacity, self.flow_class, self.incidence):
             table.flags.writeable = False
-
-    def with_topology(self, topology: Topology) -> "PlanningProblem":
-        """This problem on ``topology``, validated in full unless it shares this topology's
-        memos (a ``with_capacities`` copy): then only ``capacity`` is new."""
-        if topology._simple is not self.topology._simple:
-            return replace(self, topology=topology)
-        variant = copy.copy(self)
-        variant.topology = topology
-        variant.capacity = np.array([ln.capacity_mbps for ln in topology.links], dtype=float)
-        variant.capacity.flags.writeable = False
-        return variant
 
     def all_flows(self) -> list[Flow]:
         out: list[Flow] = []

@@ -108,8 +108,15 @@ def _bundled(name: str, *sites: float) -> Topology:
 
 
 def load_bundled_topology(name: str) -> Topology:
-    """A fresh copy of one of the GraphML files shipped with the package."""
-    return _bundled(name).with_capacities({})
+    """A fresh copy of one of the GraphML files shipped with the package, with memos of its own."""
+    t = _bundled(name)
+    return Topology(t.name, dict(t.nodes), list(t.links))
+
+
+def bundled_with_sites(name: str, uplink_mbps: float, core_mbps: float) -> Topology:
+    """A fresh copy of a bundled topology with sites attached (``add_sites``).  Copies of one
+    (name, uplink, core) share their memos, so their links and node kinds must never change."""
+    return _bundled(name, uplink_mbps, core_mbps).with_capacities({})
 
 
 def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 10.0) -> Topology:
@@ -136,8 +143,7 @@ def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 
 
 @dataclass
 class Scenario:
-    """A full experiment description: who talks, over what, and what changes.  It keeps
-    the problem it validates: change it by ``dataclasses.replace``, never by setting a field."""
+    """A full experiment description: who talks, over what, and what changes."""
 
     name: str
     topology: Topology  # ground truth
@@ -169,7 +175,7 @@ class Scenario:
             if not (0 <= e.t <= self.duration):
                 raise ScenarioError(f"event at t={e.t} outside [0, duration]")
         # Checks the overrides, and the classes and flows against the topology.
-        self._problem = PlanningProblem(self.estimated_topology(), self.classes, dict(self.flows))
+        self.problem()
         for e in self.events:
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
@@ -180,7 +186,11 @@ class Scenario:
         return self.topology.with_capacities(self.estimate_overrides)
 
     def problem(self, topology: Topology | None = None) -> PlanningProblem:
-        return self._problem.with_topology(topology if topology is not None else self.estimated_topology())
+        return PlanningProblem(
+            topology if topology is not None else self.estimated_topology(),
+            self.classes,
+            {k: list(v) for k, v in self.flows.items()},
+        )
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -368,7 +378,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         return Scenario(name, topo, classes, flows, events=events, duration=220.0)
 
     if name == "failure-large":
-        topo = _bundled("abilene", 10.0, 10.0).with_capacities({})
+        topo = bundled_with_sites("abilene", 10.0, 10.0)
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
         dead = _links_of_busiest_routers(_bundled("abilene"), count=2)
         events = [
@@ -417,7 +427,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         )
 
     if name in ("hop-study", "random-path-study"):
-        topo = _bundled("abilene", 30.0, 10.0).with_capacities({})
+        topo = bundled_with_sites("abilene", 30.0, 10.0)
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
         return Scenario(name, topo, classes, flows, duration=200.0)
 

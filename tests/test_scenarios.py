@@ -3,13 +3,13 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from overlaylab import model, scenarios
-from overlaylab.model import Flow, ModelError, Topology
+from overlaylab.model import ModelError, Topology
 from overlaylab.planner import PlanningProblem
 from overlaylab.scenarios import (
     PAPER_SCENARIOS,
@@ -112,72 +112,89 @@ def test_cached_topologies_hand_out_fresh_containers():
             load_bundled_topology("nope")
 
 
-def test_a_paper_pipeline_set_up_parses_once_and_checks_each_route_once(monkeypatch):
+def test_a_loaded_topology_has_memos_of_its_own():
+    topo = load_bundled_topology("abilene")
+    a, b = topo.links[0].src, topo.links[0].dst
+    back = next(ln for ln in topo.links if ln.src == b and ln.dst == a)
+    route = (topo.links[0].id, back.id)  # a -> b -> a: simple only while a is a router
+    assert model._route_fault(topo, route) is None
+    assert route in topo._simple
+    topo.nodes[a] = "site"  # outside the contract, but it must stay on this copy
+    for other in (load_bundled_topology("abilene"), scenarios._bundled("abilene")):
+        assert other._simple is not topo._simple and route not in other._simple
+    fresh = load_bundled_topology("abilene")
+    fresh.nodes[a] = "site"
+    assert model._route_fault(fresh, route) == "route revisits a site"
+
+
+@pytest.fixture
+def full_route_checks(monkeypatch):
+    """Counts the routes ``_route_fault`` checks in full, not found in a topology's memo."""
+    counts = Counter()
+    fault = model._route_fault
+
+    def counting_fault(topology, route):
+        counts["full"] += not (route and tuple(route) in topology._simple)
+        return fault(topology, route)
+
+    monkeypatch.setattr(model, "_route_fault", counting_fault)
+    return counts
+
+
+def test_a_paper_pipeline_set_up_parses_once_and_checks_each_route_once(monkeypatch, full_route_checks):
     # The scenarios of the benchmark's paper-pipeline set-up at seed 3, from cold caches.
     scenarios._bundled.cache_clear()
     counts = Counter()
-    parse, fault, post_init = scenarios.parse_graphml, model._route_fault, PlanningProblem.__post_init__
-
-    def counting_fault(topology, route):
-        counts["full route checks"] += not (route and tuple(route) in topology._simple)
-        return fault(topology, route)
-
+    parse, post_init = scenarios.parse_graphml, PlanningProblem.__post_init__
     monkeypatch.setattr(scenarios, "parse_graphml", lambda text: counts.update(["parses"]) or parse(text))
-    monkeypatch.setattr(model, "_route_fault", counting_fault)
     monkeypatch.setattr(PlanningProblem, "__post_init__", lambda self: counts.update(["builds"]) or post_init(self))
     built = [build_paper_scenario(name) for name in ("triangle-basic", "failure-triangle")]
     rng = random.Random(3)
     for name, count in (("failure-large", 16), ("hop-study", 6)):
         built += [build_paper_scenario(name, seed=m) for m in rng.sample(range(10**6), count)]
     assert counts["parses"] == 1  # 22 when every scenario parsed the file
-    assert counts["full route checks"] <= 700  # 2216 when each route was checked twice per scenario
+    assert full_route_checks["full"] <= 700  # 2216 when each route was checked twice per scenario
     assert counts["builds"] == len(built) == 24  # one validated problem per scenario
 
 
-def test_a_derived_problem_equals_a_fresh_build():
+def test_a_capacity_variant_problem_equals_a_build_with_its_own_memos():
     scenario = build_paper_scenario("failure-large", seed=33)
     dead = {e.payload["link"]: e.payload["capacity_mbps"] for e in scenario.events if e.kind == "set-capacity"}
-    kept = scenario.problem()
-    for topo in (scenario.topology, scenario.topology.with_capacities(dead)):
-        derived = scenario.problem(topo)
-        fresh = PlanningProblem(topo, scenario.classes, {k: list(v) for k, v in scenario.flows.items()})
-        assert derived.topology is topo and derived == fresh
-        assert derived.link_ids == fresh.link_ids and derived.all_flows() == fresh.all_flows()
+    flows = {k: list(v) for k, v in scenario.flows.items()}
+    for topo in (scenario.topology, scenario.topology.with_capacities(dead)):  # the truth, the re-plan's
+        shared = scenario.problem(topo)
+        fresh = PlanningProblem(Topology(topo.name, dict(topo.nodes), list(topo.links)), scenario.classes, flows)
+        assert topo._simple is scenario.topology._simple and fresh.topology._simple is not topo._simple
+        assert shared == fresh
+        assert shared.link_ids == fresh.link_ids and shared.all_flows() == fresh.all_flows()
         for table in ("capacity", "flow_class", "incidence"):
-            a, b = getattr(derived, table), getattr(fresh, table)
+            a, b = getattr(shared, table), getattr(fresh, table)
             assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable, table
-        assert derived.incidence is kept.incidence and derived.flow_class is kept.flow_class
-    assert not np.array_equal(derived.capacity, kept.capacity)  # only capacity is new
-    # The kept problem is not a field: equality and JSON do not see it.
-    assert "_problem" not in {f.name for f in fields(Scenario)}
-    assert scenario == build_paper_scenario("failure-large", seed=33)
 
 
-def test_a_topology_with_other_links_is_validated_in_full(monkeypatch):
+def test_a_topology_with_other_links_is_checked_in_full(full_route_checks):
     scenario = build_paper_scenario("failure-large", seed=33)
     topo = scenario.topology
-    calls = []
-    validate = Flow.validate
-    monkeypatch.setattr(Flow, "validate", lambda self, t, c: calls.append(self.id) or validate(self, t, c))
-    # The same links in a new topology: no memo is shared, so every flow is checked.
+    routes = {f.route for fl in scenario.flows.values() for f in fl}
+    # The same links in a new topology: no memo is shared, so every route is checked once.
     rebuilt = Topology(topo.name, dict(topo.nodes), list(topo.links))
-    assert scenario.problem(rebuilt) == PlanningProblem(rebuilt, scenario.classes, dict(scenario.flows))
-    assert len(calls) == 2 * sum(len(fl) for fl in scenario.flows.values())
+    full_route_checks.clear()
+    scenario.problem(rebuilt)
+    scenario.problem(rebuilt)
+    assert full_route_checks["full"] == len(routes)
     used = scenario.flows[scenario.classes[0].id][0].route[-1]
     missing = Topology(topo.name, dict(topo.nodes), [ln for ln in topo.links if ln.id != used])
     with pytest.raises(ModelError, match=f"unknown link id '{used}'"):
         scenario.problem(missing)
 
 
-def test_a_scenario_validates_its_flows_only_at_construction(monkeypatch):
+def test_a_scenario_checks_its_routes_in_full_only_at_construction(full_route_checks):
     scenario = build_paper_scenario("failure-large", seed=33)
-    calls = []
-    validate = Flow.validate
-    monkeypatch.setattr(Flow, "validate", lambda self, t, c: calls.append(self.id) or validate(self, t, c))
+    full_route_checks.clear()
     run_experiment(scenario)
-    assert calls == []  # 150: the estimate, the truth and the re-plan each validated 50 flows
+    assert full_route_checks["full"] == 0  # 150 when the estimate, the truth and the re-plan each checked 50
     robustness_sweep((1.0, 5.0))
-    assert len(calls) <= 2  # the sweep scenario's two flows, once; 8 when every truth was validated
+    assert full_route_checks["full"] == 2  # its scenario's two routes, as it is built; 8 when every truth checked
 
 
 def test_add_sites_attaches_one_site_per_router():

@@ -17,16 +17,21 @@ fixed step; everything is vectorized over flows with the problem's link-by-flow
 pure function of its inputs.  ``Event`` is the one timed change, shared with
 the scenario engine; ``SimTrace`` stores per sample.
 
-There is one step, over a leading batch axis of B runs of one flow layout.
-A ``Simulator`` steps a batch of one; ``run_batch`` steps event-free runs
-that share a layout, a dt and a clock together.  The link and route sums are
-stacked ``np.matmul(incidence[None], v[..., None])`` and ``np.matmul(
-incidence.T[None], p[..., None])``, which keep each run's per-run ``np.dot``
-bits in any batch; ``v @ incidence.T`` and ``einsum`` do not.  A batch of one
-takes that ``np.dot`` on 1-D views: the same bits, cheaper per call.  ``run``
-takes each free stretch (the steps up to the next sample, window test, due
-event or horizon, counted by a step-by-step loop's clock) in one ``step(k)``;
-``run_batch`` counts its clock first.  Neither calls ``Simulator.step``.
+There is one step of 15 ufunc calls and 2 sums, over a leading batch axis of
+B runs of one flow layout.  A ``Simulator`` steps a batch of one over its
+``_wx`` (weights row, rates row), so one multiply forms ``[succ; loss] * [w;
+x]``; the loss is kept negated as ``(C - m) / m`` with ``m = max(y, C)``.
+``run_batch`` steps event-free runs that share a layout, a dt and a clock
+together.  The link and route sums are stacked ``np.matmul(incidence[None],
+v[..., None])`` and ``np.matmul(incidence.T[None], p[..., None])``, which
+keep each run's per-run ``np.dot`` bits in any batch; ``v @ incidence.T``
+and ``einsum`` do not.  A batch of one calls the bound ``incidence.dot`` on
+1-D views: the same bits, cheaper per call.  ``run`` takes each free stretch
+(the steps up to the next sample, window test, due event or horizon, counted
+by a step-by-step loop's clock) in one ``step(k)``; ``run_batch`` counts its
+clock first.  Neither calls ``Simulator.step``.  A sample keeps only state;
+``run`` ends with every sample's goodputs from one batched ``success``, and
+``to_csv`` writes a sample through one ``%`` template.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -46,7 +51,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -120,20 +125,20 @@ def _check_rates(rates: dict[str, float], owner: str) -> None:
 class SimTrace:
     """Sampled time series, one entry per sample.
 
-    Flow and class ids are stored once.  Each sample keeps its time, every
-    flow's send rate and per-session goodput, the session counts and the
-    utility; ``rows`` expands them into one tuple per (sample, flow) plus one
-    aggregate row per sample.
+    Flow and class ids are stored once.  Each sample keeps its time and
+    utility, and a row each of ``send`` rates, per-session goodputs (``good``)
+    and per-flow ``sessions``; ``rows`` expands them into one tuple per
+    (sample, flow) plus one aggregate row per sample.
     """
 
     flow_ids: list[str]
     class_ids: list[str]
     class_idx: np.ndarray  # per flow, the index of its class
-    times: list[float] = field(default_factory=list)
-    send: list[np.ndarray] = field(default_factory=list)
-    good: list[np.ndarray] = field(default_factory=list)
-    sessions: list[np.ndarray] = field(default_factory=list)
-    utility: list[float] = field(default_factory=list)
+    times: list[float]
+    send: np.ndarray  # (samples, flows), as are ``good`` and ``sessions``
+    good: np.ndarray
+    sessions: np.ndarray
+    utility: list[float]
     # Simulated time at which the run last reached an exact fixed point, or
     # None if it ends off one; not part of the CSV.
     fixed_at: float | None = None
@@ -151,56 +156,65 @@ class SimTrace:
 
     def _samples(self):
         """Per sample: t, rates, goodputs, class goodputs, totals and utility."""
-        for t, x, good, n, util in zip(self.times, self.send, self.good, self.sessions, self.utility):
-            session_good = n * good
-            # bincount adds in flow order, as a running sum per class would.
-            cg = np.bincount(self.class_idx, weights=session_good).tolist()
-            yield t, x.tolist(), good.tolist(), cg, float(np.sum(n * x)), float(np.sum(session_good)), util
+        session_good = self.sessions * self.good
+        # Contiguous rows, so each total adds as np.sum of its sample does.
+        totals = ((self.sessions * self.send).sum(axis=1), session_good.sum(axis=1))
+        class_good = _class_sums(session_good, self.class_idx, int(self.class_idx.max(initial=-1)) + 1)
+        for t, *arrays, util in zip(self.times, self.send, self.good, class_good, *totals, self.utility):
+            yield t, *(a.tolist() for a in arrays), util
 
     def to_csv(self) -> str:
         # ``rows`` with each float as "%.9g", the package's one float format
-        # (``study_csv`` uses it too).  Each flow row is a template of its ids,
-        # "%" escaped, so a row formats only its two rates.
-        templates = ["%s," + f.replace("%", "%%") + ",%.9g,%.9g," + c.replace("%", "%%") + ",%s"
-                     for f, c in zip(self.flow_ids, self.class_ids)]
+        # (``study_csv`` uses it too).  A sample is one template: each flow's
+        # row with its ids ("%" escaped) filled in, then the summary row.
+        template = "".join("%s," + f.replace("%", "%%") + ",%.9g,%.9g," + c.replace("%", "%%") + ",%s"
+                           for f, c in zip(self.flow_ids, self.class_ids)) + "%s,,%.9g,%s,,%s,%s\n"
         cidx = self.class_idx.tolist()
         buf = io.StringIO()
         buf.write(self.CSV_HEADER + "\n")
         for t, x, good, cg, total_send, total_good, util in self._samples():
             t, util, total_good = "%.9g" % t, "%.9g" % util, "%.9g" % total_good
             tails = ["%.9g,%s\n" % (g, util) for g in cg]
-            buf.writelines(map(str.__mod__, templates, zip(repeat(t), x, good, map(tails.__getitem__, cidx))))
-            buf.write("%s,,%.9g,%s,,%s,%s\n" % (t, total_send, total_good, total_good, util))
+            buf.write(template % (*chain.from_iterable(zip(repeat(t), x, good, map(tails.__getitem__, cidx))),
+                                  t, total_send, total_good, total_good, util))
         return buf.getvalue()
 
     def final_goodputs(self) -> dict[str, float]:
-        return dict(zip(self.flow_ids, self.good[-1].tolist())) if self.good else {}
+        return dict(zip(self.flow_ids, self.good[-1].tolist()))
 
 
-def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
-    """``step(k=1)``, which takes k steps of the (B, F, 1) rates ``x`` in place;
-    ``success``, each flow's route success; and each link's negated loss."""
+def _class_sums(values: np.ndarray, class_idx: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row of ``values`` summed per class, added in flow order into zeros as ``np.bincount`` adds."""
+    sums = np.zeros((len(values), n_classes))
+    np.add.at(sums, (slice(None), class_idx), values)
+    return sums
+
+
+def _stepper(incidence, wx, n, capacity, gain_norm, dt):
+    """``step(k=1)``, which takes k steps of the rates ``wx[1]`` in place under the weights ``wx[0]``
+    (``wx`` is (2, B, F, 1)); ``success``, each flow's route success; and each link's negated loss."""
     dt = np.array(dt)
-    y, neg_loss, q, s, d = (np.empty(a.shape) for a in (capacity, capacity, capacity, x, x))
-    # Link and route sums; a lone run's np.dot on 1-D views adds in the
-    # stacked matmul's order (the same bits) at less cost per call.
+    x = wx[1]
+    y, neg_loss, q, sd = (np.empty(a.shape) for a in (capacity, capacity, capacity, wx))
+    s, d = sd
+    # Link and route sums; a lone run's bound ``dot`` (np.dot without its dispatcher) on 1-D
+    # views adds in the stacked matmul's order (the same bits) at less cost per call.
     if len(x) == 1:
-        link_sum = partial(np.dot, incidence, s[0, :, 0], y[0, :, 0])
-        route_sum = partial(np.dot, incidence.T, q[0, :, 0], s[0, :, 0])
+        link_sum = partial(incidence.dot, s[0, :, 0], y[0, :, 0])
+        route_sum = partial(incidence.T.dot, q[0, :, 0], s[0, :, 0])
     else:
         link_sum = partial(np.matmul, incidence[None], s, y)
         route_sum = partial(np.matmul, incidence.T[None], q, s)
     # Closure variables are the cheapest names to read, once per operation.
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-    minimum, maximum, log1p, exp = np.minimum, np.maximum, np.log1p, np.exp
+    add, sub, mul, div, maximum, log1p, exp = np.add, np.subtract, np.multiply, np.divide, np.maximum, np.log1p, np.exp
 
     def success():
-        # Loss max(y - C, 0) / max(y, C), kept negated (exact but for the sign
-        # of a zero, which nothing below can see) to save a negation.
+        # Loss max(y - C, 0) / max(y, C), kept negated as (C - m) / m with
+        # m = max(y, C): C - y where y > C, and +0.0 on an unsaturated link.
         mul(n, x, s)
         link_sum()
-        minimum(sub(capacity, y, neg_loss), _ZERO, out=neg_loss)
-        div(neg_loss, maximum(y, capacity, out=y), neg_loss)
+        maximum(y, capacity, out=y)
+        div(sub(capacity, y, neg_loss), y, neg_loss)
         log1p(maximum(neg_loss, _NEG_MAX_LOSS, out=q), q)
         route_sum()
         return exp(s, s)
@@ -208,11 +222,12 @@ def _stepper(incidence, x, w, n, capacity, gain_norm, dt):
     def step(k=1):
         # x = max(RATE_FLOOR, x + dt * gain_norm * x * (succ * w - loss * x))
         for _ in repeat(None, k):
-            succ = success()
-            sub(_ONE, succ, d)
-            sub(mul(succ, w, succ), mul(d, x, d), succ)
+            success()
+            sub(_ONE, s, d)
+            mul(sd, wx, sd)  # [succ; loss] * [w; x] in one multiply
+            sub(s, d, s)
             mul(gain_norm, x, d)
-            mul(d, succ, d)
+            mul(d, s, d)
             mul(dt, d, d)
             maximum(add(x, d, x), _RATE_FLOOR, out=x)
 
@@ -251,7 +266,9 @@ class Simulator:
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
         self.capacity = problem.capacity.copy()  # ``set_capacity`` writes into it
         self.t = 0.0
-        self.x = np.full(len(self.flows), RATE_FLOOR)
+        # The weights and rates rows, written in place by configs and events.
+        self._wx = np.full((2, len(self.flows)), RATE_FLOOR)
+        self.w, self.x = self._wx
         self._set_rates(initial_rates or {})
         self.install_config(config)
 
@@ -260,7 +277,7 @@ class Simulator:
     def install_config(self, config: TransportConfig) -> None:
         """Adopt new weights, session counts and gain; the rates carry on."""
         self.config = config
-        self.w = np.array([config.weights.get(f.id, 0.0) for f in self.flows])
+        self.w[:] = [config.weights.get(f.id, 0.0) for f in self.flows]
         # Sessions per class, a class without flows included; ``n`` is per flow.
         self.sessions = {c.id: config.sessions.get(c.id, 0) for c in self.problem.classes}
         self.n = np.array([float(self.sessions[k]) for k in self._class_ids])
@@ -268,7 +285,7 @@ class Simulator:
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
         # A batch of one over views, so in-place writes by events reach it.
         self._step, self._success, self._neg_loss = _stepper(
-            self.incidence, *(a.reshape(1, -1, 1) for a in (self.x, self.w, self.n, self.capacity)),
+            self.incidence, self._wx[:, None, :, None], self.n[None, :, None], self.capacity[None, :, None],
             np.array(self.gain_norm), self.dt)
 
     def _set_rates(self, rates: dict[str, float]) -> None:
@@ -309,13 +326,14 @@ class Simulator:
         return self.x * self._success()[0, :, 0]
 
     def utility(self) -> float:
-        return self._utility(self.goodputs())
+        return self._utilities(self.goodputs()[None], [self.sessions])[0]
 
-    def _utility(self, goodputs: np.ndarray) -> float:
+    def _utilities(self, goodputs: np.ndarray, sessions: list[dict]) -> list[float]:
+        """The utility of each row of per-session goodputs under its session counts, each a
+        ``self.sessions`` dict (keyed by class, in the problem's class order)."""
         classes = self.problem.classes
-        # bincount adds in flow order, as a running sum per class would.
-        good = np.bincount(self._class_idx, weights=goodputs).tolist()
-        return cumulative_utility(classes, self.sessions, {c.id: g for c, g in zip(classes, good)})
+        good = _class_sums(goodputs, self._class_idx, len(classes)).tolist()
+        return [cumulative_utility(classes, n, dict(zip(n, g))) for n, g in zip(sessions, good)]
 
     # -- runs -------------------------------------------------------------
 
@@ -339,20 +357,19 @@ class Simulator:
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
         _check_duration(duration)
         events = sorted(events or [], key=lambda e: e.t)
-        trace = SimTrace(self._flow_ids, self._class_ids, self._class_idx)
-        ei = 0
+        samples, fixed_at, ei = [], None, 0
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
         sample_steps = max(1, int(round(sample_every / self.dt)))
         steps = 0
         frozen = False
-        self._sample(trace)
+        self._sample(samples)
         end, n_events, dt, t = self.t + duration - 1e-12, len(events), self.dt, self.t
         while t < end:
             while ei < n_events and events[ei].t <= t + 1e-12:
                 self._apply(events[ei])
                 steps = 0
                 frozen = False
-                trace.fixed_at = None
+                fixed_at = None
                 ei += 1
             # A free stretch: the steps to the next sample, window test, due
             # event or horizon, counted with a step-by-step run's additions; a
@@ -372,13 +389,20 @@ class Simulator:
             steps += k
             self.t = t
             if steps % sample_steps == 0:
-                self._sample(trace)
+                self._sample(samples)
             if steps % window == 0 and not frozen and np.array_equal(self.x, before):
                 frozen = True
-                trace.fixed_at = t
+                fixed_at = t
         if steps % sample_steps != 0:
-            self._sample(trace)
-        return trace
+            self._sample(samples)
+        # Every sample's route success in one batch, which keeps each sample's own bits.
+        times, x, n, capacity, sessions = zip(*samples)
+        x, n = np.array(x), np.array(n)
+        success = _stepper(self.incidence, np.stack([np.zeros_like(x), x])[..., None], n[..., None],
+                           np.array(capacity)[..., None], _ZERO, self.dt)[1]
+        good = x * success()[..., 0]
+        return SimTrace(self._flow_ids, self._class_ids, self._class_idx, list(times), x, good, n,
+                        self._utilities(good, sessions), fixed_at)
 
     def _apply(self, ev: Event) -> None:
         if ev.kind == "set-capacity":
@@ -392,13 +416,9 @@ class Simulator:
         else:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 
-    def _sample(self, trace: SimTrace) -> None:
-        trace.times.append(round(self.t, 9))
-        trace.send.append(self.x.copy())
-        good = self.goodputs()
-        trace.good.append(good)
-        trace.sessions.append(self.n.copy())
-        trace.utility.append(self._utility(good))
+    def _sample(self, samples: list) -> None:
+        """Keep what the trace needs of this moment; ``run`` derives the rest."""
+        samples.append((round(self.t, 9), self.x.copy(), self.n.copy(), self.capacity.copy(), self.sessions.copy()))
 
 
 def _check_duration(duration: float) -> None:
@@ -421,14 +441,14 @@ def run_batch(sims: list[Simulator], duration: float) -> None:
     _check_duration(duration)
     if any(s.dt != first.dt or s.t != first.t or not np.array_equal(s.incidence, first.incidence) for s in sims):
         raise ValueError("batched runs must share a flow layout, a dt and a clock")
-    x, w, n, capacity = (np.stack([getattr(sim, a) for sim in sims])[..., None] for a in ("x", "w", "n", "capacity"))
-    step = _stepper(first.incidence, x, w, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
+    wx, n, capacity = (np.stack([getattr(sim, a) for sim in sims], -2)[..., None] for a in ("_wx", "n", "capacity"))
+    step = _stepper(first.incidence, wx, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
                     first.dt)[0]
     t, dt, end, k = first.t, first.dt, first.t + duration - 1e-12, 0
     while t < end:
         t += dt
         k += 1
     step(k)
-    for sim, rates in zip(sims, x):
-        sim.x[:] = rates[:, 0]
+    for sim, rates in zip(sims, wx[1, :, :, 0]):
+        sim.x[:] = rates
         sim.t = t

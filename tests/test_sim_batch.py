@@ -153,13 +153,14 @@ def test_stacked_sums_equal_per_run_dot_on_failure_large(seed):
     inc = sims[0].incidence
     assert inc.shape == (50, 50) and inc.sum(axis=1).max() >= 20
     rng = np.random.default_rng(seed)
-    for size in (1, 2, 16, 64):
+    for size in (1, 2, 16, 64, 256):
         runs = [sims[b % len(sims)] for b in range(size)]
         # Rates off the plan's, so that many links are loaded and each sum
         # has terms of many magnitudes.
         x = np.stack([s.x for s in runs]) * rng.uniform(0.5, 2.0, (size, 50))
         w, n, cap = (np.stack([getattr(s, a) for s in runs]) for a in ("w", "n", "capacity"))
-        _, success, neg_loss = _stepper(inc, *(a[..., None] for a in (x, w, n, cap)), np.array(1.0), 0.05)
+        wx = np.stack([w, x])
+        _, success, neg_loss = _stepper(inc, *(a[..., None] for a in (wx, n, cap)), np.array(1.0), 0.05)
         succ = success()[..., 0]
         for b in range(size):
             # The per-run sums of the simulator before the batch axis.

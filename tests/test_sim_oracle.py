@@ -85,7 +85,7 @@ def assert_same_state(sim, ref):
 
 @pytest.mark.parametrize(
     "name, seed",
-    [("triangle-basic", 7), ("failure-triangle", 7), ("failure-large", 7), ("failure-large", 15)],
+    [("triangle-basic", 7), ("failure-triangle", 7), ("failure-large", 7), ("failure-large", 15), ("hop-study", 7)],
 )
 def test_experiment_matches_reference(monkeypatch, name, seed):
     scenario = scenarios.build_paper_scenario(name, seed=seed)
@@ -290,6 +290,32 @@ def test_a_class_without_flows_matches_reference():
     assert want.utility[:2] == pytest.approx([3.5, 3.5])
     assert want.utility[-1] == pytest.approx(2.5)
     assert_same_run(sim, trace, ref, want)
+
+
+def assert_same_trace(sim, trace, ref, want):
+    assert_same_run(sim, trace, ref, want)
+    assert trace.utility == want.utility
+    assert trace.final_goodputs() == want.final_goodputs()
+
+
+def test_a_network_without_flows_matches_reference():
+    # No class has a route: every sample is one summary row of zeros, and
+    # the utility is ac's 2 sessions at U(0) = 0.5.
+    classes = [TrafficClass("ac", "A", "C", 2, PiecewiseLinearUtility.from_points([(0.0, 0.1, 0.5)]))]
+    problem = PlanningProblem(triangle_topology(), classes, {"ac": []})
+    config = compute_weights(problem, solve_plan(problem))
+    sim, trace, ref, want = run_both(lambda cls: cls(problem, config), duration=3.0, sample_every=0.5)
+    assert len(sim.flows) == 0 and len(trace.times) == 7
+    assert trace.final_goodputs() == {}
+    assert trace.utility == [1.0] * 7
+    assert_same_trace(sim, trace, ref, want)
+
+
+def test_a_zero_duration_run_matches_reference():
+    # One sample, at the start, and not a step.
+    sim, trace, ref, want = run_both(fast_one_flow, duration=0.0)
+    assert trace.times == [0.0] and sim.t == 0.0
+    assert_same_trace(sim, trace, ref, want)
 
 
 def test_csv_keeps_ids_with_format_characters():

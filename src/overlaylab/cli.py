@@ -20,12 +20,7 @@ from .model import (
     json_object,
     numbered_flows,
 )
-from .planner import (
-    Plan,
-    PlanningProblem,
-    check_kkt,
-    solve_plan,
-)
+from .planner import Plan, PlanningProblem, check_kkt, check_plan_ids, solve_plan
 from .scenarios import (
     PAPER_SCENARIOS,
     Scenario,
@@ -122,17 +117,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     problem = _load_problem(args.topology, args.classes, args.max_hops)
     plan = _load(args.plan, Plan.from_json_dict)
-    for lid in plan.duals:
-        if not problem.topology.has_link(lid):
-            raise _InputError(f"plan references unknown link {lid!r}")
-    flow_ids = {f.id for f in problem.all_flows()}
-    for fid in plan.rates:
-        if fid not in flow_ids:
-            raise _InputError(f"plan references unknown flow {fid!r}")
-    class_ids = {c.id for c in problem.classes}
-    for cid in plan.n:
-        if cid not in class_ids:
-            raise _InputError(f"plan references unknown class {cid!r}")
+    check_plan_ids(problem, plan)
     report = check_kkt(problem, plan)
     rows = [
         ("feasibility", report.feasibility),

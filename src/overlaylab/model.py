@@ -3,7 +3,7 @@
 Rates are real Mbps throughout; there is no packet-level accounting here.
 All types are plain values and all functions are pure, but for two memos a ``Topology``
 shares with its copies of the same links: a breadth-first tree per source and the routes
-found overlay-simple.  Links and node kinds never change after construction, and a race
+found overlay-simple.  A topology is frozen, its nodes and links read-only, and a race
 only repeats a deterministic fill, so this module is safe to share across threads.
 """
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import permutations
+from types import MappingProxyType
 
 INF = math.inf
 
@@ -84,22 +86,26 @@ def link_id(src: str, dst: str) -> str:
     return f"{src}->{dst}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
     """Directed links between nodes; nodes are tagged ``site`` or ``router``.
 
     A second instance of the same type holds the planner's *estimate* of the
     network when estimate and truth differ.  ``out_links`` maps each node to its
-    outgoing links sorted by far end.  The memos, ``tree``'s one search per source
-    and the routes found overlay-simple, are shared with ``with_capacities`` copies.
-    None is a field, and all assume the links and node kinds never change.
+    outgoing links sorted by far end.  A topology is frozen, with ``nodes`` stored as a
+    read-only mapping and ``links`` as a tuple, so the memos hold: ``tree``'s one search
+    per source and the routes found overlay-simple.  None is a field; ``with_capacities``
+    copies share them.
     """
 
     name: str
-    nodes: dict[str, str]  # node id -> SITE | ROUTER
-    links: list[Link] = field(default_factory=list)
+    nodes: Mapping[str, str]  # node id -> SITE | ROUTER
+    links: tuple[Link, ...] = ()
 
     def __post_init__(self):
+        # The dataclass is frozen, so attributes are set through object.__setattr__.
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "links", tuple(self.links))
         seen: set[tuple[str, str]] = set()
         check_id(self.name, "topology name")
         for node, kind in self.nodes.items():
@@ -113,15 +119,15 @@ class Topology:
             if pair in seen:
                 raise ModelError(f"duplicate directed link {pair}")
             seen.add(pair)
-        self._by_id = {ln.id: ln for ln in self.links}
+        object.__setattr__(self, "_by_id", {ln.id: ln for ln in self.links})
         if len(self._by_id) != len(self.links):
             raise ModelError("duplicate link id")
         out: dict[str, list[Link]] = {n: [] for n in self.nodes}
         for ln in sorted(self.links, key=lambda ln: ln.dst):
             out[ln.src].append(ln)
-        self.out_links = {n: tuple(lns) for n, lns in out.items()}
-        self._trees: dict[str, dict[str, str | None]] = {}
-        self._simple: set[tuple[str, ...]] = set()
+        object.__setattr__(self, "out_links", {n: tuple(lns) for n, lns in out.items()})
+        object.__setattr__(self, "_trees", {})  # source -> its breadth-first tree
+        object.__setattr__(self, "_simple", set())  # routes found overlay-simple
 
     # -- lookups -----------------------------------------------------------
 
@@ -159,8 +165,9 @@ class Topology:
             Link(ln.id, ln.src, ln.dst, overrides[ln.id]) if ln.id in overrides else ln
             for ln in self.links
         ]
-        copy = Topology(self.name, dict(self.nodes), links)
-        copy._trees, copy._simple = self._trees, self._simple
+        copy = Topology(self.name, self.nodes, links)
+        object.__setattr__(copy, "_trees", self._trees)
+        object.__setattr__(copy, "_simple", self._simple)
         return copy
 
     # -- JSON --------------------------------------------------------------
@@ -179,7 +186,11 @@ class Topology:
     @staticmethod
     def from_json_dict(obj: dict) -> "Topology":
         """Read a topology; a top-level ``directed`` is each link's default."""
-        nodes = {n["id"]: n.get("kind", ROUTER) for n in obj["nodes"]}
+        nodes: dict[str, str] = {}
+        for n in obj["nodes"]:
+            if n["id"] in nodes:
+                raise ModelError(f"duplicate node id {n['id']!r}")
+            nodes[n["id"]] = n.get("kind", ROUTER)
         links: list[Link] = []
         directed = json_bool(obj.get("directed", False), "directed")
         for e in obj["links"]:

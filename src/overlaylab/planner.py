@@ -36,7 +36,9 @@ import heapq
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,22 +59,26 @@ FEAS_TOL = 1e-7
 KKT_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanningProblem:
     """Estimated topology plus traffic classes and their candidate flows.
 
-    The flow layout shared by the planner's LPs, the KKT check and the
-    simulator is built once, read-only and outside the dataclass fields:
-    ``link_ids`` in topology order, ``capacity`` (the link capacities in that
-    order), ``flow_class`` (each flow's class index, in ``all_flows()``
-    order) and the 0/1 link-by-flow ``incidence`` of the routes.
+    A problem is frozen, with ``classes`` stored as a tuple and ``flows`` as a
+    read-only mapping from each class id, in class order, to a tuple; neither
+    is the caller's container.  The flow layout shared by the planner's LPs,
+    the KKT check and the simulator is built once, read-only and outside the
+    dataclass fields: ``link_ids`` in topology order, ``capacity`` (the link
+    capacities in that order), ``flow_class`` (each flow's class index, in
+    ``all_flows()`` order) and the 0/1 link-by-flow ``incidence`` of the routes.
     """
 
     topology: Topology
-    classes: list[TrafficClass]
-    flows: dict[str, list[Flow]]  # class id -> flows
+    classes: tuple[TrafficClass, ...]
+    flows: Mapping[str, tuple[Flow, ...]]  # class id -> flows
 
     def __post_init__(self):
+        # The dataclass is frozen, so attributes are set through object.__setattr__.
+        object.__setattr__(self, "classes", tuple(self.classes))
         by_id = {c.id: c for c in self.classes}
         if len(by_id) != len(self.classes):
             raise ModelError("duplicate class id")
@@ -86,25 +92,22 @@ class PlanningProblem:
                 if f.class_id != k:
                     raise ModelError(f"flow {f.id!r} listed under wrong class")
                 f.validate(self.topology, by_id[k])
-        for c in self.classes:
-            self.flows.setdefault(c.id, [])
-        self.link_ids = tuple(ln.id for ln in self.topology.links)
-        self.capacity = np.array([ln.capacity_mbps for ln in self.topology.links], dtype=float)
+        by_class = MappingProxyType({k: tuple(self.flows.get(k, ())) for k in by_id})
+        object.__setattr__(self, "flows", by_class)
+        object.__setattr__(self, "link_ids", tuple(ln.id for ln in self.topology.links))
+        capacity = np.array([ln.capacity_mbps for ln in self.topology.links], dtype=float)
         row = {lid: i for i, lid in enumerate(self.link_ids)}
         flows = self.all_flows()
-        sizes = [len(self.flows[c.id]) for c in self.classes]
-        self.flow_class = np.repeat(np.arange(len(self.classes)), sizes)
-        self.incidence = np.zeros((len(self.link_ids), len(flows)))
+        flow_class = np.repeat(np.arange(len(self.classes)), [len(fl) for fl in self.flows.values()])
+        incidence = np.zeros((len(self.link_ids), len(flows)))
         cols = np.repeat(np.arange(len(flows)), [len(f.route) for f in flows])
-        self.incidence[[row[lid] for f in flows for lid in f.route], cols] = 1.0
-        for table in (self.capacity, self.flow_class, self.incidence):
+        incidence[[row[lid] for f in flows for lid in f.route], cols] = 1.0
+        for name, table in (("capacity", capacity), ("flow_class", flow_class), ("incidence", incidence)):
             table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def all_flows(self) -> list[Flow]:
-        out: list[Flow] = []
-        for c in self.classes:
-            out.extend(self.flows[c.id])
-        return out
+        return [f for fl in self.flows.values() for f in fl]
 
 
 @dataclass
@@ -121,10 +124,7 @@ class Plan:
     gap: float = field(default=0.0, compare=False)
 
     def aggregate_rates(self, problem: PlanningProblem) -> dict[str, float]:
-        return {
-            c.id: sum(self.rates.get(f.id, 0.0) for f in problem.flows[c.id])
-            for c in problem.classes
-        }
+        return {k: sum(self.rates.get(f.id, 0.0) for f in fl) for k, fl in problem.flows.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -582,6 +582,18 @@ def _worst(residuals: list[float]) -> float:
     """Largest residual, floored at +0.0; NaN if any residual is NaN."""
     # Adding +0.0 turns a -0.0 maximum into +0.0 and keeps NaN.
     return float(np.max(np.array(residuals, dtype=float), initial=0.0)) + 0.0
+
+
+def check_plan_ids(problem: PlanningProblem, plan: Plan) -> None:
+    """A ``ModelError`` if ``plan`` names a link, flow or class that ``problem`` lacks."""
+    for kind, keys, known in (
+        ("link", plan.duals, set(problem.link_ids)),
+        ("flow", plan.rates, {f.id for f in problem.all_flows()}),
+        ("class", plan.n, {c.id for c in problem.classes}),
+    ):
+        for key in keys:
+            if key not in known:
+                raise ModelError(f"plan references unknown {kind} {key!r}")
 
 
 def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:

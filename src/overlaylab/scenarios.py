@@ -31,7 +31,7 @@ from .model import (
     numbered_flows,
     sample_random_paths,
 )
-from .planner import Plan, PlanningProblem, solve_plan
+from .planner import Plan, PlanningProblem, check_plan_ids, solve_plan
 from .sim import DEFAULT_DT, Event, SimTrace, Simulator, run_batch
 from .weights import DEFAULT_GAIN, compute_weights
 
@@ -96,10 +96,8 @@ def parse_graphml(text: str | bytes) -> Topology:
 
 
 @functools.cache
-def _bundled(name: str, *sites: float) -> Topology:
-    """A bundled topology, parsed once, with sites at (uplink, core) Mbps if given; only copies leave."""
-    if sites:
-        return add_sites(_bundled(name), *sites)
+def load_bundled_topology(name: str) -> Topology:
+    """One of the GraphML files shipped with the package, parsed once: each call returns that topology."""
     path = importlib.resources.files("overlaylab").joinpath(f"data/{name}.graphml")
     try:
         return parse_graphml(path.read_text())
@@ -107,16 +105,10 @@ def _bundled(name: str, *sites: float) -> Topology:
         raise ScenarioError(f"no bundled topology named {name!r}") from None
 
 
-def load_bundled_topology(name: str) -> Topology:
-    """A fresh copy of one of the GraphML files shipped with the package, with memos of its own."""
-    t = _bundled(name)
-    return Topology(t.name, dict(t.nodes), list(t.links))
-
-
+@functools.cache
 def bundled_with_sites(name: str, uplink_mbps: float, core_mbps: float) -> Topology:
-    """A fresh copy of a bundled topology with sites attached (``add_sites``).  Copies of one
-    (name, uplink, core) share their memos, so their links and node kinds must never change."""
-    return _bundled(name, uplink_mbps, core_mbps).with_capacities({})
+    """A bundled topology with sites attached (``add_sites``), built once per (name, uplink, core)."""
+    return add_sites(load_bundled_topology(name), uplink_mbps, core_mbps)
 
 
 def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 10.0) -> Topology:
@@ -174,23 +166,21 @@ class Scenario:
         for e in self.events:
             if not (0 <= e.t <= self.duration):
                 raise ScenarioError(f"event at t={e.t} outside [0, duration]")
-        # Checks the overrides, and the classes and flows against the topology.
-        self.problem()
+        # Checks the overrides, the classes and flows against the topology, and the plan's ids.
+        problem = self.problem()
+        if self.pinned_plan is not None:
+            check_plan_ids(problem, self.pinned_plan)
         for e in self.events:
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
             if e.kind == "set-sessions" and e.payload["class"] not in {c.id for c in self.classes}:
                 raise ScenarioError(f"event references unknown class {e.payload['class']!r}")
 
-    def estimated_topology(self) -> Topology:
-        return self.topology.with_capacities(self.estimate_overrides)
-
     def problem(self, topology: Topology | None = None) -> PlanningProblem:
-        return PlanningProblem(
-            topology if topology is not None else self.estimated_topology(),
-            self.classes,
-            {k: list(v) for k, v in self.flows.items()},
-        )
+        """The problem on ``topology``, by default the estimate: the truth with ``estimate_overrides``."""
+        if topology is None:
+            topology = self.topology.with_capacities(self.estimate_overrides)
+        return PlanningProblem(topology, self.classes, self.flows)
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -380,7 +370,7 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
     if name == "failure-large":
         topo = bundled_with_sites("abilene", 10.0, 10.0)
         classes, flows = _study_classes(topo, seed=seed, max_hops=2)
-        dead = _links_of_busiest_routers(_bundled("abilene"), count=2)
+        dead = _links_of_busiest_routers(load_bundled_topology("abilene"), count=2)
         events = [
             Event(40.0, "set-capacity", {"link": lid, "capacity_mbps": 0.001})
             for lid in dead

@@ -456,6 +456,20 @@ HOLES = {
         "topology", {**TOPOLOGY, "nodes": [*TOPOLOGY["nodes"], {"id": "D\nE", "kind": "router"}]},
         "node id must be a non-empty string without , \" CR or LF, got 'D\\nE'",
     ),
+    # A repeated node id used to keep its last kind: A read as a router.
+    "duplicate-node-id": (
+        "topology", {**TOPOLOGY, "nodes": [*TOPOLOGY["nodes"], {"id": "A", "kind": "router"}]},
+        "duplicate node id 'A'",
+    ),
+    # A pinned plan's ids are checked as `check` checks a plan's.
+    "pinned-plan-unknown-flow": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "rates", "hi:typo"), 1.0)),
+        "plan references unknown flow 'hi:typo'",
+    ),
+    "pinned-plan-unknown-class": (
+        "scenario", _scenario("demand-sweep", (("pinned_plan", "n", "nope"), 1)),
+        "plan references unknown class 'nope'",
+    ),
 }
 
 

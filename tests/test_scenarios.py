@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from overlaylab.scenarios import (
     ScenarioError,
     add_sites,
     build_paper_scenario,
+    bundled_with_sites,
     hop_study,
     load_bundled_topology,
     parse_graphml,
@@ -95,36 +96,36 @@ def test_paper_scenario_json_is_pinned(name, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_JSON[name, seed]
 
 
-def test_cached_topologies_hand_out_fresh_containers():
-    base = load_bundled_topology("abilene").to_json_dict()
-    built = {name: build_paper_scenario(name, seed=5) for name in ("failure-large", "hop-study")}
-    texts = {name: sc.to_json() for name, sc in built.items()}
-    for topo in (load_bundled_topology("abilene"), *(sc.topology for sc in built.values())):
-        topo.nodes[sorted(topo.nodes)[0]] = "site"
-        topo.nodes["extra"] = "router"
-        topo.links.pop()
-        topo.links.append(topo.links[0])
-    assert load_bundled_topology("abilene").to_json_dict() == base
-    for name, text in texts.items():
-        assert build_paper_scenario(name, seed=5).to_json() == text
+def test_topologies_and_problems_are_read_only_and_loads_are_shared():
+    topo = load_bundled_topology("abilene")
+    assert load_bundled_topology("abilene") is topo
     for _ in range(2):  # a failed load is not remembered as a topology
         with pytest.raises(ScenarioError, match="no bundled topology named 'nope'"):
             load_bundled_topology("nope")
-
-
-def test_a_loaded_topology_has_memos_of_its_own():
-    topo = load_bundled_topology("abilene")
-    a, b = topo.links[0].src, topo.links[0].dst
-    back = next(ln for ln in topo.links if ln.src == b and ln.dst == a)
-    route = (topo.links[0].id, back.id)  # a -> b -> a: simple only while a is a router
-    assert model._route_fault(topo, route) is None
-    assert route in topo._simple
-    topo.nodes[a] = "site"  # outside the contract, but it must stay on this copy
-    for other in (load_bundled_topology("abilene"), scenarios._bundled("abilene")):
-        assert other._simple is not topo._simple and route not in other._simple
-    fresh = load_bundled_topology("abilene")
-    fresh.nodes[a] = "site"
-    assert model._route_fault(fresh, route) == "route revisits a site"
+    scenario = build_paper_scenario("failure-large", seed=5)
+    shared = bundled_with_sites("abilene", 10.0, 10.0)
+    assert scenario.topology is shared is build_paper_scenario("failure-large").topology
+    classes, flows = list(scenario.classes), {k: list(v) for k, v in scenario.flows.items()}
+    del flows[classes[-1].id]  # a class without flows
+    before = (list(classes), {k: list(v) for k, v in flows.items()})
+    problem = PlanningProblem(scenario.topology, classes, flows)
+    assert (classes, flows) == before and problem.flows[classes[-1].id] == ()
+    assert problem.classes is not classes and problem.flows is not flows
+    assert not any(problem.flows[k] is fl for k, fl in flows.items())
+    flows[classes[0].id].append(flows[classes[0].id][0])  # leaves the problem's layout as it is
+    assert len(problem.all_flows()) == problem.incidence.shape[1]
+    for table in (topo.nodes, problem.flows):
+        with pytest.raises(TypeError):
+            table["extra"] = ()
+    for seq in (topo.links, problem.classes, problem.flows[classes[0].id]):
+        with pytest.raises(AttributeError):
+            seq.append(seq[0])
+    for value, name in ((topo, "nodes"), (topo, "links"), (problem, "classes"), (problem, "flows")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    truth = scenario.topology
+    variant = truth.with_capacities({truth.links[0].id: 1.0})
+    assert variant._trees is truth._trees and variant._simple is truth._simple
 
 
 @pytest.fixture
@@ -143,7 +144,8 @@ def full_route_checks(monkeypatch):
 
 def test_a_paper_pipeline_set_up_parses_once_and_checks_each_route_once(monkeypatch, full_route_checks):
     # The scenarios of the benchmark's paper-pipeline set-up at seed 3, from cold caches.
-    scenarios._bundled.cache_clear()
+    scenarios.load_bundled_topology.cache_clear()
+    scenarios.bundled_with_sites.cache_clear()
     counts = Counter()
     parse, post_init = scenarios.parse_graphml, PlanningProblem.__post_init__
     monkeypatch.setattr(scenarios, "parse_graphml", lambda text: counts.update(["parses"]) or parse(text))

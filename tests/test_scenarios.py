@@ -96,12 +96,46 @@ def test_paper_scenario_json_is_pinned(name, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_JSON[name, seed]
 
 
-def test_topologies_and_problems_are_read_only_and_loads_are_shared():
-    topo = load_bundled_topology("abilene")
-    assert load_bundled_topology("abilene") is topo
+def test_cached_topologies_hand_out_fresh_containers():
+    # Loads share one topology, so its containers are read-only: no caller can change another's.
+    base = load_bundled_topology("abilene").to_json_dict()
+    built = {name: build_paper_scenario(name, seed=5) for name in ("failure-large", "hop-study")}
+    texts = {name: sc.to_json() for name, sc in built.items()}
+    for topo in (load_bundled_topology("abilene"), *(sc.topology for sc in built.values())):
+        with pytest.raises(TypeError):
+            topo.nodes[sorted(topo.nodes)[0]] = "site"
+        with pytest.raises(TypeError):
+            topo.nodes["extra"] = "router"
+        with pytest.raises(AttributeError):
+            topo.links.pop()
+        with pytest.raises(AttributeError):
+            topo.links.append(topo.links[0])
+    assert load_bundled_topology("abilene").to_json_dict() == base
+    for name, text in texts.items():
+        assert build_paper_scenario(name, seed=5).to_json() == text
     for _ in range(2):  # a failed load is not remembered as a topology
         with pytest.raises(ScenarioError, match="no bundled topology named 'nope'"):
             load_bundled_topology("nope")
+
+
+def test_a_loaded_topology_has_memos_of_its_own():
+    topo = load_bundled_topology("abilene")
+    a, b = topo.links[0].src, topo.links[0].dst
+    back = next(ln for ln in topo.links if ln.src == b and ln.dst == a)
+    route = (topo.links[0].id, back.id)  # a -> b -> a: simple only while a is a router
+    assert model._route_fault(topo, route) is None
+    assert route in topo._simple
+    with pytest.raises(TypeError):  # the memo holds because a node's kind cannot change
+        topo.nodes[a] = "site"
+    assert model._route_fault(load_bundled_topology("abilene"), route) is None
+    fresh = Topology(topo.name, {**topo.nodes, a: "site"}, topo.links)
+    assert fresh._simple is not topo._simple and route not in fresh._simple
+    assert model._route_fault(fresh, route) == "route revisits a site"
+
+
+def test_topologies_and_problems_are_read_only_and_loads_are_shared():
+    topo = load_bundled_topology("abilene")
+    assert load_bundled_topology("abilene") is topo
     scenario = build_paper_scenario("failure-large", seed=5)
     shared = bundled_with_sites("abilene", 10.0, 10.0)
     assert scenario.topology is shared is build_paper_scenario("failure-large").topology

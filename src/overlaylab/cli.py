@@ -200,7 +200,7 @@ def _study_topologies(names: list[str]) -> dict[str, Topology]:
 
 def cmd_hops(args) -> int:
     topos = _study_topologies(args.topologies)
-    rows = hop_study(topos, hop_limits=tuple(range(1, args.max_hops + 1)), seed=args.seed)
+    rows = hop_study(topos, max_hops=args.max_hops, seed=args.seed)
     sys.stdout.write(study_csv(rows, "topology,hops,utility"))
     return EXIT_OK
 

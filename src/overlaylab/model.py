@@ -39,6 +39,8 @@ class Link:
         if self.src == self.dst:
             raise ModelError(f"link {self.id!r}: self-loop {self.src!r}")
         check_capacity(self.capacity_mbps, f"link {self.id!r}")
+        # Stored as a float, so equal links (and the caches keyed by them) write equal JSON.
+        object.__setattr__(self, "capacity_mbps", float(self.capacity_mbps))
 
 
 def check_capacity(value: float, owner: str) -> None:
@@ -137,9 +139,6 @@ class Topology:
         except KeyError:
             raise ModelError(f"unknown link id {lid!r}") from None
 
-    def has_link(self, lid: str) -> bool:
-        return lid in self._by_id
-
     def sites(self) -> list[str]:
         return sorted(n for n, k in self.nodes.items() if k == SITE)
 
@@ -218,15 +217,21 @@ class Piece:
         return self.a * x + self.b
 
 
+@dataclass(frozen=True)
 class PiecewiseLinearUtility:
     """Non-decreasing piecewise-linear utility over rates in [0, inf).
 
     Pieces tile [0, inf) without gaps.  At a breakpoint the *left* piece's
     value is used, so upward jump discontinuities are representable while
-    downward jumps are rejected.
+    downward jumps are rejected.  A utility is frozen and keeps its pieces as a
+    tuple, so the tiling holds for as long as it lives.
     """
 
-    def __init__(self, pieces: list[Piece]):
+    pieces: tuple[Piece, ...]
+
+    def __post_init__(self):
+        pieces = tuple(self.pieces)
+        object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ModelError("utility needs at least one piece")
         if pieces[0].x_lo != 0.0:
@@ -248,7 +253,6 @@ class PiecewiseLinearUtility:
             right_limit = q.value(p.x_hi)
             if right_limit < left - 1e-12:
                 raise ModelError("downward jump at breakpoint")
-        self.pieces = list(pieces)
 
     @staticmethod
     def linear(slope: float) -> "PiecewiseLinearUtility":
@@ -313,14 +317,8 @@ class PiecewiseLinearUtility:
         ]
         return PiecewiseLinearUtility(pieces)
 
-    def __eq__(self, other):
-        return isinstance(other, PiecewiseLinearUtility) and self.pieces == other.pieces
 
-    def __repr__(self):
-        return f"PiecewiseLinearUtility({self.pieces!r})"
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrafficClass:
     """Sessions of one type between a source and a destination site."""
 

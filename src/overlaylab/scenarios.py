@@ -170,11 +170,14 @@ class Scenario:
         problem = self.problem()
         if self.pinned_plan is not None:
             check_plan_ids(problem, self.pinned_plan)
-        for e in self.events:
+        for i, e in enumerate(self.events):
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
             if e.kind == "set-sessions" and e.payload["class"] not in {c.id for c in self.classes}:
                 raise ScenarioError(f"event references unknown class {e.payload['class']!r}")
+            if e.kind == "install-config":
+                # run_experiment makes this kind from each re-plan; a scenario has no form for its config.
+                raise ScenarioError(f"event #{i} (install-config at t={e.t}): a scenario re-plans by rerun-planner")
 
     def problem(self, topology: Topology | None = None) -> PlanningProblem:
         """The problem on ``topology``, by default the estimate: the truth with ``estimate_overrides``."""
@@ -185,12 +188,6 @@ class Scenario:
     # -- JSON round trip ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        for i, e in enumerate(self.events):
-            if e.kind == "install-config":
-                # Scenario JSON has no form for a TransportConfig payload.
-                raise ScenarioError(
-                    f"event #{i} (install-config at t={e.t}) cannot be written as JSON"
-                )
         return {
             "name": self.name,
             "topology": self.topology.to_json_dict(),
@@ -476,21 +473,18 @@ def _study_classes(
 
 def hop_study(
     topologies: dict[str, Topology],
-    hop_limits: tuple[int, ...] = (1, 2, 3, 4),
+    max_hops: int = 4,
     seed: int = 7,
 ) -> list[tuple[str, int, float]]:
-    """Optimal utility per (topology, hop limit), for strictly increasing limits >= 1;
-    monotone in the limit."""
-    if not hop_limits or min(hop_limits) < 1:
-        raise ScenarioError(f"hop limits must be at least one value >= 1, got {list(hop_limits)}")
-    if any(a >= b for a, b in zip(hop_limits, hop_limits[1:])):
-        raise ScenarioError(f"hop limits must be strictly increasing, got {list(hop_limits)}")
+    """Optimal utility per (topology, hop limit), for each limit 1..max_hops; monotone in the limit."""
+    if max_hops < 1:
+        raise ScenarioError(f"max_hops must be >= 1, got {max_hops}")
     rows: list[tuple[str, int, float]] = []
     for name in sorted(topologies):
         topo = topologies[name]
         classes, _ = _study_classes(topo, seed=seed, max_hops=1)
         prev = None
-        for h in hop_limits:
+        for h in range(1, max_hops + 1):
             flows = {c.id: _flows_for(topo, c, h) for c in classes}
             plan = solve_plan(PlanningProblem(topo, classes, flows))
             u = plan.utility

@@ -26,12 +26,13 @@ together.  The link and route sums are stacked ``np.matmul(incidence[None],
 v[..., None])`` and ``np.matmul(incidence.T[None], p[..., None])``, which
 keep each run's per-run ``np.dot`` bits in any batch; ``v @ incidence.T``
 and ``einsum`` do not.  A batch of one calls the bound ``incidence.dot`` on
-1-D views: the same bits, cheaper per call.  ``run`` takes each free stretch
-(the steps up to the next sample, window test, due event or horizon, counted
-by a step-by-step loop's clock) in one ``step(k)``; ``run_batch`` counts its
-clock first.  Neither calls ``Simulator.step``.  A sample keeps only state;
-``run`` ends with every sample's goodputs from one batched ``success``, and
-``to_csv`` writes a sample through one ``%`` template.
+1-D views: the same bits, cheaper per call.  ``_clock`` counts a step-by-step
+loop's steps and clock additions for both runners: ``run`` takes each free
+stretch (the steps up to the next sample, window test, due event or horizon)
+in one ``step(k)``, and ``run_batch`` its whole horizon in one.  Neither calls
+``Simulator.step``.  A sample keeps only state; ``run`` ends with every
+sample's goodputs from one batched ``success`` over the samples, stacked once
+and then dropped, and ``to_csv`` writes a sample through one ``%`` template.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -42,8 +43,9 @@ unchanged (``np.array_equal``, no tolerance), every later step would too
 until an event changes an input: the run is at an exact fixed point.
 ``Simulator.run`` checks for that once per convergence window and, while it
 holds, only advances the clock; sample times, samples and event firing keep
-the bits of a run that steps to the horizon.  Any applied event ends the
-freeze.  ``SimTrace.fixed_at`` records when the run last froze.
+the bits of a run that steps to the horizon.  The run is frozen while its
+``fixed_at`` is set, and any applied event clears it; ``SimTrace.fixed_at``
+records when the run last froze.
 """
 from __future__ import annotations
 
@@ -77,7 +79,8 @@ class Event:
     "rates": flow id -> finite rate, lifted to ``RATE_FLOOR``, so a rate at or
     below it restarts the flow}; ``rerun-planner`` {optional "knowledge":
     "current-truth" | "stale"} re-plans mid-run, and ``run_experiment`` turns
-    it into an ``install-config`` (the simulator rejects it).
+    it into an ``install-config`` (the simulator rejects a re-plan, and a
+    ``Scenario`` an install).
     """
 
     t: float
@@ -357,49 +360,43 @@ class Simulator:
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
         _check_duration(duration)
         events = sorted(events or [], key=lambda e: e.t)
-        samples, fixed_at, ei = [], None, 0
+        samples, fixed_at, ei, steps = [], None, 0, 0
         window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
         sample_steps = max(1, int(round(sample_every / self.dt)))
-        steps = 0
-        frozen = False
         self._sample(samples)
         end, n_events, dt, t = self.t + duration - 1e-12, len(events), self.dt, self.t
         while t < end:
             while ei < n_events and events[ei].t <= t + 1e-12:
                 self._apply(events[ei])
-                steps = 0
-                frozen = False
-                fixed_at = None
+                steps, fixed_at = 0, None
                 ei += 1
             # A free stretch: the steps to the next sample, window test, due
-            # event or horizon, counted with a step-by-step run's additions; a
-            # window's last step, whose start the test keeps, stands alone.
+            # event or horizon; a window's last step, whose start the test
+            # keeps, stands alone.  A frozen run (``fixed_at`` set) has no test.
             free = sample_steps - steps % sample_steps
-            if not frozen:
+            if fixed_at is None:
                 free = min(free, window - 1 - steps % window or 1)
-            next_t = events[ei].t if ei < n_events else math.inf
-            for k in range(1, free + 1):
-                t += dt
-                if t >= end or next_t <= t + 1e-12:
-                    break
-            if not frozen:
                 if steps % window == window - 1:
                     before = self.x.copy()  # the step moves self.x in place
+            k, t = _clock(t, dt, end, events[ei].t if ei < n_events else math.inf, free)
+            if fixed_at is None:
                 self._step(k)
             steps += k
             self.t = t
             if steps % sample_steps == 0:
                 self._sample(samples)
-            if steps % window == 0 and not frozen and np.array_equal(self.x, before):
-                frozen = True
+            if steps % window == 0 and fixed_at is None and np.array_equal(self.x, before):
                 fixed_at = t
         if steps % sample_steps != 0:
             self._sample(samples)
-        # Every sample's route success in one batch, which keeps each sample's own bits.
+        # Every sample's route success in one batch, which keeps each sample's own bits.  The
+        # samples are dropped as they are stacked, and ``success`` reads no weights, so the
+        # weights row is a view of the rates: the batch holds each sample's state once.
         times, x, n, capacity, sessions = zip(*samples)
-        x, n = np.array(x), np.array(n)
-        success = _stepper(self.incidence, np.stack([np.zeros_like(x), x])[..., None], n[..., None],
-                           np.array(capacity)[..., None], _ZERO, self.dt)[1]
+        del samples
+        x, n, capacity = (np.stack(a)[..., None] for a in (x, n, capacity))
+        success = _stepper(self.incidence, np.broadcast_to(x, (2, *x.shape)), n, capacity, _ZERO, self.dt)[1]
+        x, n = x[..., 0], n[..., 0]
         good = x * success()[..., 0]
         return SimTrace(self._flow_ids, self._class_ids, self._class_idx, list(times), x, good, n,
                         self._utilities(good, sessions), fixed_at)
@@ -428,6 +425,17 @@ def _check_duration(duration: float) -> None:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
 
 
+def _clock(t: float, dt: float, end: float, next_t: float = math.inf, limit: float = math.inf) -> tuple[int, float]:
+    """The steps a step-by-step run takes from clock ``t``, and the clock after them: it adds
+    ``dt`` until the clock reaches ``end``, an event at ``next_t`` falls due (within 1e-12) or
+    ``limit`` steps are taken."""
+    k = 0
+    while t < end and next_t > t + 1e-12 and k < limit:
+        t += dt
+        k += 1
+    return k, t
+
+
 def run_batch(sims: list[Simulator], duration: float) -> None:
     """Step event-free runs that share a flow layout, a dt and a clock as one
     batch, and leave each as ``sim.run(duration, sample_every=duration)``
@@ -444,10 +452,7 @@ def run_batch(sims: list[Simulator], duration: float) -> None:
     wx, n, capacity = (np.stack([getattr(sim, a) for sim in sims], -2)[..., None] for a in ("_wx", "n", "capacity"))
     step = _stepper(first.incidence, wx, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
                     first.dt)[0]
-    t, dt, end, k = first.t, first.dt, first.t + duration - 1e-12, 0
-    while t < end:
-        t += dt
-        k += 1
+    k, t = _clock(first.t, first.dt, first.t + duration - 1e-12)
     step(k)
     for sim, rates in zip(sims, wx[1, :, :, 0]):
         sim.x[:] = rates

@@ -244,7 +244,7 @@ def study_topologies():
 
 def test_acceptance_4_hop_benefit(study_topologies):
     start = time.monotonic()
-    rows = hop_study(study_topologies, hop_limits=(1, 2, 3, 4), seed=7)
+    rows = hop_study(study_topologies, max_hops=4, seed=7)
     by_topo = {}
     for name, hops, util in rows:
         by_topo.setdefault(name, {})[hops] = util

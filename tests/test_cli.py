@@ -206,7 +206,7 @@ def test_hops_below_one_exits_2(capsys, max_hops):
     assert main(["hops", "abilene", "--max-hops", max_hops]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: hop limits must be at least one value >= 1, got []\n"
+    assert captured.err == f"error: max_hops must be >= 1, got {max_hops}\n"
 
 
 def _graphml(graph_attrs):

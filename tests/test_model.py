@@ -22,6 +22,7 @@ from overlaylab.model import (
     sample_random_paths,
     shortest_leg,
 )
+from overlaylab import scenarios
 from overlaylab.scenarios import add_sites, load_bundled_topology
 
 
@@ -119,7 +120,7 @@ def test_link_directed_flag_overrides_topology_default():
         "links": [{"src": "A", "dst": "B", "capacity_mbps": 5, "directed": False}],
     }
     t = Topology.from_json_dict(obj)
-    assert t.has_link("A->B") and t.has_link("B->A")
+    assert t.link("A->B") and t.link("B->A")
 
 
 def test_undirected_json_edges_expand_both_ways():
@@ -129,7 +130,22 @@ def test_undirected_json_edges_expand_both_ways():
         "links": [{"src": "A", "dst": "B", "capacity_mbps": 5}],
     }
     t = Topology.from_json_dict(obj)
-    assert t.has_link("A->B") and t.has_link("B->A")
+    assert t.link("A->B") and t.link("B->A")
+
+
+def test_a_capacity_is_stored_as_a_float_so_cached_topologies_write_one_json():
+    # (name, 30, 10) and (name, 30.0, 10.0) are one cache key, so whichever call
+    # comes first builds the topology that both get.
+    link = Link("x", "A", "B", 5)
+    assert type(link.capacity_mbps) is float and link.capacity_mbps == 5.0
+    with pytest.raises(ModelError, match="finite capacity_mbps > 0"):
+        Link("x", "A", "B", True)
+    texts = []
+    for speeds in (((30, 10), (30.0, 10.0)), ((30.0, 10.0), (30, 10))):
+        scenarios.bundled_with_sites.cache_clear()
+        texts += [json.dumps(scenarios.bundled_with_sites("btn", *s).to_json_dict()) for s in speeds]
+    scenarios.bundled_with_sites.cache_clear()
+    assert len(set(texts)) == 1 and '"capacity_mbps": 10.0' in texts[0]
 
 
 # -- piecewise-linear utilities ---------------------------------------------
@@ -206,6 +222,18 @@ def test_traffic_class_json_round_trip_and_default_sessions():
 def test_utility_rejects_non_finite_slope_or_intercept(a, b):
     with pytest.raises(ModelError, match="slope and intercept must be finite"):
         PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (1.0, a, b)])
+
+
+def test_utilities_and_classes_are_read_only():
+    c = TrafficClass("k", "A", "B", 3, PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.max_sessions = 99
+    with pytest.raises(AttributeError):
+        c.utility.pieces.append(c.utility.pieces[-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.utility.pieces = ()
+    assert c.max_sessions == 3 and len(c.utility.pieces) == 2
+    assert c.utility == PiecewiseLinearUtility(list(c.utility.pieces))
 
 
 def test_cumulative_utility_weights_by_sessions():

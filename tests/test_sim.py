@@ -20,7 +20,7 @@ from overlaylab.model import (
 )
 from overlaylab.planner import PlanningProblem, solve_plan
 from overlaylab.scenarios import build_paper_scenario, triangle_topology
-from overlaylab.sim import RATE_FLOOR, Event, Simulator
+from overlaylab.sim import RATE_FLOOR, Event, Simulator, _clock
 from overlaylab.weights import TransportConfig, compute_weights
 
 
@@ -253,6 +253,36 @@ def test_fixed_at_is_none_on_a_robustness_weighted_run():
     sim = Simulator(truth, cfg, dt=scenario.dt, initial_rates=plan.rates)
     trace = sim.run(duration=scenario.duration, sample_every=scenario.duration)
     assert trace.fixed_at is None
+
+
+def plain_clock(t, dt, end, next_t=math.inf, limit=math.inf):
+    """Step by step: add dt until the horizon, a due event or the step limit."""
+    steps = 0
+    while t < end and steps < limit:
+        t += dt
+        steps += 1
+        if next_t <= t + 1e-12:
+            break
+    return steps, t
+
+
+@pytest.mark.parametrize("t0, dt, duration", [
+    (0.0, 0.01, 200.0), (0.0, 0.05, 240.0), (0.0, 0.1, 4000.0), (3.7, 0.03, 10.0), (5.0, 0.01, 0.0),
+])
+def test_the_clock_counts_the_steps_and_additions_of_a_plain_loop(t0, dt, duration):
+    end = t0 + duration - 1e-12
+    assert _clock(t0, dt, end) == plain_clock(t0, dt, end)
+    for next_t, limit in ((t0 + 1.0, math.inf), (math.inf, 99), (t0 + 0.5, 99), (t0 + 2.0, 7)):
+        assert _clock(t0, dt, end, next_t, limit) == plain_clock(t0, dt, end, next_t, limit)
+
+
+def test_a_200_s_run_at_dt_0_01_takes_20_001_steps():
+    # The summed clock falls short of 200 by more than 1e-12 after 20 000 steps,
+    # so one more step is taken and the last sample reads t = 200.01.
+    steps, t = _clock(0.0, 0.01, 200.0 - 1e-12)
+    assert steps == 20_001 and round(t, 9) == 200.01
+    trace = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1})).run(200.0, sample_every=50.0)
+    assert trace.times == [0.0, 50.0, 100.0, 150.0, 200.0, 200.01]
 
 
 def test_rerun_planner_event_is_rejected():

@@ -357,8 +357,10 @@ def test_hop_study_is_monotone():
     )
 
 
-@pytest.mark.parametrize("max_hops", [0, -2])
-def test_hop_study_rejects_max_hops_below_one(max_hops):
+@pytest.mark.parametrize("hop_limits", [range(1, 1), range(1, 0), range(1, -1)])
+def test_hop_study_rejects_an_empty_or_nonpositive_hop_range(hop_limits):
+    # hop_study runs the limits range(1, max_hops + 1); each range here is empty.
+    max_hops = hop_limits.stop - 1
     topo = add_sites(parse_graphml(GRAPHML), uplink_mbps=30.0, core_mbps=10.0)
     with pytest.raises(ScenarioError, match=f"max_hops must be >= 1, got {max_hops}"):
         hop_study({"toy": topo}, max_hops=max_hops)

@@ -144,10 +144,9 @@ def _resolve_scenario(args) -> Scenario:
     else:
         scenario = _load(args.scenario, Scenario.from_json_dict)
     overrides = {"duration": args.duration, "dt": args.dt, "gamma": args.gamma}
-    # replace() runs Scenario's validation again on the overridden values.
-    return dataclasses.replace(
-        scenario, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    given = {k: v for k, v in overrides.items() if v is not None}
+    # replace() checks the whole scenario again, so it runs only on an override.
+    return dataclasses.replace(scenario, **given) if given else scenario
 
 
 def _makedirs(path: str) -> None:

@@ -255,13 +255,9 @@ def _candidate_plan(
     n_out = dict(n)
     for c in scalable:
         n_out[c.id] = int(sum(rates[f.id] for f in problem.flows[c.id]) > FEAS_TOL)
-        if n_out[c.id]:
-            for f in problem.flows[c.id]:
-                rates[f.id] *= c.max_sessions
-    for c in problem.classes:
-        if n_out.get(c.id, 0) == 0:
-            for f in problem.flows[c.id]:
-                rates[f.id] = 0.0
+        # Any other class at n = 0 had no LP column, so its rates are already 0.0.
+        for f in problem.flows[c.id]:
+            rates[f.id] *= c.max_sessions if n_out[c.id] else 0.0
     if not duals:
         duals = {lid: 0.0 for lid in problem.link_ids}
     # Score with the true utility of the reported point (a piece's linear form

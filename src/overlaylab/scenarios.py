@@ -14,7 +14,9 @@ import json
 import math
 import random
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .model import (
     ROUTER,
@@ -133,16 +135,23 @@ def add_sites(topology: Topology, uplink_mbps: float = 30.0, core_mbps: float = 
 # scenario description
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A full experiment description: who talks, over what, and what changes."""
+    """A full experiment description: who talks, over what, and what changes.
+
+    A scenario is checked once, on construction, and is frozen.  It keeps the
+    estimate's ``PlanningProblem`` (the truth with ``estimate_overrides``) that
+    the check builds, and holds that problem's own ``classes`` tuple and
+    read-only ``flows`` mapping, a read-only copy of ``estimate_overrides`` and
+    a tuple of ``events``, so no edit can undo a check.
+    """
 
     name: str
     topology: Topology  # ground truth
-    classes: list[TrafficClass]
-    flows: dict[str, list[Flow]]
-    estimate_overrides: dict[str, float] = field(default_factory=dict)
-    events: list[Event] = field(default_factory=list)
+    classes: tuple[TrafficClass, ...]
+    flows: Mapping[str, tuple[Flow, ...]]
+    estimate_overrides: Mapping[str, float] = field(default_factory=dict)
+    events: tuple[Event, ...] = ()
     duration: float = 200.0
     dt: float = DEFAULT_DT
     gamma: float = DEFAULT_GAIN
@@ -160,6 +169,9 @@ class Scenario:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ScenarioError(f"{name} must be finite and > 0, got {value}")
+        # The dataclass is frozen, so attributes are set through object.__setattr__.
+        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "estimate_overrides", MappingProxyType(dict(self.estimate_overrides)))
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ScenarioError("events must be sorted by time")
@@ -167,9 +179,12 @@ class Scenario:
             if not (0 <= e.t <= self.duration):
                 raise ScenarioError(f"event at t={e.t} outside [0, duration]")
         # Checks the overrides, the classes and flows against the topology, and the plan's ids.
-        problem = self.problem()
+        estimate = PlanningProblem(self.topology.with_capacities(self.estimate_overrides), self.classes, self.flows)
+        object.__setattr__(self, "_estimate", estimate)
+        object.__setattr__(self, "classes", estimate.classes)
+        object.__setattr__(self, "flows", estimate.flows)
         if self.pinned_plan is not None:
-            check_plan_ids(problem, self.pinned_plan)
+            check_plan_ids(estimate, self.pinned_plan)
         for i, e in enumerate(self.events):
             if e.kind == "set-capacity":
                 self.topology.link(e.payload["link"])
@@ -180,9 +195,9 @@ class Scenario:
                 raise ScenarioError(f"event #{i} (install-config at t={e.t}): a scenario re-plans by rerun-planner")
 
     def problem(self, topology: Topology | None = None) -> PlanningProblem:
-        """The problem on ``topology``, by default the estimate: the truth with ``estimate_overrides``."""
+        """The problem on ``topology``, built anew; by default the kept estimate, the one the scenario checked."""
         if topology is None:
-            topology = self.topology.with_capacities(self.estimate_overrides)
+            return self._estimate
         return PlanningProblem(topology, self.classes, self.flows)
 
     # -- JSON round trip ---------------------------------------------------
@@ -285,8 +300,7 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
     plans: list[tuple[float, Plan]] = [(0.0, plan)]
 
-    truth_problem = scenario.problem(scenario.topology)
-    sim = Simulator(truth_problem, config, dt=scenario.dt, initial_rates=plan.rates)
+    sim = Simulator(scenario.problem(scenario.topology), config, dt=scenario.dt, initial_rates=plan.rates)
 
     # Every event reaches the simulator as it is, except that a re-plan
     # becomes the install of its new plan's config and rates.  The truth it
@@ -304,8 +318,7 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
         new_plan = solve_plan(prob)
         plans.append((ev.t, new_plan))
         new_config = compute_weights(prob, new_plan, gain=scenario.gamma)
-        payload = {"config": new_config, "rates": dict(new_plan.rates)}
-        events.append(Event(ev.t, "install-config", payload))
+        events.append(Event(ev.t, "install-config", {"config": new_config, "rates": new_plan.rates}))
 
     trace = sim.run(duration=scenario.duration, events=events, sample_every=1.0)
 
@@ -323,7 +336,7 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
 
     final_good = trace.final_goodputs()
     summary_rows = []
-    for f in truth_problem.all_flows():
+    for f in sim.flows:
         target = plans[-1][1].rates.get(f.id, 0.0)
         summary_rows.append(
             (_route_label(scenario.topology, f), target, final_good.get(f.id, 0.0))
@@ -383,12 +396,8 @@ def build_paper_scenario(name: str, seed: int = 7) -> Scenario:
         u1 = PiecewiseLinearUtility.from_points([(0.0, 0.2, 0.0), (3.0, 0.02, 0.54)])
         c1 = TrafficClass("ab", "A", "B", 1, u1)
         c2 = TrafficClass("bc", "B", "C", 1, PiecewiseLinearUtility.linear(0.2))
-        flows = {
-            "ab": [Flow("ab:0", "ab", ("A->B",))],
-            "bc": [Flow("bc:0", "bc", ("B->C",))],
-        }
         return Scenario(
-            "robustness-sweep", topo, [c1, c2], flows,
+            "robustness-sweep", topo, [c1, c2], {c.id: _flows_for(topo, c, 1) for c in (c1, c2)},
             estimate_overrides={"A->B": 3.0}, duration=4000.0, dt=0.1,
         )
 
@@ -562,6 +571,7 @@ def demand_sweep(
     plan = scenario.pinned_plan
     config = compute_weights(problem_est, plan, gain=scenario.gamma)
     n_planned = plan.n["hi"]
+    truth = scenario.problem(scenario.topology)
     sims = []
     for m in session_counts:
         cfg = replace(config, sessions=config.sessions | {"hi": m})
@@ -570,7 +580,7 @@ def demand_sweep(
         init = dict(plan.rates)
         if m > n_planned:
             init["hi:0"] = plan.rates["hi:0"] * n_planned / m
-        sims.append(Simulator(scenario.problem(scenario.topology), cfg, dt=scenario.dt, initial_rates=init))
+        sims.append(Simulator(truth, cfg, dt=scenario.dt, initial_rates=init))
     run_batch(sims, scenario.duration)
     rows = []
     for m, sim in zip(session_counts, sims):

@@ -69,9 +69,13 @@ CONVERGENCE_WINDOW = 1.0  # seconds of simulated time
 _ZERO, _ONE, _NEG_MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, -(1.0 - 1e-12), RATE_FLOOR))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Event:
     """A timed change to the network or its controllers.
+
+    An event is frozen, but its payload stays a dict: a ``Scenario`` checks
+    event times and kinds, and the simulator checks each payload value again
+    as it applies it (``set_capacity``, ``set_sessions``).
 
     Payloads (a key the kind does not read is an error): ``set-capacity``
     {"link", "capacity_mbps": finite and > 0}; ``set-sessions`` {"class",

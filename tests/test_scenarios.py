@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from overlaylab.scenarios import (
     add_sites,
     build_paper_scenario,
     bundled_with_sites,
+    demand_sweep,
     hop_study,
     load_bundled_topology,
     parse_graphml,
@@ -231,6 +232,76 @@ def test_a_scenario_checks_its_routes_in_full_only_at_construction(full_route_ch
     assert full_route_checks["full"] == 0  # 150 when the estimate, the truth and the re-plan each checked 50
     robustness_sweep((1.0, 5.0))
     assert full_route_checks["full"] == 2  # its scenario's two routes, as it is built; 8 when every truth checked
+
+
+def test_scenarios_and_events_are_read_only_after_their_check():
+    events = [Event(10.0, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})]
+    triangle = build_paper_scenario("triangle-basic")
+    classes, flows = list(triangle.classes), {k: list(v) for k, v in triangle.flows.items()}
+    overrides = {"A->B": 3.0}
+    scenario = Scenario("toy", scenarios.triangle_topology(), classes, flows, overrides, events)
+    text = scenario.to_json()
+    # Edits to the caller's containers do not reach the checked scenario.
+    events.append(Event(500.0, "set-capacity", {"link": "A->B", "capacity_mbps": 3.0}))
+    classes.pop()
+    flows["ac"].pop()
+    overrides["A->B"] = 0.5
+    assert scenario.to_json() == text
+    for value in (scenario, scenario.events[0]):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+    for seq in (scenario.events, scenario.classes, scenario.flows["ac"]):
+        with pytest.raises(AttributeError):
+            seq.append(seq[0])
+    with pytest.raises(TypeError):
+        scenario.flows["ac"] = ()
+    with pytest.raises(TypeError):
+        scenario.estimate_overrides["A->B"] = 0.5
+    assert scenario.to_json() == text
+
+
+@pytest.mark.parametrize("name", ["robustness-sweep", "failure-large"])
+def test_a_scenario_keeps_the_estimate_problem_it_checked(name):
+    scenario = build_paper_scenario(name)
+    kept = scenario.problem()
+    assert scenario.problem() is kept
+    assert kept.classes is scenario.classes and kept.flows is scenario.flows
+    estimate = scenario.topology.with_capacities(dict(scenario.estimate_overrides))
+    fresh = PlanningProblem(estimate, list(scenario.classes), {k: list(v) for k, v in scenario.flows.items()})
+    assert kept == fresh and kept.link_ids == fresh.link_ids
+    for table in ("capacity", "flow_class", "incidence"):
+        assert np.array_equal(getattr(kept, table), getattr(fresh, table)), table
+    assert scenario.problem(scenario.topology) is not kept  # a topology still builds a variant
+
+
+@pytest.fixture
+def problem_builds(monkeypatch):
+    """Counts the ``PlanningProblem``s built."""
+    counts = Counter()
+    post_init = PlanningProblem.__post_init__
+    monkeypatch.setattr(PlanningProblem, "__post_init__", lambda self: counts.update(["builds"]) or post_init(self))
+    return counts
+
+
+@pytest.mark.parametrize(("name", "builds"), [("triangle-basic", 1), ("failure-large", 2)])
+def test_a_run_builds_the_truth_and_each_replan_only(problem_builds, name, builds):
+    scenario = build_paper_scenario(name)
+    problem_builds.clear()
+    run_experiment(scenario)
+    assert problem_builds["builds"] == builds  # 2 and 3 when each run built its estimate again
+
+
+@pytest.mark.parametrize(("sweep", "builds"), [(demand_sweep, 2), (robustness_sweep, 11)])
+def test_a_sweep_builds_its_scenario_and_each_distinct_truth_once(monkeypatch, problem_builds, sweep, builds):
+    # Stepping builds no problem, so the batch is not run.
+    monkeypatch.setattr(scenarios, "run_batch", lambda sims, duration: None)
+    sweep()
+    assert problem_builds["builds"] == builds  # 22 and 12 with the estimate rebuilt and one truth per point
+
+
+def test_an_empty_sweep_has_no_rows():
+    assert demand_sweep(()) == [] and robustness_sweep(()) == []
 
 
 def test_add_sites_attaches_one_site_per_router():

@@ -43,6 +43,11 @@ class Link:
         object.__setattr__(self, "capacity_mbps", float(self.capacity_mbps))
 
 
+def read_only(mapping: Mapping) -> Mapping:
+    """The one freezing rule: a read-only copy of ``mapping``, which later edits to the caller's dict miss."""
+    return MappingProxyType(dict(mapping))
+
+
 def check_capacity(value: float, owner: str) -> None:
     """The one capacity rule: a number, not a bool, that is finite (so not NaN) and > 0."""
     if ((type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
@@ -106,7 +111,7 @@ class Topology:
 
     def __post_init__(self):
         # The dataclass is frozen, so attributes are set through object.__setattr__.
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "nodes", read_only(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
         seen: set[tuple[str, str]] = set()
         check_id(self.name, "topology name")

@@ -37,8 +37,7 @@ import itertools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .model import (
     cumulative_utility,
     json_number,
     json_object,
+    read_only,
 )
 
 FEAS_TOL = 1e-7
@@ -92,7 +92,7 @@ class PlanningProblem:
                 if f.class_id != k:
                     raise ModelError(f"flow {f.id!r} listed under wrong class")
                 f.validate(self.topology, by_id[k])
-        by_class = MappingProxyType({k: tuple(self.flows.get(k, ())) for k in by_id})
+        by_class = read_only({k: tuple(self.flows.get(k, ())) for k in by_id})
         object.__setattr__(self, "flows", by_class)
         object.__setattr__(self, "link_ids", tuple(ln.id for ln in self.topology.links))
         capacity = np.array([ln.capacity_mbps for ln in self.topology.links], dtype=float)
@@ -110,18 +110,28 @@ class PlanningProblem:
         return [f for fl in self.flows.values() for f in fl]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plan:
-    """Planner output: admitted sessions, per-session flow rates, link duals."""
+    """Planner output: admitted sessions, per-session flow rates, link duals.
 
-    n: dict[str, int]
-    rates: dict[str, float]  # flow id -> per-session rate
-    duals: dict[str, float]  # link id -> capacity dual
+    A plan is frozen, and ``n``, ``rates`` and ``duals`` are read-only copies
+    of the caller's dicts, so a plan checked once (``check_plan_ids``, a
+    scenario's ``pinned_plan``) stays as checked; a variant is built with
+    ``dataclasses.replace``.
+    """
+
+    n: Mapping[str, int]
+    rates: Mapping[str, float]  # flow id -> per-session rate
+    duals: Mapping[str, float]  # link id -> capacity dual
     utility: float
     optimality: str  # "proved-optimal" | "best-found"
     # Largest open relaxation bound minus utility when the search stopped
     # early; 0 when proved.  Not part of the plan's JSON or equality.
     gap: float = field(default=0.0, compare=False)
+
+    def __post_init__(self):
+        for name in ("n", "rates", "duals"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def aggregate_rates(self, problem: PlanningProblem) -> dict[str, float]:
         return {k: sum(self.rates.get(f.id, 0.0) for f in fl) for k, fl in problem.flows.items()}
@@ -159,8 +169,10 @@ class Plan:
         return Plan(n, rates, duals, utility, obj["optimality"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
+    """The search's settings; frozen like the problem it searches."""
+
     bb_node_limit: int = 20_000
 
 
@@ -239,10 +251,9 @@ def _candidate_plan(
     scalable: list[TrafficClass],
 ) -> Plan | None:
     """Evaluate one (n, piece) candidate; scalable classes ride along at n=N."""
-    n_full = dict(n)
-    for c in scalable:
-        n_full[c.id] = c.max_sessions
-    sol, flows, duals = inner_lp(problem, n_full, pieces)
+    # Every class in class order, which ``cumulative_utility`` sums in.
+    n_out = {c.id: c.max_sessions if c in scalable else n.get(c.id, 0) for c in problem.classes}
+    sol, flows, duals = inner_lp(problem, n_out, pieces)
     if sol is not None and sol.status != "optimal":
         return None
     rates: dict[str, float] = {f.id: 0.0 for f in problem.all_flows()}
@@ -252,21 +263,17 @@ def _candidate_plan(
 
     # Minimal-session reporting for scalable classes: n*U(z/n) is n-invariant
     # for linear-through-origin U, so collapse to one session (or zero).
-    n_out = dict(n)
     for c in scalable:
         n_out[c.id] = int(sum(rates[f.id] for f in problem.flows[c.id]) > FEAS_TOL)
         # Any other class at n = 0 had no LP column, so its rates are already 0.0.
         for f in problem.flows[c.id]:
             rates[f.id] *= c.max_sessions if n_out[c.id] else 0.0
-    if not duals:
-        duals = {lid: 0.0 for lid in problem.link_ids}
     # Score with the true utility of the reported point (a piece's linear form
     # can exceed the utility at a jump boundary, which belongs to the piece
     # below it).
-    plan = Plan(n_out, rates, duals, 0.0, "proved-optimal")
-    n_all = {c.id: n_out.get(c.id, 0) for c in problem.classes}
-    plan.utility = cumulative_utility(problem.classes, n_all, plan.aggregate_rates(problem))
-    return plan
+    agg = {k: sum(rates[f.id] for f in fl) for k, fl in problem.flows.items()}
+    utility = cumulative_utility(problem.classes, n_out, agg)
+    return Plan(n_out, rates, duals or {lid: 0.0 for lid in problem.link_ids}, utility, "proved-optimal")
 
 
 UTILITY_TIE_TOL = 1e-9
@@ -527,11 +534,9 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
         nodes += 1
         if nodes > config.bb_node_limit:
             # Popped best-first, this box holds the largest open bound level.
-            incumbent.optimality = "best-found"
             # The gap in tie-tolerance steps: 0 when the bound ties the utility.
             steps = _bound_level(parent_bound) + inc_key[0][0]
-            incumbent.gap = max(steps, 0) * UTILITY_TIE_TOL
-            return incumbent
+            return replace(incumbent, optimality="best-found", gap=max(steps, 0) * UTILITY_TIE_TOL)
         split = branch(box)
         if split is None:
             solve(box)

@@ -16,7 +16,6 @@ import random
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 
 from .model import (
     ROUTER,
@@ -31,6 +30,7 @@ from .model import (
     json_object,
     link_id,
     numbered_flows,
+    read_only,
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, check_plan_ids, solve_plan
@@ -171,7 +171,7 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite and > 0, got {value}")
         # The dataclass is frozen, so attributes are set through object.__setattr__.
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "estimate_overrides", MappingProxyType(dict(self.estimate_overrides)))
+        object.__setattr__(self, "estimate_overrides", read_only(self.estimate_overrides))
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ScenarioError("events must be sorted by time")
@@ -213,7 +213,7 @@ class Scenario:
             },
             "estimate_overrides": dict(sorted(self.estimate_overrides.items())),
             "events": [
-                {"t": e.t, "kind": e.kind, "payload": e.payload} for e in self.events
+                {"t": e.t, "kind": e.kind, "payload": dict(e.payload)} for e in self.events
             ],
             "duration": self.duration,
             "dt": self.dt,
@@ -240,7 +240,7 @@ class Scenario:
         for i, e in enumerate(obj.get("events", [])):
             e = json_object(e, f"event #{i}")
             payload = json_object(e.get("payload", {}), f"event #{i} payload")
-            events.append(Event(json_number(e["t"], "event t"), e["kind"], dict(payload)))
+            events.append(Event(json_number(e["t"], "event t"), e["kind"], payload))
         # An absent number takes the field's default.
         numbers = {k: json_number(obj[k], k) for k in ("duration", "dt", "gamma") if k in obj}
         return Scenario(
@@ -577,9 +577,7 @@ def demand_sweep(
         cfg = replace(config, sessions=config.sessions | {"hi": m})
         # Sessions beyond the planned count arrive cold, so the class starts
         # at the planned aggregate; the fluid model averages per session.
-        init = dict(plan.rates)
-        if m > n_planned:
-            init["hi:0"] = plan.rates["hi:0"] * n_planned / m
+        init = plan.rates | ({"hi:0": plan.rates["hi:0"] * n_planned / m} if m > n_planned else {})
         sims.append(Simulator(truth, cfg, dt=scenario.dt, initial_rates=init))
     run_batch(sims, scenario.duration)
     rows = []

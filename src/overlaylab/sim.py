@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
 
-from .model import check_capacity, check_sessions, cumulative_utility
+from .model import check_capacity, check_sessions, cumulative_utility, read_only
 from .planner import PlanningProblem
 from .weights import TransportConfig
 
@@ -73,9 +74,10 @@ _ZERO, _ONE, _NEG_MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, -(1.0 - 1e-12
 class Event:
     """A timed change to the network or its controllers.
 
-    An event is frozen, but its payload stays a dict: a ``Scenario`` checks
-    event times and kinds, and the simulator checks each payload value again
-    as it applies it (``set_capacity``, ``set_sessions``).
+    An event is checked once, on construction, and is frozen: ``payload`` is
+    a read-only copy of the caller's dict, and so is an install's ``rates``,
+    so no edit can undo the check.  The simulator still checks each value
+    against its own network as it applies it (an unknown link, class or flow).
 
     Payloads (a key the kind does not read is an error): ``set-capacity``
     {"link", "capacity_mbps": finite and > 0}; ``set-sessions`` {"class",
@@ -89,14 +91,15 @@ class Event:
 
     t: float
     kind: str
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = field(default_factory=dict)
 
     # Each kind with the payload keys it requires and those it may also read.
     KINDS = {"set-capacity": (("link", "capacity_mbps"), ()), "set-sessions": (("class", "n"), ()),
              "install-config": (("config",), ("rates",)), "rerun-planner": ((), ("knowledge",))}
 
     def __post_init__(self):
-        p = self.payload
+        # The dataclass is frozen, so the payload's copy is set through object.__setattr__.
+        object.__setattr__(self, "payload", p := read_only(self.payload))
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError(f"event time must be finite and >= 0, got {self.t}")
         if self.kind not in self.KINDS:
@@ -115,13 +118,15 @@ class Event:
         if self.kind == "install-config":
             if not isinstance(p["config"], TransportConfig):
                 raise ValueError("install-config requires a TransportConfig")
+            if "rates" in p:
+                object.__setattr__(self, "payload", p := read_only(p | {"rates": read_only(p["rates"])}))
             _check_rates(p.get("rates", {}), "install-config")
         knowledge = p.get("knowledge", "current-truth")
         if self.kind == "rerun-planner" and knowledge not in ("current-truth", "stale"):
             raise ValueError("rerun-planner knowledge must be current-truth|stale")
 
 
-def _check_rates(rates: dict[str, float], owner: str) -> None:
+def _check_rates(rates: Mapping[str, float], owner: str) -> None:
     """Every given rate must be finite; one below ``RATE_FLOOR`` is lifted to it."""
     for fid, rate in rates.items():
         if not math.isfinite(rate):
@@ -295,8 +300,12 @@ class Simulator:
             self.incidence, self._wx[:, None, :, None], self.n[None, :, None], self.capacity[None, :, None],
             np.array(self.gain_norm), self.dt)
 
-    def _set_rates(self, rates: dict[str, float]) -> None:
-        """Move each listed flow to its rate, lifted to ``RATE_FLOOR``."""
+    def _set_rates(self, rates: Mapping[str, float]) -> None:
+        """Move each listed flow to its rate, lifted to ``RATE_FLOOR``; a ``ValueError`` names any
+        listed flow the simulator does not have."""
+        unknown = sorted(rates.keys() - set(self._flow_ids))
+        if unknown:
+            raise ValueError(f"rates for unknown flow id(s) {', '.join(map(repr, unknown))}")
         for j, f in enumerate(self.flows):
             if f.id in rates:
                 self.x[j] = max(RATE_FLOOR, rates[f.id])
@@ -308,12 +317,12 @@ class Simulator:
         self.capacity[self._lidx[lid]] = capacity_mbps
 
     def set_sessions(self, class_id: str, n: int) -> None:
-        ids = [c.id for c in self.problem.classes]
-        if class_id not in ids:
+        # ``self.sessions`` holds every class, in the problem's class order.
+        if class_id not in self.sessions:
             raise ValueError(f"unknown class id {class_id!r}")
         check_sessions(n, f"class {class_id!r}")
         self.sessions[class_id] = n
-        self.n[self._class_idx == ids.index(class_id)] = float(n)
+        self.n[self._class_idx == list(self.sessions).index(class_id)] = float(n)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -411,9 +420,10 @@ class Simulator:
         elif ev.kind == "set-sessions":
             self.set_sessions(ev.payload["class"], ev.payload["n"])
         elif ev.kind == "install-config":
-            self.install_config(ev.payload["config"])
-            # Abrupt switch to the new plan's starting rates.
+            # Abrupt switch to the new plan's starting rates, set first so that rates for an unknown
+            # flow raise before anything changes; ``install_config`` leaves the rates as they are.
             self._set_rates(ev.payload.get("rates", {}))
+            self.install_config(ev.payload["config"])
         else:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 

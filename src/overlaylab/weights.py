@@ -14,9 +14,10 @@ built here is n_k * dU_k * A_f at any plan that passes the check.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .model import ModelError, check_sessions
+from .model import ModelError, check_sessions, read_only
 from .planner import FEAS_TOL, Plan, PlanningProblem
 
 DEFAULT_GAIN = 0.001
@@ -26,7 +27,7 @@ class WeightError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportConfig:
     """Per-flow controller weights plus session counts and the tuned gain.
 
@@ -34,14 +35,19 @@ class TransportConfig:
     build it from a plan with ``compute_weights``.  The simulator divides
     ``gain`` by the largest weight it runs with (``Simulator.gain_norm``).
     Weights are finite and >= 0, session counts follow ``check_sessions``,
-    and the gain is finite and >= 0; gain 0 holds every rate fixed.
+    and the gain is finite and >= 0; gain 0 holds every rate fixed.  A config
+    is frozen, and ``weights`` and ``sessions`` are read-only copies of the
+    caller's dicts, so no edit can undo the check; the baselines and sweeps
+    build their variants with ``dataclasses.replace``, which checks again.
     """
 
-    weights: dict[str, float]  # flow id -> weight
-    sessions: dict[str, int]  # class id -> session count
+    weights: Mapping[str, float]  # flow id -> weight
+    sessions: Mapping[str, int]  # class id -> session count
     gain: float = DEFAULT_GAIN
 
     def __post_init__(self):
+        for name in ("weights", "sessions"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         for fid, w in self.weights.items():
             if not (math.isfinite(w) and w >= 0):
                 raise ModelError(f"config weight of flow {fid!r} must be finite and >= 0, got {w!r}")
@@ -59,6 +65,8 @@ def compute_weights(
     Every positive-rate flow must cross at least one positively-priced link;
     otherwise its weight would be zero and the controller could not hold the
     planned rate, so that is reported as an error rather than silently mapped.
+    A weight that overflows to inf fails the config's own weight rule, a
+    ``ModelError`` that names the flow.
     """
     weights: dict[str, float] = {}
     for c in problem.classes:
@@ -81,7 +89,5 @@ def compute_weights(
                     f"its route; the plan does not pin it"
                 )
             weights[f.id] = nk * lam_sum * rate
-            if not math.isfinite(weights[f.id]):
-                raise WeightError(f"flow {f.id!r}: non-finite weight {weights[f.id]}")
     sessions = {c.id: plan.n.get(c.id, 0) for c in problem.classes}
     return TransportConfig(weights, sessions, gain)

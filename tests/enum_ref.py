@@ -29,7 +29,6 @@ def enum_ref(problem: PlanningProblem) -> Plan:
     scalable_ids = {c.id for c in scalable}
     general = [c for c in problem.classes if c.id not in scalable_ids]
     best = _enumerate(problem, general, scalable)
-    best.optimality = "proved-optimal"
     return best
 
 

@@ -5,9 +5,11 @@ a name bound by ``import`` or ``from ... import`` must also appear as a name
 elsewhere in the module (annotations count).  ``__init__.py`` exists to
 re-export names, so it is exempt; instead its ``__all__`` must list exactly
 the names it imports, plus ``__version__``.  Every absolute import names a
-standard-library module or numpy, the one runtime dependency.
+standard-library module or numpy, the one runtime dependency.  Every exported
+dataclass but the output records is a frozen value.
 """
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -80,3 +82,16 @@ def test_the_check_finds_foreign_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_the_runtime_dependency_is_numpy_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+# Records a run or a check returns, which their caller may extend; every other
+# exported dataclass is a value that is checked once and then frozen.
+OUTPUT_RECORDS = {"LpSolution", "KktReport", "SimTrace", "ExperimentResult"}
+
+
+def test_every_exported_dataclass_but_the_output_records_is_frozen():
+    exported = {name: getattr(overlaylab, name) for name in overlaylab.__all__}
+    values = {name for name, obj in exported.items() if dataclasses.is_dataclass(obj)} - OUTPUT_RECORDS
+    assert OUTPUT_RECORDS <= set(exported)
+    assert {"Plan", "TransportConfig", "PlannerConfig", "Event", "Scenario"} <= values
+    assert [name for name in sorted(values) if not exported[name].__dataclass_params__.frozen] == []

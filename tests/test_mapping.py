@@ -14,6 +14,7 @@ from overlaylab.model import (
     link_id,
 )
 from overlaylab.planner import FEAS_TOL, Plan, PlanningProblem, solve_plan
+from overlaylab.scenarios import build_paper_scenario
 from overlaylab.sim import Simulator
 from overlaylab.weights import TransportConfig, WeightError, compute_weights
 
@@ -114,8 +115,42 @@ def test_gradient_match_flags_tampered_weight():
     problem = single_link()
     plan = solve_plan(problem)
     config = compute_weights(problem, plan)
-    config.weights["k:0"] *= 3.0
+    config = dataclasses.replace(config, weights=config.weights | {"k:0": config.weights["k:0"] * 3.0})
     assert not gradient_residual(problem, plan, config) <= 1e-6
+
+
+def test_a_config_is_read_only_and_keeps_copies_of_its_maps():
+    weights, sessions = {"k:0": 2.0}, {"k": 1}
+    config = TransportConfig(weights, sessions)
+    # Edits to the caller's dicts do not reach the config.
+    weights["k:0"], weights["k:1"], sessions["k"] = 6.0, 1.0, -5
+    assert config.weights == {"k:0": 2.0} and config.sessions == {"k": 1}
+    for mapping, key, value in ((config.weights, "k:0", 6.0), (config.sessions, "k", -5)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+    assert config.weights == {"k:0": 2.0} and config.sessions == {"k": 1}
+
+
+def test_a_config_variant_is_checked_again():
+    # Writing -5 sessions into triangle-basic's config used to simulate n = -5 without an error.
+    problem = build_paper_scenario("triangle-basic").problem()
+    config = compute_weights(problem, solve_plan(problem))
+    with pytest.raises(TypeError):
+        config.sessions["ac"] = -5
+    with pytest.raises(ModelError, match="config class 'ac' requires an integer n >= 0, got -5"):
+        dataclasses.replace(config, sessions={"ac": -5})
+
+
+def test_a_weight_that_overflows_is_a_model_error_naming_the_flow():
+    # n * dual * rate = 1 * 1e308 * 10 is inf; the config's weight rule rejects it.
+    problem = single_link()
+    plan = solve_plan(problem)
+    huge = Plan(plan.n, plan.rates, {"A->B": 1e308}, plan.utility, plan.optimality)
+    with pytest.raises(ModelError, match="config weight of flow 'k:0' must be finite and >= 0, got inf"):
+        compute_weights(problem, huge)
 
 
 @pytest.mark.parametrize("n", [2.5, True, -1])

@@ -206,6 +206,22 @@ def test_plan_json_round_trip():
     assert again == plan
 
 
+def test_a_plan_is_read_only_and_keeps_copies_of_its_maps():
+    n, rates, duals = {"k": 1}, {"k:0": 10.0}, {"A->B": 0.2}
+    plan = Plan(n, rates, duals, 2.0, "proved-optimal")
+    text = plan.to_json()
+    # Edits to the caller's dicts do not reach the plan.
+    n["k"], rates["k:1"], duals["A->B"] = 5, 1.0, 0.0
+    assert plan.to_json() == text
+    for mapping, key, value in ((plan.n, "nope", 3), (plan.rates, "k:0", 0.0), (plan.duals, "A->B", 1.0)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    for f in dataclasses.fields(plan):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, f.name, getattr(plan, f.name))
+    assert plan.to_json() == text
+
+
 def test_determinism():
     a = solve_plan(triangle_problem())
     b = solve_plan(triangle_problem())

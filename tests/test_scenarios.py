@@ -247,7 +247,15 @@ def test_scenarios_and_events_are_read_only_after_their_check():
     flows["ac"].pop()
     overrides["A->B"] = 0.5
     assert scenario.to_json() == text
-    for value in (scenario, scenario.events[0]):
+    # A pinned plan and an install's rates are read-only copies too.
+    pinned = build_paper_scenario("demand-sweep").pinned_plan
+    plan_text = pinned.to_json()
+    rates = {"ac:0": 1.0}
+    install = Event(5.0, "install-config", {"config": TransportConfig({"ac:0": 1.0}, {"ac": 1}), "rates": rates})
+    rates["ac:0"] = 9.0
+    rates["zz"] = 7.0
+    assert install.payload["rates"] == {"ac:0": 1.0}
+    for value in (scenario, scenario.events[0], pinned, install):
         for f in fields(value):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
@@ -258,7 +266,13 @@ def test_scenarios_and_events_are_read_only_after_their_check():
         scenario.flows["ac"] = ()
     with pytest.raises(TypeError):
         scenario.estimate_overrides["A->B"] = 0.5
-    assert scenario.to_json() == text
+    for mapping, key, value in ((scenario.events[0].payload, "capacity_mbps", 0.0), (pinned.n, "nope", 3),
+                                (pinned.rates, "zz:0", 1.0), (pinned.duals, "A->B", 1.0),
+                                (install.payload, "rates", {}), (install.payload["rates"], "ac:0", 9.0)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    assert scenario.to_json() == text and pinned.to_json() == plan_text
+    assert install.payload["rates"] == {"ac:0": 1.0}
 
 
 @pytest.mark.parametrize("name", ["robustness-sweep", "failure-large"])

@@ -391,6 +391,23 @@ def test_given_rates_must_be_finite(rate):
         Event(1.0, "install-config", {"config": cfg, "rates": {"k:0": rate}})
 
 
+def test_initial_rates_for_unknown_flows_are_rejected_at_construction():
+    # They used to be ignored without a word.
+    cfg = config({"k:0": 2.0}, {"k": 1})
+    with pytest.raises(ValueError, match="unknown flow id\\(s\\) 'k:9', 'zz'"):
+        Simulator(one_flow_problem(), cfg, initial_rates={"k:0": 1.0, "zz": 7.0, "k:9": 5.0})
+
+
+def test_install_rates_for_unknown_flows_are_rejected_when_applied():
+    cfg = config({"k:0": 2.0}, {"k": 1})
+    sim = Simulator(one_flow_problem(), cfg)
+    install = Event(1.0, "install-config", {"config": config({"k:0": 5.0}, {"k": 2}), "rates": {"zz": 7.0}})
+    with pytest.raises(ValueError, match="unknown flow id\\(s\\) 'zz'"):
+        sim.run(duration=2.0, events=[install])
+    # The run got as far as the install, which changed nothing.
+    assert sim.t == pytest.approx(1.0) and sim.config is cfg and sim.w[0] == 2.0
+
+
 def test_rates_at_or_below_the_floor_restart_a_flow():
     fixed = config({"k:0": 2.0}, {"k": 1}, gain=0.0)
     sim = Simulator(one_flow_problem(), fixed, initial_rates={"k:0": -5.0})

@@ -26,13 +26,23 @@ together.  The link and route sums are stacked ``np.matmul(incidence[None],
 v[..., None])`` and ``np.matmul(incidence.T[None], p[..., None])``, which
 keep each run's per-run ``np.dot`` bits in any batch; ``v @ incidence.T``
 and ``einsum`` do not.  A batch of one calls the bound ``incidence.dot`` on
-1-D views: the same bits, cheaper per call.  ``_clock`` counts a step-by-step
-loop's steps and clock additions for both runners: ``run`` takes each free
-stretch (the steps up to the next sample, window test, due event or horizon)
-in one ``step(k)``, and ``run_batch`` its whole horizon in one.  Neither calls
-``Simulator.step``.  A sample keeps only state; ``run`` ends with every
-sample's goodputs from one batched ``success`` over the samples, stacked once
-and then dropped, and ``to_csv`` writes a sample through one ``%`` template.
+1-D views: the same bits, cheaper per call.
+
+A run has one clock: whole steps counted from its start t0, read as
+``t0 + i * dt`` after step i.  A span S takes ``_steps(S, dt)`` steps, the
+least n with n * dt >= S, where an S / dt that is an integer to 6 decimals
+counts as that integer.  So a run of duration D takes ``_steps(D, dt)``
+steps, and an event at t is applied after ``_steps(t - t0, dt)`` steps, when
+the clock first reads t or later; one due at the horizon or later is not
+applied.  Samples and convergence windows count the same steps from the
+start, so an event on the grid lands on time and the samples stay on the
+grid.  ``run`` takes each free stretch (the steps up to the next sample,
+window test, due event or horizon) in one ``step(k)``, and ``run_batch`` its
+whole horizon in one; neither calls ``Simulator.step``.
+
+A sample keeps only state; ``run`` ends with every sample's goodputs from
+one batched ``success`` over the samples, stacked once and then dropped, and
+``to_csv`` writes a sample through one ``%`` template.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
 and fixed-rate (gain 0) baselines are configs too.
@@ -74,6 +84,10 @@ _ZERO, _ONE, _NEG_MAX_LOSS, _RATE_FLOOR = map(np.array, (0.0, 1.0, -(1.0 - 1e-12
 class Event:
     """A timed change to the network or its controllers.
 
+    A run from t0 applies the event after ``_steps(t - t0, dt)`` steps, when
+    its clock first reads t or later: an event off the step grid lands on the
+    next step, and one due at the horizon or later is not applied.
+
     An event is checked once, on construction, and is frozen: ``payload`` is
     a read-only copy of the caller's dict, and so is an install's ``rates``,
     so no edit can undo the check.  The simulator still checks each value
@@ -98,6 +112,9 @@ class Event:
              "install-config": (("config",), ("rates",)), "rerun-planner": ((), ("knowledge",))}
 
     def __post_init__(self):
+        if not isinstance(self.payload, Mapping):
+            raise ValueError(f"{self.kind} event at t={self.t} needs a mapping payload, "
+                             f"got {type(self.payload).__name__}")
         # The dataclass is frozen, so the payload's copy is set through object.__setattr__.
         object.__setattr__(self, "payload", p := read_only(self.payload))
         if not (math.isfinite(self.t) and self.t >= 0):
@@ -281,17 +298,29 @@ class Simulator:
         # The weights and rates rows, written in place by configs and events.
         self._wx = np.full((2, len(self.flows)), RATE_FLOOR)
         self.w, self.x = self._wx
-        self._set_rates(initial_rates or {})
-        self.install_config(config)
+        self.install_config(config, initial_rates)
 
     # -- configuration ----------------------------------------------------
 
-    def install_config(self, config: TransportConfig) -> None:
-        """Adopt new weights, session counts and gain; the rates carry on."""
+    def install_config(self, config: TransportConfig, rates: Mapping[str, float] | None = None) -> None:
+        """Adopt new weights, session counts and gain, and move each flow in ``rates`` to its rate,
+        lifted to ``RATE_FLOOR``; the other rates carry on.  A ``ValueError`` names any flow or
+        class the simulator does not have, before anything changes."""
+        rates = rates or {}
+        classes = [c.id for c in self.problem.classes]
+        for named, known, what in ((rates, self._flow_ids, "rates for unknown flow"),
+                                   (config.weights, self._flow_ids, "weights for unknown flow"),
+                                   (config.sessions, classes, "sessions for unknown class")):
+            unknown = sorted(named.keys() - set(known))
+            if unknown:
+                raise ValueError(f"{what} id(s) {', '.join(map(repr, unknown))}")
+        for j, fid in enumerate(self._flow_ids):
+            if fid in rates:
+                self.x[j] = max(RATE_FLOOR, rates[fid])
         self.config = config
         self.w[:] = [config.weights.get(f.id, 0.0) for f in self.flows]
         # Sessions per class, a class without flows included; ``n`` is per flow.
-        self.sessions = {c.id: config.sessions.get(c.id, 0) for c in self.problem.classes}
+        self.sessions = {c: config.sessions.get(c, 0) for c in classes}
         self.n = np.array([float(self.sessions[k]) for k in self._class_ids])
         w_max = float(self.w.max()) if self.w.size else 0.0
         self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
@@ -299,16 +328,6 @@ class Simulator:
         self._step, self._success, self._neg_loss = _stepper(
             self.incidence, self._wx[:, None, :, None], self.n[None, :, None], self.capacity[None, :, None],
             np.array(self.gain_norm), self.dt)
-
-    def _set_rates(self, rates: Mapping[str, float]) -> None:
-        """Move each listed flow to its rate, lifted to ``RATE_FLOOR``; a ``ValueError`` names any
-        listed flow the simulator does not have."""
-        unknown = sorted(rates.keys() - set(self._flow_ids))
-        if unknown:
-            raise ValueError(f"rates for unknown flow id(s) {', '.join(map(repr, unknown))}")
-        for j, f in enumerate(self.flows):
-            if f.id in rates:
-                self.x[j] = max(RATE_FLOOR, rates[f.id])
 
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
         if lid not in self._lidx:
@@ -361,6 +380,14 @@ class Simulator:
     ) -> SimTrace:
         """Advance the simulation by ``duration``, applying events and sampling.
 
+        From its start t0 the run takes ``_steps(duration, dt)`` steps, and
+        its clock reads ``t0 + i * dt`` after step i.  An event at t is
+        applied after ``_steps(t - t0, dt)`` steps, when the clock first reads
+        t or later, and a sample taken there reads the state before it; one
+        due at the horizon or later is not applied.  A sample is taken at the
+        start, every ``round(sample_every / dt)`` steps from it, and at the
+        horizon.
+
         At the end of each convergence window the run compares the rates with
         their value before the window's last step.  If that step left them
         exactly equal, the run freezes: each later step only advances the
@@ -373,34 +400,34 @@ class Simulator:
             raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
         _check_duration(duration)
         events = sorted(events or [], key=lambda e: e.t)
-        samples, fixed_at, ei, steps = [], None, 0, 0
-        window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
-        sample_steps = max(1, int(round(sample_every / self.dt)))
+        t0, dt, total = self.t, self.dt, _steps(duration, self.dt)
+        # The step each event is due at, and the horizon last, so ``due[ei]`` always bounds a stretch.
+        due = [min(_steps(e.t - t0, dt), total) for e in events] + [total]
+        samples, fixed_at, ei, i = [], None, 0, 0
+        window = max(1, int(round(CONVERGENCE_WINDOW / dt)))
+        sample_steps = max(1, int(round(sample_every / dt)))
         self._sample(samples)
-        end, n_events, dt, t = self.t + duration - 1e-12, len(events), self.dt, self.t
-        while t < end:
-            while ei < n_events and events[ei].t <= t + 1e-12:
+        while i < total:
+            while due[ei] <= i:
                 self._apply(events[ei])
-                steps, fixed_at = 0, None
+                fixed_at = None
                 ei += 1
             # A free stretch: the steps to the next sample, window test, due
             # event or horizon; a window's last step, whose start the test
             # keeps, stands alone.  A frozen run (``fixed_at`` set) has no test.
-            free = sample_steps - steps % sample_steps
+            k = min(sample_steps - i % sample_steps, due[ei] - i)
             if fixed_at is None:
-                free = min(free, window - 1 - steps % window or 1)
-                if steps % window == window - 1:
+                k = min(k, window - 1 - i % window or 1)
+                if i % window == window - 1:
                     before = self.x.copy()  # the step moves self.x in place
-            k, t = _clock(t, dt, end, events[ei].t if ei < n_events else math.inf, free)
-            if fixed_at is None:
                 self._step(k)
-            steps += k
-            self.t = t
-            if steps % sample_steps == 0:
+            i += k
+            self.t = t0 + i * dt
+            if i % sample_steps == 0:
                 self._sample(samples)
-            if steps % window == 0 and fixed_at is None and np.array_equal(self.x, before):
-                fixed_at = t
-        if steps % sample_steps != 0:
+            if i % window == 0 and fixed_at is None and np.array_equal(self.x, before):
+                fixed_at = self.t
+        if total % sample_steps != 0:
             self._sample(samples)
         # Every sample's route success in one batch, which keeps each sample's own bits.  The
         # samples are dropped as they are stacked, and ``success`` reads no weights, so the
@@ -420,10 +447,8 @@ class Simulator:
         elif ev.kind == "set-sessions":
             self.set_sessions(ev.payload["class"], ev.payload["n"])
         elif ev.kind == "install-config":
-            # Abrupt switch to the new plan's starting rates, set first so that rates for an unknown
-            # flow raise before anything changes; ``install_config`` leaves the rates as they are.
-            self._set_rates(ev.payload.get("rates", {}))
-            self.install_config(ev.payload["config"])
+            # Abrupt switch to the new plan's config and starting rates.
+            self.install_config(ev.payload["config"], ev.payload.get("rates"))
         else:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 
@@ -439,15 +464,10 @@ def _check_duration(duration: float) -> None:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
 
 
-def _clock(t: float, dt: float, end: float, next_t: float = math.inf, limit: float = math.inf) -> tuple[int, float]:
-    """The steps a step-by-step run takes from clock ``t``, and the clock after them: it adds
-    ``dt`` until the clock reaches ``end``, an event at ``next_t`` falls due (within 1e-12) or
-    ``limit`` steps are taken."""
-    k = 0
-    while t < end and next_t > t + 1e-12 and k < limit:
-        t += dt
-        k += 1
-    return k, t
+def _steps(span: float, dt: float) -> int:
+    """The steps a span takes at step ``dt``: the least n with n * dt >= span, where a span / dt
+    that is an integer to 6 decimals counts as that integer; 0 for a span <= 0."""
+    return max(0, math.ceil(round(span / dt, 6)))
 
 
 def run_batch(sims: list[Simulator], duration: float) -> None:
@@ -466,8 +486,9 @@ def run_batch(sims: list[Simulator], duration: float) -> None:
     wx, n, capacity = (np.stack([getattr(sim, a) for sim in sims], -2)[..., None] for a in ("_wx", "n", "capacity"))
     step = _stepper(first.incidence, wx, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
                     first.dt)[0]
-    k, t = _clock(first.t, first.dt, first.t + duration - 1e-12)
+    k = _steps(duration, first.dt)
     step(k)
+    t = first.t + k * first.dt
     for sim, rates in zip(sims, wx[1, :, :, 0]):
         sim.x[:] = rates
         sim.t = t

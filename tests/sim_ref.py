@@ -1,8 +1,10 @@
 """The fluid simulator as it was before its lean per-step and per-sample
 rewrite, kept as the reference for ``overlaylab.sim``.
 
-``RefSimulator`` is the previous ``Simulator`` with its dead attributes
-removed; it writes the previous ``SimTrace``, a list of row tuples, which has
+``RefSimulator`` is the previous ``Simulator`` with its dead attributes and
+options removed, and with the simulator's clock: its own loop takes one step
+at a time and counts whole steps from the run's start by the same rule.  It
+writes the previous ``SimTrace``, a list of row tuples, which has
 the ``utility`` and ``final_goodputs`` accessors ``run_experiment`` reads.
 ``to_csv`` and ``phase_utilities`` are the previous trace writer and
 ``run_experiment``'s previous phase means.  The rewrite must produce the same
@@ -10,15 +12,12 @@ bits, so the tests compare arrays with ``np.array_equal`` and text with
 ``==``, never with a tolerance.
 """
 import io
+import math
 
 import numpy as np
 
 from overlaylab.model import cumulative_utility
-from overlaylab.sim import CONVERGENCE_WINDOW, DEFAULT_DT, RATE_FLOOR
-
-# The previous simulator's tolerance stop: every rate moved by less than
-# this fraction over one convergence window.
-CONVERGENCE_REL = 0.001
+from overlaylab.sim import DEFAULT_DT, RATE_FLOOR
 
 
 class SimTrace:
@@ -29,7 +28,6 @@ class SimTrace:
     def __init__(self):
         self.times = []
         self.rows = []
-        self.converged_at = None
 
     @property
     def utility(self):
@@ -134,36 +132,27 @@ class RefSimulator:
             n[c.id] = int(round(self.n[idxs[0]])) if idxs else self.sessions[c.id]
         return cumulative_utility(self.problem.classes, n, per_session)
 
-    def run(self, duration=None, events=None, sample_every=1.0, stop_on_convergence=False, max_time=10_000.0):
+    def run(self, duration, events=None, sample_every=1.0):
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace()
-        horizon = self.t + duration if duration is not None else max_time
-        ei = 0
-        window = max(1, int(round(CONVERGENCE_WINDOW / self.dt)))
+        t0, i = self.t, 0
+
+        def steps(span):
+            # The least n with n * dt >= span, where an n that is an integer to 6 decimals is that integer.
+            return max(0, math.ceil(round(span / self.dt, 6)))
+
+        total = steps(duration)
         sample_steps = max(1, int(round(sample_every / self.dt)))
-        steps = 0
         self._sample(trace)
-        ref = self.x.copy()
-        while self.t < horizon - 1e-12:
-            while ei < len(events) and events[ei].t <= self.t + 1e-12:
-                self._apply(events[ei])
-                ref = self.x.copy()
-                steps = 0
-                ei += 1
+        while i < total:
+            while events and steps(events[0].t - t0) <= i:
+                self._apply(events.pop(0))
             self.step()
-            steps += 1
-            if steps % sample_steps == 0:
+            i += 1
+            self.t = t0 + i * self.dt
+            if i % sample_steps == 0:
                 self._sample(trace)
-            if steps % window == 0:
-                if (
-                    stop_on_convergence
-                    and ei >= len(events)
-                    and np.all(np.abs(self.x - ref) < CONVERGENCE_REL * np.maximum(ref, RATE_FLOOR))
-                ):
-                    trace.converged_at = self.t
-                    break
-                ref = self.x.copy()
-        if steps % sample_steps != 0:
+        if i % sample_steps != 0:
             self._sample(trace)
         return trace
 

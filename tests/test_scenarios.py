@@ -402,15 +402,48 @@ def test_failure_scenario_has_three_phases():
     lines = result.phase_csv().strip().split("\n")
     assert lines[0] == "phase_start,phase_end,mean_utility"
     assert len(lines) == 4
+    # The drop at t = 60 and the re-plan at t = 140 land on their steps, and
+    # every sample on a whole second.
+    assert result.trace.times == [float(t) for t in range(221)]
+    assert lines[3] == "140,220,2.59390538"
 
 
-# sha256 of failure-large's (seed 7) trace, summary and phase CSVs, recorded
-# when each capacity event still built its own copy of the truth topology.
-FAILURE_LARGE_CSVS = (
-    "8b365ce2843f254ec7c8bba6f84b8246451288f084b66721f710fdff38ba60fe",
-    "c2825a79ffd3528d0adf9adf75de56940f9ae785615a205cf3443f14f1c9c6fa",
-    "ea78a2f7f36e29597ece9185f16f9cf8ae453815cca33c1f1e870b7d33a0426b",
-)
+# sha256 of each paper scenario's (seed 7) trace, summary and phase CSVs, and of
+# repr() of each sweep's rows.  Recorded when a run's clock became whole steps
+# from its start; failure-large's CSVs and the sweep rows kept the bytes they
+# had when each capacity event still built its own copy of the truth topology.
+OUTPUT_PINS = {
+    "triangle-basic": ("72706e9055822661f14fc7638b61dd8193fd0fb8503694043f548c1f621c8453",
+                       "0be34007b823989ba7687f6eaff0371def315036415a8f6c6a2de0d13c369038",
+                       "bb2cf33526152fd9de97567136115b233f1a837ab83b22bb4cf0a46958700dd9"),
+    "failure-triangle": ("9e8919fb77428ad147d37379d581df38170b2ededbc5c4670a46dfdde2c36b2a",
+                         "68884d9c319e1ea4206a2b9c83ed1acf32f24c9100be3abaad20c5be64a13c5e",
+                         "bc9e87a525acb3a98ff23794e9b9bafce7897112ae4275f254e9bddf1ef40ab3"),
+    "hop-study": ("5f6b9b7296c5bf3f5c8b6fac35e54f687135a40f720c0f6d6f4e939890bb8c5a",
+                  "879b88660f6222055d3dfc6ccefb6f384f98bac74254553f4f09be0fe41d1baf",
+                  "31fa72c6f9a7b3815a0d1817ccb40c36567cbb3795e52fb2e98510c9e7ab9ce6"),
+    "random-path-study": ("5f6b9b7296c5bf3f5c8b6fac35e54f687135a40f720c0f6d6f4e939890bb8c5a",
+                          "879b88660f6222055d3dfc6ccefb6f384f98bac74254553f4f09be0fe41d1baf",
+                          "31fa72c6f9a7b3815a0d1817ccb40c36567cbb3795e52fb2e98510c9e7ab9ce6"),
+    "failure-large": ("8b365ce2843f254ec7c8bba6f84b8246451288f084b66721f710fdff38ba60fe",
+                      "c2825a79ffd3528d0adf9adf75de56940f9ae785615a205cf3443f14f1c9c6fa",
+                      "ea78a2f7f36e29597ece9185f16f9cf8ae453815cca33c1f1e870b7d33a0426b"),
+    "robustness_sweep": ("bfbbfcc7cec4409f38cf9732f1d54cc1fbf9b0311d004034fffb6c6a8bb4ad77",),
+    "demand_sweep": ("b7e19fad0dde60e805f37bd1713729b3252a3fd6f9aa50c6b0b025eb02fd4c4d",),
+}
+
+
+def sha256s(*texts):
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_PINS))
+def test_paper_outputs_are_pinned(name):
+    if name.endswith("_sweep"):
+        assert sha256s(repr(getattr(scenarios, name)())) == OUTPUT_PINS[name]
+        return
+    result = run_experiment(build_paper_scenario(name))
+    assert sha256s(result.trace.to_csv(), result.summary_csv(), result.phase_csv()) == OUTPUT_PINS[name]
 
 
 def test_failure_large_builds_one_truth_per_replan(monkeypatch):
@@ -422,8 +455,7 @@ def test_failure_large_builds_one_truth_per_replan(monkeypatch):
     replans = sum(e.kind == "rerun-planner" for e in scenario.events)
     assert sum(e.kind == "set-capacity" for e in scenario.events) == 12 and replans == 1
     assert len(calls) <= 1 + replans  # the estimate, then one truth per re-plan
-    texts = (result.trace.to_csv(), result.summary_csv(), result.phase_csv())
-    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == FAILURE_LARGE_CSVS
+    assert sha256s(result.trace.to_csv(), result.summary_csv(), result.phase_csv()) == OUTPUT_PINS["failure-large"]
 
 
 def test_experiment_determinism():

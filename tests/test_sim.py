@@ -20,7 +20,7 @@ from overlaylab.model import (
 )
 from overlaylab.planner import PlanningProblem, solve_plan
 from overlaylab.scenarios import build_paper_scenario, triangle_topology
-from overlaylab.sim import RATE_FLOOR, Event, Simulator, _clock
+from overlaylab.sim import RATE_FLOOR, Event, Simulator, _steps
 from overlaylab.weights import TransportConfig, compute_weights
 
 
@@ -255,34 +255,31 @@ def test_fixed_at_is_none_on_a_robustness_weighted_run():
     assert trace.fixed_at is None
 
 
-def plain_clock(t, dt, end, next_t=math.inf, limit=math.inf):
-    """Step by step: add dt until the horizon, a due event or the step limit."""
-    steps = 0
-    while t < end and steps < limit:
-        t += dt
-        steps += 1
-        if next_t <= t + 1e-12:
-            break
-    return steps, t
-
-
-@pytest.mark.parametrize("t0, dt, duration", [
-    (0.0, 0.01, 200.0), (0.0, 0.05, 240.0), (0.0, 0.1, 4000.0), (3.7, 0.03, 10.0), (5.0, 0.01, 0.0),
+@pytest.mark.parametrize("dt, span, steps", [
+    (0.01, 200.0, 20_000), (0.05, 240.0, 4800), (0.1, 4000.0, 40_000), (0.03, 10.0, 334), (0.01, 0.0, 0),
 ])
-def test_the_clock_counts_the_steps_and_additions_of_a_plain_loop(t0, dt, duration):
-    end = t0 + duration - 1e-12
-    assert _clock(t0, dt, end) == plain_clock(t0, dt, end)
-    for next_t, limit in ((t0 + 1.0, math.inf), (math.inf, 99), (t0 + 0.5, 99), (t0 + 2.0, 7)):
-        assert _clock(t0, dt, end, next_t, limit) == plain_clock(t0, dt, end, next_t, limit)
+def test_a_span_takes_the_least_whole_steps_that_cover_it(dt, span, steps):
+    # 200 / 0.01 reads 20000.000000000004 and 4000 / 0.1 reads 40000.00000000001 in floats: each
+    # counts as the integer it rounds to, and 10 / 0.03 = 333.33... takes 334 steps.
+    assert _steps(span, dt) == steps
 
 
-def test_a_200_s_run_at_dt_0_01_takes_20_001_steps():
-    # The summed clock falls short of 200 by more than 1e-12 after 20 000 steps,
-    # so one more step is taken and the last sample reads t = 200.01.
-    steps, t = _clock(0.0, 0.01, 200.0 - 1e-12)
-    assert steps == 20_001 and round(t, 9) == 200.01
-    trace = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1})).run(200.0, sample_every=50.0)
-    assert trace.times == [0.0, 50.0, 100.0, 150.0, 200.0, 200.01]
+def test_a_200_s_run_at_dt_0_01_takes_20_000_steps():
+    # The clock reads t0 + i * dt: no sum of 20 000 dt falls short of the horizon by a step.
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
+    trace = sim.run(200.0, sample_every=50.0)
+    assert sim.t == 20_000 * 0.01 == 200.0
+    assert trace.times == [0.0, 50.0, 100.0, 150.0, 200.0]
+
+
+def test_an_off_grid_event_applies_at_the_next_step_and_the_samples_stay_on_the_grid():
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}, gain=0.0))
+    applied = []
+    set_capacity = sim.set_capacity
+    sim.set_capacity = lambda lid, cap: applied.append(sim.t) or set_capacity(lid, cap)
+    trace = sim.run(3.0, events=[Event(0.505, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})])
+    assert applied == [0.51]
+    assert trace.times == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_rerun_planner_event_is_rejected():
@@ -379,6 +376,9 @@ def test_install_config_rejects_reset_rates():
     payload = {"config": config({"k:0": 2.0}, {"k": 1}), "reset_rates": True}
     with pytest.raises(ValueError, match="unread key\\(s\\) 'reset_rates'"):
         Event(1.0, "install-config", payload)
+    # A payload that is not a mapping is named by its event, not by a failed dict copy.
+    with pytest.raises(ValueError, match="set-capacity event at t=1.0 needs a mapping payload, got str"):
+        Event(1.0, "set-capacity", "ab")
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
@@ -391,21 +391,32 @@ def test_given_rates_must_be_finite(rate):
         Event(1.0, "install-config", {"config": cfg, "rates": {"k:0": rate}})
 
 
+# Rates, weights and session counts for a flow or class the simulator does not have, each with
+# the error that names it.
+UNKNOWN_IDS = [
+    ({"k:0": 9.0, "zz": 7.0, "k:9": 5.0}, {"k:0": 5.0}, {"k": 2}, "rates for unknown flow id\\(s\\) 'k:9', 'zz'"),
+    ({"k:0": 9.0}, {"zz": 1.0, "k:0": 5.0}, {"k": 2}, "weights for unknown flow id\\(s\\) 'zz'"),
+    ({"k:0": 9.0}, {"k:0": 5.0}, {"nope": 3, "k": 2}, "sessions for unknown class id\\(s\\) 'nope'"),
+]
+
+
 def test_initial_rates_for_unknown_flows_are_rejected_at_construction():
     # They used to be ignored without a word.
-    cfg = config({"k:0": 2.0}, {"k": 1})
-    with pytest.raises(ValueError, match="unknown flow id\\(s\\) 'k:9', 'zz'"):
-        Simulator(one_flow_problem(), cfg, initial_rates={"k:0": 1.0, "zz": 7.0, "k:9": 5.0})
+    for rates, weights, sessions, match in UNKNOWN_IDS:
+        with pytest.raises(ValueError, match=match):
+            Simulator(one_flow_problem(), config(weights, sessions), initial_rates=rates)
 
 
 def test_install_rates_for_unknown_flows_are_rejected_when_applied():
     cfg = config({"k:0": 2.0}, {"k": 1})
-    sim = Simulator(one_flow_problem(), cfg)
-    install = Event(1.0, "install-config", {"config": config({"k:0": 5.0}, {"k": 2}), "rates": {"zz": 7.0}})
-    with pytest.raises(ValueError, match="unknown flow id\\(s\\) 'zz'"):
-        sim.run(duration=2.0, events=[install])
-    # The run got as far as the install, which changed nothing.
-    assert sim.t == pytest.approx(1.0) and sim.config is cfg and sim.w[0] == 2.0
+    for rates, weights, sessions, match in UNKNOWN_IDS:
+        sim = Simulator(one_flow_problem(), cfg)
+        install = Event(1.0, "install-config", {"config": config(weights, sessions), "rates": rates})
+        with pytest.raises(ValueError, match=match):
+            sim.run(duration=2.0, events=[install])
+        # The run got as far as the install, which changed nothing.
+        assert sim.t == 1.0 and sim.config is cfg and sim.w[0] == 2.0 and sim.n[0] == 1.0
+        assert sim.x[0] != 9.0
 
 
 def test_rates_at_or_below_the_floor_restart_a_flow():

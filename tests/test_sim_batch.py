@@ -98,19 +98,22 @@ def test_batch_with_capacity_rows_matches_lone_runs():
         assert_same_run(sim, ref)
 
 
-def test_float_clock_takes_one_step_more_than_duration_over_dt():
-    t, steps = 0.0, 0
-    while t < 4000.0 - 1e-12:
-        t += 0.1
-        steps += 1
-    assert steps == 40_001
+def test_a_batch_takes_40_000_steps_and_equals_its_lone_runs(monkeypatch):
     # Gain-0 runs: a lone run freezes and only moves its clock, while the
-    # batch steps all 40 001 times.
+    # batch steps all 40 000 times.
     sims, lone = (robustness_runs((4.0, 4.0, 4.0, 4.0, 4.0))[1::3] for _ in range(2))
+    calls = []
+
+    def counting(*args):
+        step, *rest = _stepper(*args)
+        return (lambda k=1: calls.append(k) or step(k)), *rest
+
+    monkeypatch.setattr("overlaylab.sim._stepper", counting)
     run_batch(sims, 4000.0)
+    assert calls == [40_000]
     for sim, ref in zip(sims, lone):
         ref.run(4000.0, sample_every=4000.0)
-        assert sim.t == t
+        assert sim.t == 4000.0
         assert_same_run(sim, ref)
 
 

@@ -7,7 +7,6 @@ GraphML files (two are bundled under ``data/``).
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import importlib.resources
 import json
@@ -169,6 +168,9 @@ class Scenario:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ScenarioError(f"{name} must be finite and > 0, got {value}")
+        # run_experiment samples once a second, which must be whole steps (as ``Simulator.run`` rounds).
+        if round(1.0 / self.dt, 6) % 1:
+            raise ScenarioError(f"dt must divide one second, the interval a run samples at, got {self.dt}")
         # The dataclass is frozen, so attributes are set through object.__setattr__.
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "estimate_overrides", read_only(self.estimate_overrides))
@@ -291,7 +293,15 @@ def _route_label(topology: Topology, flow: Flow) -> str:
 
 
 def run_experiment(scenario: Scenario) -> ExperimentResult:
-    """Solve, map, simulate with the scenario's timeline, summarize."""
+    """Solve, map, simulate with the scenario's timeline, summarize.
+
+    The run samples every second, and the phases cut [0, duration] at the
+    event times.  A sample at an event's time reads the state before that
+    event, so it counts in the phase that ends there: a phase's mean covers
+    the samples taken after its opening events applied, through the sample
+    at its closing event (the horizon's, for the last phase).  Each sample's
+    phase is the one that opens at its ``trace.since``.
+    """
     problem_est = scenario.problem()
     if scenario.pinned_plan is not None:
         plan = scenario.pinned_plan
@@ -322,17 +332,13 @@ def run_experiment(scenario: Scenario) -> ExperimentResult:
 
     trace = sim.run(duration=scenario.duration, events=events, sample_every=1.0)
 
-    # Phases partition [0, duration] at event times; the last one also takes
-    # a sample at exactly t = duration.
+    # Phases partition [0, duration] at event times, and each sample counts in
+    # the phase that opens at the last event applied before it (``trace.since``).
     cuts = sorted({0.0, scenario.duration} | {e.t for e in scenario.events})
-    utils: list[list[float]] = [[] for _ in cuts[1:]]
-    for t, u in zip(trace.times, trace.utility):
-        k = bisect.bisect_right(cuts, t) - 1 - (t == cuts[-1])
-        if 0 <= k < len(utils):
-            utils[k].append(u)
-    phase_utilities = [
-        (a, b, sum(u) / len(u) if u else 0.0) for a, b, u in zip(cuts, cuts[1:], utils)
-    ]
+    utils: dict[float, list[float]] = {a: [] for a in cuts[:-1]}
+    for a, u in zip(trace.since, trace.utility):
+        utils[a].append(u)
+    phase_utilities = [(a, b, sum(u) / len(u) if u else 0.0) for (a, u), b in zip(utils.items(), cuts[1:])]
 
     final_good = trace.final_goodputs()
     summary_rows = []

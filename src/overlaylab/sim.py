@@ -36,9 +36,11 @@ steps, and an event at t is applied after ``_steps(t - t0, dt)`` steps, when
 the clock first reads t or later; one due at the horizon or later is not
 applied.  Samples and convergence windows count the same steps from the
 start, so an event on the grid lands on time and the samples stay on the
-grid.  ``run`` takes each free stretch (the steps up to the next sample,
-window test, due event or horizon) in one ``step(k)``, and ``run_batch`` its
-whole horizon in one; neither calls ``Simulator.step``.
+grid.  A sample at an event's step reads the state before the event,
+and ``SimTrace.since`` keeps the time of the event before it (or t0).
+``run`` takes each free stretch (the steps up to the next sample, window
+test, due event or horizon) in one ``step(k)``, and ``run_batch`` its whole
+horizon in one; neither calls ``Simulator.step``.
 
 A sample keeps only state; ``run`` ends with every sample's goodputs from
 one batched ``success`` over the samples, stacked once and then dropped, and
@@ -158,6 +160,12 @@ class SimTrace:
     utility, and a row each of ``send`` rates, per-session goodputs (``good``)
     and per-flow ``sessions``; ``rows`` expands them into one tuple per
     (sample, flow) plus one aggregate row per sample.
+
+    ``since`` holds, per sample, the time of the last event the run applied
+    before taking it, or the run's start t0 before any event.  A sample at an
+    event's step reads the state before that event, so its ``since`` is the
+    event before; ``run_experiment`` puts each sample in the phase that
+    opens at its ``since``.  It is not part of the CSV.
     """
 
     flow_ids: list[str]
@@ -168,6 +176,7 @@ class SimTrace:
     good: np.ndarray
     sessions: np.ndarray
     utility: list[float]
+    since: list[float]
     # Simulated time at which the run last reached an exact fixed point, or
     # None if it ends off one; not part of the CSV.
     fixed_at: float | None = None
@@ -383,10 +392,13 @@ class Simulator:
         From its start t0 the run takes ``_steps(duration, dt)`` steps, and
         its clock reads ``t0 + i * dt`` after step i.  An event at t is
         applied after ``_steps(t - t0, dt)`` steps, when the clock first reads
-        t or later, and a sample taken there reads the state before it; one
-        due at the horizon or later is not applied.  A sample is taken at the
-        start, every ``round(sample_every / dt)`` steps from it, and at the
-        horizon.
+        t or later, and a sample taken there reads the state before it (its
+        ``trace.since`` is the event before, or t0); one due at the horizon or
+        later is not applied.  A sample is taken at the start, every
+        ``sample_every / dt`` steps from it, and at the horizon; a
+        ``sample_every`` shorter than the run must be a whole number of steps
+        (to 6 decimals, as ``_steps`` rounds) or the run raises ``ValueError``,
+        and one at or past ``duration`` samples only the start and the horizon.
 
         At the end of each convergence window the run compares the rates with
         their value before the window's last step.  If that step left them
@@ -403,14 +415,18 @@ class Simulator:
         t0, dt, total = self.t, self.dt, _steps(duration, self.dt)
         # The step each event is due at, and the horizon last, so ``due[ei]`` always bounds a stretch.
         due = [min(_steps(e.t - t0, dt), total) for e in events] + [total]
-        samples, fixed_at, ei, i = [], None, 0, 0
+        samples, fixed_at, since, ei, i = [], None, t0, 0, 0
         window = max(1, int(round(CONVERGENCE_WINDOW / dt)))
-        sample_steps = max(1, int(round(sample_every / dt)))
-        self._sample(samples)
+        # A cadence at or past the duration samples only the start and the horizon.
+        per_sample = round(sample_every / dt, 6) if sample_every < duration else total + 1
+        if per_sample < 1 or per_sample % 1:
+            raise ValueError(f"sample_every must be a whole number of steps of dt={dt}, got {sample_every}")
+        sample_steps = int(per_sample)
+        self._sample(samples, since)
         while i < total:
             while due[ei] <= i:
                 self._apply(events[ei])
-                fixed_at = None
+                fixed_at, since = None, events[ei].t
                 ei += 1
             # A free stretch: the steps to the next sample, window test, due
             # event or horizon; a window's last step, whose start the test
@@ -424,22 +440,22 @@ class Simulator:
             i += k
             self.t = t0 + i * dt
             if i % sample_steps == 0:
-                self._sample(samples)
+                self._sample(samples, since)
             if i % window == 0 and fixed_at is None and np.array_equal(self.x, before):
                 fixed_at = self.t
         if total % sample_steps != 0:
-            self._sample(samples)
+            self._sample(samples, since)
         # Every sample's route success in one batch, which keeps each sample's own bits.  The
         # samples are dropped as they are stacked, and ``success`` reads no weights, so the
         # weights row is a view of the rates: the batch holds each sample's state once.
-        times, x, n, capacity, sessions = zip(*samples)
+        times, since, x, n, capacity, sessions = zip(*samples)
         del samples
         x, n, capacity = (np.stack(a)[..., None] for a in (x, n, capacity))
         success = _stepper(self.incidence, np.broadcast_to(x, (2, *x.shape)), n, capacity, _ZERO, self.dt)[1]
         x, n = x[..., 0], n[..., 0]
         good = x * success()[..., 0]
         return SimTrace(self._flow_ids, self._class_ids, self._class_idx, list(times), x, good, n,
-                        self._utilities(good, sessions), fixed_at)
+                        self._utilities(good, sessions), list(since), fixed_at)
 
     def _apply(self, ev: Event) -> None:
         if ev.kind == "set-capacity":
@@ -452,9 +468,10 @@ class Simulator:
         else:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 
-    def _sample(self, samples: list) -> None:
+    def _sample(self, samples: list, since: float) -> None:
         """Keep what the trace needs of this moment; ``run`` derives the rest."""
-        samples.append((round(self.t, 9), self.x.copy(), self.n.copy(), self.capacity.copy(), self.sessions.copy()))
+        samples.append((round(self.t, 9), since, self.x.copy(), self.n.copy(), self.capacity.copy(),
+                        self.sessions.copy()))
 
 
 def _check_duration(duration: float) -> None:

@@ -6,10 +6,11 @@ options removed, and with the simulator's clock: its own loop takes one step
 at a time and counts whole steps from the run's start by the same rule.  It
 writes the previous ``SimTrace``, a list of row tuples, which has
 the ``utility`` and ``final_goodputs`` accessors ``run_experiment`` reads.
-``to_csv`` and ``phase_utilities`` are the previous trace writer and
-``run_experiment``'s previous phase means.  The rewrite must produce the same
-bits, so the tests compare arrays with ``np.array_equal`` and text with
-``==``, never with a tolerance.
+``to_csv`` is the previous trace writer, and ``phase_utilities`` gives the
+phase means ``run_experiment`` must give, grouping the samples by the time of
+the last applied event that the reference's own loop records for each.  The
+rewrite must produce the same bits, so the tests compare arrays with
+``np.array_equal`` and text with ``==``, never with a tolerance.
 """
 import io
 import math
@@ -27,6 +28,7 @@ class SimTrace:
 
     def __init__(self):
         self.times = []
+        self.since = []  # per sample, the time of the last event applied before it, or the start
         self.rows = []
 
     @property
@@ -136,24 +138,27 @@ class RefSimulator:
         events = sorted(events or [], key=lambda e: e.t)
         trace = SimTrace()
         t0, i = self.t, 0
+        since = t0
 
         def steps(span):
             # The least n with n * dt >= span, where an n that is an integer to 6 decimals is that integer.
             return max(0, math.ceil(round(span / self.dt, 6)))
 
         total = steps(duration)
-        sample_steps = max(1, int(round(sample_every / self.dt)))
-        self._sample(trace)
+        # A cadence at or past the duration samples only the start and the horizon.
+        sample_steps = int(round(sample_every / self.dt, 6)) if sample_every < duration else total + 1
+        self._sample(trace, since)
         while i < total:
             while events and steps(events[0].t - t0) <= i:
+                since = events[0].t
                 self._apply(events.pop(0))
             self.step()
             i += 1
             self.t = t0 + i * self.dt
             if i % sample_steps == 0:
-                self._sample(trace)
+                self._sample(trace, since)
         if i % sample_steps != 0:
-            self._sample(trace)
+            self._sample(trace, since)
         return trace
 
     def _apply(self, ev):
@@ -171,7 +176,7 @@ class RefSimulator:
                 if self.mode == "fixed":
                     self._fixed_rates = self.x.copy()
 
-    def _sample(self, trace):
+    def _sample(self, trace, since):
         good = self.goodputs()
         cg = {}
         for j, f in enumerate(self.flows):
@@ -179,6 +184,7 @@ class RefSimulator:
         util = self.utility()
         t = round(self.t, 9)
         trace.times.append(t)
+        trace.since.append(since)
         for j, f in enumerate(self.flows):
             trace.rows.append(
                 (t, f.id, float(self.x[j]), float(good[j]), f.class_id, cg[f.class_id], util)
@@ -205,12 +211,13 @@ def to_csv(trace):
 
 
 def phase_utilities(trace, cut_times, duration):
-    """Mean utility per phase, the phases cut at ``cut_times``; one scan of
-    the rows per phase."""
-    summary = [(r, r[0]) for r in trace.rows if r[1] == ""]
+    """Mean utility per phase, the phases cut at ``cut_times``: a phase holds
+    the samples whose last applied event (or the start) is its own start, so
+    a sample at an event's time counts in the phase that ends there.  One
+    scan of the samples per phase."""
     cuts = sorted({0.0, duration} | set(cut_times))
     out = []
     for a, b in zip(cuts, cuts[1:]):
-        utils = [r[6] for r, t in summary if a <= t < b or (b == duration and t == b)]
+        utils = [u for since, u in zip(trace.since, trace.utility) if since == a]
         out.append((a, b, sum(utils) / len(utils) if utils else 0.0))
     return out

@@ -134,6 +134,13 @@ def test_invalid_override_rejected(flag, value, capsys):
     assert "must be finite and > 0" in capsys.readouterr().err
 
 
+def test_a_dt_that_does_not_divide_one_second_exits_2(capsys):
+    # A run samples every second, and 1 / 0.03 is no whole number of steps.
+    assert main(["run", "--paper", "triangle-basic", "--dt", "0.03"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: dt must divide one second, the interval a run samples at, got 0.03\n"
+
+
 @pytest.mark.parametrize("field, key", [("duals", "A->C"), ("rates", "ac:0")])
 def test_check_rejects_non_finite_plan(files, capsys, field, key):
     tmp, topo, classes = files

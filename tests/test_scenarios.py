@@ -397,28 +397,49 @@ def test_triangle_experiment_hits_planned_targets():
     assert rows["A|B|C"] == ["5", "5"]
 
 
-def test_failure_scenario_has_three_phases():
-    result = run_experiment(build_paper_scenario("failure-triangle"))
+@pytest.mark.parametrize("name, seed", [("failure-triangle", 7)] + [("failure-large", s) for s in (33, 36, 42, 58)])
+def test_failure_scenario_has_three_phases(name, seed):
+    result = run_experiment(build_paper_scenario(name, seed=seed))
     lines = result.phase_csv().strip().split("\n")
     assert lines[0] == "phase_start,phase_end,mean_utility"
     assert len(lines) == 4
-    # The drop at t = 60 and the re-plan at t = 140 land on their steps, and
-    # every sample on a whole second.
-    assert result.trace.times == [float(t) for t in range(221)]
-    assert lines[3] == "140,220,2.59390538"
+    # Re-planning wins back utility, but not all of it: pre-failure > re-planned > failed.
+    pre, failed, replanned = (float(line.split(",")[2]) for line in lines[1:])
+    assert pre > replanned > failed
+    if name == "failure-triangle":
+        # The drop at t = 60 and the re-plan at t = 140 land on their steps, and
+        # every sample on a whole second.  The sample at each event reads the
+        # state before it, so it counts in the phase that ends there.
+        assert result.trace.times == [float(t) for t in range(221)]
+        assert Counter(result.trace.since) == {0.0: 61, 60.0: 80, 140.0: 80}
+        assert lines[1:] == ["0,60,3", "60,140,2.1995574", "140,220,2.59882919"]
+
+
+def test_an_off_grid_event_leaves_the_sample_before_it_in_the_phase_it_ends():
+    # The drop at t = 60.995 applies after step 6100 at dt 0.01, so the t = 61
+    # sample reads the state before it and belongs to the first phase.
+    drop = Event(60.995, "set-capacity", {"link": "A->B", "capacity_mbps": 1.0})
+    result = run_experiment(replace(build_paper_scenario("triangle-basic"), events=[drop]))
+    trace = result.trace
+    assert trace.times[61] == 61.0 and trace.utility[61] == 3.0
+    assert trace.since == [0.0] * 62 + [60.995] * 139
+    after = trace.utility[62:]
+    assert result.phase_utilities == [(0.0, 60.995, 3.0), (60.995, 200.0, sum(after) / len(after))]
 
 
 # sha256 of each paper scenario's (seed 7) trace, summary and phase CSVs, and of
 # repr() of each sweep's rows.  Recorded when a run's clock became whole steps
 # from its start; failure-large's CSVs and the sweep rows kept the bytes they
 # had when each capacity event still built its own copy of the truth topology.
+# The two failure scenarios' phase CSVs moved when the sample at each event's
+# time came to count in the phase that ends there.
 OUTPUT_PINS = {
     "triangle-basic": ("72706e9055822661f14fc7638b61dd8193fd0fb8503694043f548c1f621c8453",
                        "0be34007b823989ba7687f6eaff0371def315036415a8f6c6a2de0d13c369038",
                        "bb2cf33526152fd9de97567136115b233f1a837ab83b22bb4cf0a46958700dd9"),
     "failure-triangle": ("9e8919fb77428ad147d37379d581df38170b2ededbc5c4670a46dfdde2c36b2a",
                          "68884d9c319e1ea4206a2b9c83ed1acf32f24c9100be3abaad20c5be64a13c5e",
-                         "bc9e87a525acb3a98ff23794e9b9bafce7897112ae4275f254e9bddf1ef40ab3"),
+                         "0cc7f74eb1065f94ef075c8f756344806a05186272773e60ba0098abf453c00e"),
     "hop-study": ("5f6b9b7296c5bf3f5c8b6fac35e54f687135a40f720c0f6d6f4e939890bb8c5a",
                   "879b88660f6222055d3dfc6ccefb6f384f98bac74254553f4f09be0fe41d1baf",
                   "31fa72c6f9a7b3815a0d1817ccb40c36567cbb3795e52fb2e98510c9e7ab9ce6"),
@@ -427,7 +448,7 @@ OUTPUT_PINS = {
                           "31fa72c6f9a7b3815a0d1817ccb40c36567cbb3795e52fb2e98510c9e7ab9ce6"),
     "failure-large": ("8b365ce2843f254ec7c8bba6f84b8246451288f084b66721f710fdff38ba60fe",
                       "c2825a79ffd3528d0adf9adf75de56940f9ae785615a205cf3443f14f1c9c6fa",
-                      "ea78a2f7f36e29597ece9185f16f9cf8ae453815cca33c1f1e870b7d33a0426b"),
+                      "2893f8b5dbdca814817788810bde0702f8ec775351f571fa2e4f0fb0f82ae20f"),
     "robustness_sweep": ("bfbbfcc7cec4409f38cf9732f1d54cc1fbf9b0311d004034fffb6c6a8bb4ad77",),
     "demand_sweep": ("b7e19fad0dde60e805f37bd1713729b3252a3fd6f9aa50c6b0b025eb02fd4c4d",),
 }

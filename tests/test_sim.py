@@ -195,7 +195,8 @@ def test_dt_must_be_finite_and_positive(dt):
         Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}), dt=dt)
 
 
-@pytest.mark.parametrize("every", [-1.0, 0.0, float("nan"), float("inf")])
+# 0.255 s is 25.5 steps at dt 0.01, and 0.005 s half a step: a run raises rather than round them.
+@pytest.mark.parametrize("every", [-1.0, 0.0, float("nan"), float("inf"), 0.255, 0.005])
 def test_sample_every_must_be_finite_and_positive(every):
     sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
     with pytest.raises(ValueError, match="sample_every must be"):
@@ -264,6 +265,13 @@ def test_a_span_takes_the_least_whole_steps_that_cover_it(dt, span, steps):
     assert _steps(span, dt) == steps
 
 
+@pytest.mark.parametrize("every", [1.05, 5.0])
+def test_a_cadence_at_or_past_the_duration_samples_only_the_start_and_the_horizon(every):
+    # 1.05 s takes 11 steps at dt 0.1; a cadence of 1.05 s is 10.5 steps, which is no error here.
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}), dt=0.1)
+    assert sim.run(1.05, sample_every=every).times == [0.0, 1.1]
+
+
 def test_a_200_s_run_at_dt_0_01_takes_20_000_steps():
     # The clock reads t0 + i * dt: no sum of 20 000 dt falls short of the horizon by a step.
     sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}))
@@ -280,6 +288,7 @@ def test_an_off_grid_event_applies_at_the_next_step_and_the_samples_stay_on_the_
     trace = sim.run(3.0, events=[Event(0.505, "set-capacity", {"link": "A->B", "capacity_mbps": 4.0})])
     assert applied == [0.51]
     assert trace.times == [0.0, 1.0, 2.0, 3.0]
+    assert trace.since == [0.0, 0.505, 0.505, 0.505]
 
 
 def test_rerun_planner_event_is_rejected():

@@ -309,6 +309,20 @@ def default_rate_boxes(problem: PlanningProblem) -> dict[str, tuple[float, float
     return {f.id: (0.0, float(cap)) for f, cap in zip(problem.all_flows(), caps)}
 
 
+def _check_scale(problem: PlanningProblem) -> None:
+    """A ``ModelError`` unless each class's N * slope, over all its pieces, and N * U at its
+    route-capacity aggregate (``default_rate_boxes``) are finite and quantise by
+    ``UTILITY_TIE_TOL`` to a finite level, as the LPs' coefficients and the search's keys must."""
+    boxes = default_rate_boxes(problem)
+    for c in problem.classes:
+        agg = sum(boxes[f.id][1] for f in problem.flows[c.id])
+        top = c.utility.value(agg) if math.isfinite(agg) else INF
+        for what, v in (("slope", max(p.a for p in c.utility.pieces)), ("utility at route capacity", top)):
+            if not math.isfinite(c.max_sessions * v / UTILITY_TIE_TOL):
+                raise ModelError(f"class {c.id!r}: max_sessions * {what} ({c.max_sessions} * {v!r}) "
+                                 "is too large to plan")
+
+
 def _perspective_lp(problem: PlanningProblem):
     """The perspective relaxation of a box: ``(program, holds)``.
 
@@ -474,6 +488,7 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     the largest open bound above its utility, both quantised.
     """
     config = config or PlannerConfig()
+    _check_scale(problem)
     classes = problem.classes
     scalable = [c for c in classes if c.utility.is_linear_through_origin() and c.max_sessions >= 1]
     scalable_ids = {c.id for c in scalable}
@@ -606,7 +621,8 @@ def check_kkt(problem: PlanningProblem, plan: Plan) -> KktReport:
     anywhere in the plan makes the residual it enters NaN, which fails ``ok``.
     """
     flows, flow_class = problem.all_flows(), problem.flow_class
-    nk = np.array([plan.n.get(c.id, 0) for c in problem.classes])
+    # Counts as floats, as the simulator reads them, so one past int64 is a number, not an object.
+    nk = np.array([float(plan.n.get(c.id, 0)) for c in problem.classes])
     n = nk[flow_class]
     rates = np.array([plan.rates.get(f.id, 0.0) for f in flows])
     lam = np.array([plan.duals.get(lid, 0.0) for lid in problem.link_ids])

@@ -33,7 +33,7 @@ from .model import (
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, check_plan_ids, solve_plan
-from .sim import DEFAULT_DT, Event, SimTrace, Simulator, run_batch
+from .sim import DEFAULT_DT, Event, SimTrace, Simulator, _class_sums, run_batch
 from .weights import DEFAULT_GAIN, compute_weights
 
 PAPER_SCENARIOS = (
@@ -563,8 +563,7 @@ def robustness_sweep(
     )
     truths = [scenario.problem(scenario.topology.with_capacities({"A->B": cap})) for cap in capacities]
     sims = [Simulator(truth, cfg, dt=scenario.dt, initial_rates=plan.rates) for truth in truths for cfg in configs]
-    run_batch(sims, scenario.duration)
-    utils = [sim.utility() for sim in sims]
+    utils = [trace.utility[-1] for trace in run_batch(sims, scenario.duration)]
     return [(cap, *utils[3 * i : 3 * i + 3]) for i, cap in enumerate(capacities)]
 
 
@@ -585,15 +584,9 @@ def demand_sweep(
         # at the planned aggregate; the fluid model averages per session.
         init = plan.rates | ({"hi:0": plan.rates["hi:0"] * n_planned / m} if m > n_planned else {})
         sims.append(Simulator(truth, cfg, dt=scenario.dt, initial_rates=init))
-    run_batch(sims, scenario.duration)
-    rows = []
-    for m, sim in zip(session_counts, sims):
-        cg = {}
-        good = sim.goodputs()
-        for j, f in enumerate(sim.flows):
-            cg[f.class_id] = cg.get(f.class_id, 0.0) + float(sim.n[j] * good[j])
-        rows.append((m, cg.get("hi", 0.0), cg.get("lo", 0.0)))
-    return rows
+    # Each horizon's class goodputs, in class order: hi, then lo.
+    return [(m, *_class_sums(t.sessions[-1:] * t.good[-1:], t.class_idx, 2)[0].tolist())
+            for m, t in zip(session_counts, run_batch(sims, scenario.duration))]
 
 
 def study_csv(rows: list[tuple], header: str) -> str:

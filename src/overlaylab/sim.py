@@ -18,15 +18,18 @@ pure function of its inputs.  ``Event`` is the one timed change, shared with
 the scenario engine; ``SimTrace`` stores per sample.
 
 There is one step of 15 ufunc calls and 2 sums, over a leading batch axis of
-B runs of one flow layout.  A ``Simulator`` steps a batch of one over its
-``_wx`` (weights row, rates row), so one multiply forms ``[succ; loss] * [w;
-x]``; the loss is kept negated as ``(C - m) / m`` with ``m = max(y, C)``.
-``run_batch`` steps event-free runs that share a layout, a dt and a clock
-together.  The link and route sums are stacked ``np.matmul(incidence[None],
-v[..., None])`` and ``np.matmul(incidence.T[None], p[..., None])``, which
-keep each run's per-run ``np.dot`` bits in any batch; ``v @ incidence.T``
-and ``einsum`` do not.  A batch of one calls the bound ``incidence.dot`` on
-1-D views: the same bits, cheaper per call.
+B runs of one flow layout, and one run loop, ``run_batch``; ``Simulator.run``
+is a batch of one.  A batch's state is stacked once: the weights and rates
+(two rows, so one multiply forms ``[succ; loss] * [w; x]``), per-flow
+sessions, capacities and normalised gain.  Each simulator keeps views of its
+own rows, which configs and events write in place, so no stepper is rebuilt;
+a new simulator is a batch of one over its own arrays.  The loss is kept
+negated as ``(C - m) / m`` with ``m = max(y, C)``.  The link and route sums
+are stacked ``np.matmul(incidence[None], v[..., None])`` and
+``np.matmul(incidence.T[None], p[..., None])``, which keep each run's per-run
+``np.dot`` bits in any batch; ``v @ incidence.T`` and ``einsum`` do not.  A
+batch of one calls the bound ``incidence.dot`` on 1-D views: the same bits,
+cheaper per call.
 
 A run has one clock: whole steps counted from its start t0, read as
 ``t0 + i * dt`` after step i.  A span S takes ``_steps(S, dt)`` steps, the
@@ -38,12 +41,12 @@ applied.  Samples and convergence windows count the same steps from the
 start, so an event on the grid lands on time and the samples stay on the
 grid.  A sample at an event's step reads the state before the event,
 and ``SimTrace.since`` keeps the time of the event before it (or t0).
-``run`` takes each free stretch (the steps up to the next sample, window
-test, due event or horizon) in one ``step(k)``, and ``run_batch`` its whole
-horizon in one; neither calls ``Simulator.step``.
+The loop takes each free stretch (the steps up to the next sample, due
+event, horizon or, in a lone run, window test) in one ``step(k)``, and never
+calls ``Simulator.step``.  Each event applies to every run of a batch.
 
-A sample keeps only state; ``run`` ends with every sample's goodputs from
-one batched ``success`` over the samples, stacked once and then dropped, and
+A sample keeps only state; each run's trace gets every sample's goodputs from
+one batched ``success`` over its samples, stacked once and then dropped, and
 ``to_csv`` writes a sample through one ``%`` template.
 
 The installed ``TransportConfig`` is the whole controller; the unit-weight
@@ -53,11 +56,12 @@ A step is a pure function of the rates, weights, sessions, capacities,
 ``gain_norm`` and dt.  So once one step returns the rates bit for bit
 unchanged (``np.array_equal``, no tolerance), every later step would too
 until an event changes an input: the run is at an exact fixed point.
-``Simulator.run`` checks for that once per convergence window and, while it
+A lone run checks for that once per convergence window and, while it
 holds, only advances the clock; sample times, samples and event firing keep
 the bits of a run that steps to the horizon.  The run is frozen while its
 ``fixed_at`` is set, and any applied event clears it; ``SimTrace.fixed_at``
-records when the run last froze.
+records when the run last froze.  Only a lone run looks for a fixed point:
+a batch steps every run to its horizon, and its traces' ``fixed_at`` is None.
 """
 from __future__ import annotations
 
@@ -236,8 +240,10 @@ def _stepper(incidence, wx, n, capacity, gain_norm, dt):
     y, neg_loss, q, sd = (np.empty(a.shape) for a in (capacity, capacity, capacity, wx))
     s, d = sd
     # Link and route sums; a lone run's bound ``dot`` (np.dot without its dispatcher) on 1-D
-    # views adds in the stacked matmul's order (the same bits) at less cost per call.
+    # views adds in the stacked matmul's order (the same bits) at less cost per call.  A lone
+    # run reads its gain through a 0-d view, which broadcasts faster than its (1, 1, 1) row.
     if len(x) == 1:
+        gain_norm = gain_norm.reshape(())
         link_sum = partial(incidence.dot, s[0, :, 0], y[0, :, 0])
         route_sum = partial(incidence.T.dot, q[0, :, 0], s[0, :, 0])
     else:
@@ -302,12 +308,21 @@ class Simulator:
         self._class_idx, self.incidence = problem.flow_class, problem.incidence
         self.link_ids = problem.link_ids
         self._lidx = {lid: i for i, lid in enumerate(self.link_ids)}
-        self.capacity = problem.capacity.copy()  # ``set_capacity`` writes into it
         self.t = 0.0
-        # The weights and rates rows, written in place by configs and events.
-        self._wx = np.full((2, len(self.flows)), RATE_FLOOR)
-        self.w, self.x = self._wx
+        # A batch of one until ``run_batch`` stacks it with others.
+        nf = len(self.flows)
+        self._bind((np.full((2, 1, nf, 1), RATE_FLOOR), np.zeros((1, nf, 1)),
+                    problem.capacity[None, :, None].copy(), np.zeros((1, 1, 1))), 0)
         self.install_config(config, initial_rates)
+
+    def _bind(self, state: tuple, b: int) -> None:
+        """Take row b of a batch's stacked state (weights and rates, sessions, capacities, gain) as
+        this run's own, and a lone stepper over it.  Configs and events write into these views."""
+        wx, n, capacity, gain = state
+        self._rows = rows = (wx[:, b:b + 1], n[b:b + 1], capacity[b:b + 1], gain[b:b + 1])
+        self.w, self.x = wx[:, b, :, 0]
+        self.n, self.capacity, self._gain = n[b, :, 0], capacity[b, :, 0], gain[b, :, 0]
+        self._step, self._success, self._neg_loss = _stepper(self.incidence, *rows, self.dt)
 
     # -- configuration ----------------------------------------------------
 
@@ -330,13 +345,9 @@ class Simulator:
         self.w[:] = [config.weights.get(f.id, 0.0) for f in self.flows]
         # Sessions per class, a class without flows included; ``n`` is per flow.
         self.sessions = {c: config.sessions.get(c, 0) for c in classes}
-        self.n = np.array([float(self.sessions[k]) for k in self._class_ids])
+        self.n[:] = [float(self.sessions[k]) for k in self._class_ids]
         w_max = float(self.w.max()) if self.w.size else 0.0
-        self.gain_norm = config.gain / w_max if w_max > 0 else config.gain
-        # A batch of one over views, so in-place writes by events reach it.
-        self._step, self._success, self._neg_loss = _stepper(
-            self.incidence, self._wx[:, None, :, None], self.n[None, :, None], self.capacity[None, :, None],
-            np.array(self.gain_norm), self.dt)
+        self.gain_norm = self._gain[0] = config.gain / w_max if w_max > 0 else config.gain
 
     def set_capacity(self, lid: str, capacity_mbps: float) -> None:
         if lid not in self._lidx:
@@ -387,7 +398,7 @@ class Simulator:
         events: list[Event] | None = None,
         sample_every: float = 1.0,
     ) -> SimTrace:
-        """Advance the simulation by ``duration``, applying events and sampling.
+        """Advance the simulation by ``duration``, applying events and sampling, as a batch of one.
 
         From its start t0 the run takes ``_steps(duration, dt)`` steps, and
         its clock reads ``t0 + i * dt`` after step i.  An event at t is
@@ -408,48 +419,15 @@ class Simulator:
         the same as without it, and ``trace.fixed_at`` is the time the run
         last froze, or None if it ends unfrozen.
         """
-        if not (math.isfinite(sample_every) and sample_every > 0):
-            raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
-        _check_duration(duration)
-        events = sorted(events or [], key=lambda e: e.t)
-        t0, dt, total = self.t, self.dt, _steps(duration, self.dt)
-        # The step each event is due at, and the horizon last, so ``due[ei]`` always bounds a stretch.
-        due = [min(_steps(e.t - t0, dt), total) for e in events] + [total]
-        samples, fixed_at, since, ei, i = [], None, t0, 0, 0
-        window = max(1, int(round(CONVERGENCE_WINDOW / dt)))
-        # A cadence at or past the duration samples only the start and the horizon.
-        per_sample = round(sample_every / dt, 6) if sample_every < duration else total + 1
-        if per_sample < 1 or per_sample % 1:
-            raise ValueError(f"sample_every must be a whole number of steps of dt={dt}, got {sample_every}")
-        sample_steps = int(per_sample)
-        self._sample(samples, since)
-        while i < total:
-            while due[ei] <= i:
-                self._apply(events[ei])
-                fixed_at, since = None, events[ei].t
-                ei += 1
-            # A free stretch: the steps to the next sample, window test, due
-            # event or horizon; a window's last step, whose start the test
-            # keeps, stands alone.  A frozen run (``fixed_at`` set) has no test.
-            k = min(sample_steps - i % sample_steps, due[ei] - i)
-            if fixed_at is None:
-                k = min(k, window - 1 - i % window or 1)
-                if i % window == window - 1:
-                    before = self.x.copy()  # the step moves self.x in place
-                self._step(k)
-            i += k
-            self.t = t0 + i * dt
-            if i % sample_steps == 0:
-                self._sample(samples, since)
-            if i % window == 0 and fixed_at is None and np.array_equal(self.x, before):
-                fixed_at = self.t
-        if total % sample_steps != 0:
-            self._sample(samples, since)
-        # Every sample's route success in one batch, which keeps each sample's own bits.  The
-        # samples are dropped as they are stacked, and ``success`` reads no weights, so the
-        # weights row is a view of the rates: the batch holds each sample's state once.
+        return run_batch([self], duration, events, sample_every)[0]
+
+    def _trace(self, samples: list, fixed_at: float | None) -> SimTrace:
+        """The trace of this run's samples, with every sample's goodputs from one batched ``success``,
+        which keeps each sample's own bits.  The samples are dropped as they are stacked, and
+        ``success`` reads no weights, so the weights row is a view of the rates: the batch holds
+        each sample's state once."""
         times, since, x, n, capacity, sessions = zip(*samples)
-        del samples
+        samples.clear()
         x, n, capacity = (np.stack(a)[..., None] for a in (x, n, capacity))
         success = _stepper(self.incidence, np.broadcast_to(x, (2, *x.shape)), n, capacity, _ZERO, self.dt)[1]
         x, n = x[..., 0], n[..., 0]
@@ -469,16 +447,9 @@ class Simulator:
             raise ValueError(f"the simulator cannot apply a {ev.kind!r} event; run_experiment re-plans")
 
     def _sample(self, samples: list, since: float) -> None:
-        """Keep what the trace needs of this moment; ``run`` derives the rest."""
+        """Keep what the trace needs of this moment; ``_trace`` derives the rest."""
         samples.append((round(self.t, 9), since, self.x.copy(), self.n.copy(), self.capacity.copy(),
                         self.sessions.copy()))
-
-
-def _check_duration(duration: float) -> None:
-    # A NaN or negative duration would end a run at its start without a
-    # step, and an infinite one would never end.
-    if not (math.isfinite(duration) and duration >= 0):
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
 
 
 def _steps(span: float, dt: float) -> int:
@@ -487,25 +458,69 @@ def _steps(span: float, dt: float) -> int:
     return max(0, math.ceil(round(span / dt, 6)))
 
 
-def run_batch(sims: list[Simulator], duration: float) -> None:
-    """Step event-free runs that share a flow layout, a dt and a clock as one
-    batch, and leave each as ``sim.run(duration, sample_every=duration)``
-    would.  A single run goes through ``sim.run``.
+def run_batch(sims: list[Simulator], duration: float, events: list[Event] | None = None,
+              sample_every: float | None = None) -> list[SimTrace]:
+    """Advance runs that share a flow layout, a dt and a clock by ``duration``, apply each event
+    to every run, and return each run's trace.  Each run is sampled and its events land as
+    ``Simulator.run`` describes; a ``sample_every`` of None samples only the start and the horizon.
+
+    Two or more runs step as one batch: their state is stacked once, and each simulator keeps
+    views of its own rows, which its configs and events write.  Only a lone run tests for a fixed
+    point; a batch steps to the horizon, and its traces' ``fixed_at`` is None.
     """
-    if len(sims) <= 1:
-        for sim in sims:
-            sim.run(duration, sample_every=duration)
-        return
+    # A NaN or negative duration would end a run at its start without a
+    # step, and an infinite one would never end.
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
+    if sample_every is not None and not (math.isfinite(sample_every) and sample_every > 0):
+        raise ValueError(f"sample_every must be finite and > 0, got {sample_every}")
+    if not sims:
+        return []
     first = sims[0]
-    _check_duration(duration)
     if any(s.dt != first.dt or s.t != first.t or not np.array_equal(s.incidence, first.incidence) for s in sims):
         raise ValueError("batched runs must share a flow layout, a dt and a clock")
-    wx, n, capacity = (np.stack([getattr(sim, a) for sim in sims], -2)[..., None] for a in ("_wx", "n", "capacity"))
-    step = _stepper(first.incidence, wx, n, capacity, np.array([sim.gain_norm for sim in sims])[:, None, None],
-                    first.dt)[0]
-    k = _steps(duration, first.dt)
-    step(k)
-    t = first.t + k * first.dt
-    for sim, rates in zip(sims, wx[1, :, :, 0]):
-        sim.x[:] = rates
-        sim.t = t
+    events = sorted(events or [], key=lambda e: e.t)
+    t0, dt, total = first.t, first.dt, _steps(duration, first.dt)
+    # The step each event is due at, and the horizon last, so ``due[ei]`` always bounds a stretch.
+    due = [min(_steps(e.t - t0, dt), total) for e in events] + [total]
+    # A cadence at or past the duration samples only the start and the horizon.
+    per_sample = round(sample_every / dt, 6) if sample_every is not None and sample_every < duration else total + 1
+    if per_sample < 1 or per_sample % 1:
+        raise ValueError(f"sample_every must be a whole number of steps of dt={dt}, got {sample_every}")
+    sample_steps = int(per_sample)
+    step = first._step
+    if len(sims) > 1:
+        wx, *rest = zip(*(s._rows for s in sims))
+        state = (np.concatenate(wx, axis=1), *map(np.concatenate, rest))
+        for b, sim in enumerate(sims):
+            sim._bind(state, b)
+        step = _stepper(first.incidence, *state, first.dt)[0]
+    # A batch's window ends past its horizon, so it is never tested.
+    window = max(1, int(round(CONVERGENCE_WINDOW / dt))) if len(sims) == 1 else total + 1
+    samples, fixed_at, since, ei, i = [[] for _ in sims], None, t0, 0, 0
+    for sim, kept in zip(sims, samples):
+        sim._sample(kept, since)
+    while i < total:
+        while due[ei] <= i:
+            for sim in sims:
+                sim._apply(events[ei])
+            fixed_at, since = None, events[ei].t
+            ei += 1
+        # A free stretch: the steps to the next sample, window test, due
+        # event or horizon; a window's last step, whose start the test
+        # keeps, stands alone.  A frozen run (``fixed_at`` set) has no test.
+        k = min(sample_steps - i % sample_steps, due[ei] - i)
+        if fixed_at is None:
+            k = min(k, window - 1 - i % window or 1)
+            if i % window == window - 1:
+                before = first.x.copy()  # the step moves the rates in place
+            step(k)
+        i += k
+        for sim in sims:
+            sim.t = t0 + i * dt
+        if i % sample_steps == 0 or i == total:
+            for sim, kept in zip(sims, samples):
+                sim._sample(kept, since)
+        if i % window == 0 and fixed_at is None and np.array_equal(first.x, before):
+            fixed_at = first.t
+    return [sim._trace(kept, fixed_at) for sim, kept in zip(sims, samples)]

@@ -154,6 +154,39 @@ def test_check_rejects_non_finite_plan(files, capsys, field, key):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_check_reads_session_counts_past_int64(files, capsys):
+    tmp, topo, classes = files
+    out = str(tmp / "plan.json")
+    main(["solve", "--topology", topo, "--classes", classes, "--out", out])
+    plan = json.loads((tmp / "plan.json").read_text())
+    plan["n"]["ac"] = 10**30
+    (tmp / "plan.json").write_text(json.dumps(plan))
+    rc = main(["check", "--topology", topo, "--classes", classes, "--plan", out])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "result: fail" in out and "Traceback" not in err
+    assert "feasibility  1.000e+31" in out  # 10**30 sessions of ac:0 at 10 Mbps on a 10 Mbps link
+
+
+THRESHOLD = {"pieces": [[0, 1, 0.1, 0], [1, None, 0.01, 0.09]]}
+
+
+# Inputs whose numbers overflow the planner: N * U or N * slope past what it can quantise.
+@pytest.mark.parametrize("capacity, spec, fragment", [
+    (1e308, {"id": "ab", "src": "A", "dst": "B", "max_sessions": 1, "utility": THRESHOLD},
+     "class 'ab': max_sessions * utility at route capacity (1 * 1e+306) is too large to plan"),
+    (10, {"id": "ac", "src": "A", "dst": "C", "max_sessions": 1,
+          "utility": {"pieces": [[0, 1e-300, 0, 0], [1e-300, None, 1e300, 0]]}},
+     "class 'ac': max_sessions * slope (1 * 1e+300) is too large to plan"),
+    (10, {"id": "ac", "src": "A", "dst": "C", "max_sessions": 2, "utility": {"linear": 1e308}},
+     "class 'ac': max_sessions * slope (2 * 1e+308) is too large to plan"),
+], ids=["capacity-1e308", "piece-slope-1e300", "linear-1e308"])
+def test_solve_rejects_numbers_the_planner_cannot_quantise(tmp_path, capsys, capacity, spec, fragment):
+    topo = _write(tmp_path / "topo.json", _edited(TOPOLOGY, [(("links", 0, "capacity_mbps"), capacity)]))
+    classes = _write(tmp_path / "classes.json", {"classes": [spec]})
+    assert main(["solve", "--topology", topo, "--classes", classes]) == 2
+    _one_error_line(capsys, fragment)
+
+
 @pytest.mark.parametrize("field, key", [("duals", "Z->Y"), ("rates", "zz:0"), ("n", "zz")])
 def test_check_rejects_a_plan_with_an_unknown_id(files, capsys, field, key):
     tmp, topo, classes = files

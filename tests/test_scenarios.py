@@ -307,9 +307,7 @@ def test_a_run_builds_the_truth_and_each_replan_only(problem_builds, name, build
 
 
 @pytest.mark.parametrize(("sweep", "builds"), [(demand_sweep, 2), (robustness_sweep, 11)])
-def test_a_sweep_builds_its_scenario_and_each_distinct_truth_once(monkeypatch, problem_builds, sweep, builds):
-    # Stepping builds no problem, so the batch is not run.
-    monkeypatch.setattr(scenarios, "run_batch", lambda sims, duration: None)
+def test_a_sweep_builds_its_scenario_and_each_distinct_truth_once(problem_builds, sweep, builds):
     sweep()
     assert problem_builds["builds"] == builds  # 22 and 12 with the estimate rebuilt and one truth per point
 

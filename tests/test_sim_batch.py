@@ -1,9 +1,11 @@
-"""The batch runner against lone runs.
+"""Batches against lone runs.
 
-``run_batch`` steps event-free runs that share a flow layout, a dt and a
-clock as one stacked step per dt.  Each run must end where a lone
-``Simulator.run(duration, sample_every=duration)`` leaves it, so every
-comparison here is ``==`` or ``np.array_equal``, never a tolerance.
+``run_batch`` is the simulator's one run loop, and ``Simulator.run`` a batch
+of one.  A batch stacks the state of runs that share a flow layout, a dt and
+a clock in its rows, applies each event to every run, and steps them as one;
+only a lone run looks for a fixed point.  Each run of a batch must end where
+its lone run leaves it, with the same trace, so every comparison here is
+``==`` or ``np.array_equal``, never a tolerance.
 """
 import dataclasses
 
@@ -12,7 +14,7 @@ import pytest
 
 from overlaylab import scenarios
 from overlaylab.planner import solve_plan
-from overlaylab.sim import Simulator, _stepper, run_batch
+from overlaylab.sim import Event, Simulator, _stepper, run_batch
 from overlaylab.weights import compute_weights
 
 
@@ -177,4 +179,26 @@ def test_stacked_sums_equal_per_run_dot_on_failure_large(seed):
     for sim in lone:
         sim.run(20.0, sample_every=20.0)
     for sim, ref in zip(sims, lone):
+        assert_same_run(sim, ref)
+
+
+def test_a_batch_with_events_equals_its_lone_runs():
+    # The scenario's failures at t = 40 and an install at t = 50 reach every
+    # run, each from its own capacities, rates and losses.
+    scenario = scenarios.build_paper_scenario("failure-large", seed=7)
+    sims, lone = failure_large_runs(7), failure_large_runs(7)
+    config = sims[0].config
+    other = dataclasses.replace(config, weights={k: 2.0 * v + 0.5 for k, v in config.weights.items()})
+    events = [e for e in scenario.events if e.kind == "set-capacity"]
+    events.append(Event(50.0, "install-config", {"config": other, "rates": {sims[0].flows[0].id: 6.0}}))
+    traces = run_batch(sims, 60.0, events, sample_every=1.0)
+    assert len(traces) == 6 and len(events) >= 5
+    for sim, trace, ref in zip(sims, traces, lone):
+        want = ref.run(60.0, events, sample_every=1.0)
+        assert trace.fixed_at is None
+        assert trace.since == want.since and set(trace.since) == {0.0, 40.0, 50.0}
+        assert trace.utility == want.utility
+        assert trace.to_csv() == want.to_csv()
+        assert sim.config is other
+        assert np.array_equal(sim.capacity, ref.capacity)
         assert_same_run(sim, ref)

@@ -110,13 +110,22 @@ def test_experiment_matches_reference(monkeypatch, name, seed):
 
 
 def test_demand_sweep_beyond_plan_matches_reference(monkeypatch):
-    rows = {}
-    sims = {}
-    for cls in (Simulator, sim_ref.RefSimulator):
-        sims[cls] = recording(monkeypatch, cls)
-        rows[cls] = scenarios.demand_sweep((20,))
-    assert rows[Simulator] == rows[sim_ref.RefSimulator]
-    (sim,), (ref,) = sims[Simulator], sims[sim_ref.RefSimulator]
+    sims = recording(monkeypatch, Simulator)
+    rows = scenarios.demand_sweep((20,))
+    # The sweep's point as it was written: the reference with 20 sessions that
+    # start at the planned aggregate, each class's goodput summed per flow.
+    scenario = scenarios.build_paper_scenario("demand-sweep")
+    plan = scenario.pinned_plan
+    config = compute_weights(scenario.problem(), plan, gain=scenario.gamma)
+    ref = sim_ref.RefSimulator(
+        scenario.problem(scenario.topology), dataclasses.replace(config, sessions=config.sessions | {"hi": 20}),
+        dt=scenario.dt, initial_rates=plan.rates | {"hi:0": plan.rates["hi:0"] * plan.n["hi"] / 20})
+    ref.run(duration=scenario.duration, sample_every=scenario.duration)
+    cg = {}
+    for f, n, good in zip(ref.flows, ref.n, ref.goodputs()):
+        cg[f.class_id] = cg.get(f.class_id, 0.0) + float(n * good)
+    assert rows == [(20, cg["hi"], cg["lo"])]
+    (sim,) = sims
     assert_same_state(sim, ref)
     assert sim.n[0] == 20.0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations
@@ -56,10 +57,13 @@ def check_capacity(value: float, owner: str) -> None:
 
 
 def check_sessions(n: int, owner: str, name: str = "n") -> None:
-    """The one session-count rule: an int >= 0."""
+    """The one session-count rule: an int >= 0 that a float holds, as the planner and simulator read it."""
     # type() rather than isinstance(), so that a bool (JSON true) is not 1 session.
     if not (type(n) is int and n >= 0):
         raise ModelError(f"{owner} requires an integer {name} >= 0, got {n!r}")
+    if n > sys.float_info.max:
+        raise ModelError(f"{owner} requires {name} <= {sys.float_info.max:.17g}, "
+                         f"got an integer of {len(str(n))} digits")
 
 
 def check_id(value: str, what: str) -> None:

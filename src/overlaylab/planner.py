@@ -289,16 +289,6 @@ def _plan_sort_key(plan: Plan, problem: PlanningProblem):
     return (-round(plan.utility / UTILITY_TIE_TOL), sum(plan.n.values()), n_vec, rate_vec)
 
 
-def _zero_plan(problem: PlanningProblem) -> Plan:
-    return Plan(
-        n={c.id: 0 for c in problem.classes},
-        rates={f.id: 0.0 for f in problem.all_flows()},
-        duals={lid: 0.0 for lid in problem.link_ids},
-        utility=0.0,
-        optimality="proved-optimal",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Perspective relaxation and branch-and-bound
 
@@ -497,7 +487,8 @@ def solve_plan(problem: PlanningProblem, config: PlannerConfig | None = None) ->
     by_id = sorted(range(len(classes)), key=lambda k: classes[k].id)
     root = tuple((0, c.max_sessions, 0, len(c.utility.pieces) - 1) for c in classes)
 
-    incumbent = _zero_plan(problem)
+    # The zero plan, the empty candidate, scored like any other.
+    incumbent = _candidate_plan(problem, {}, {}, [])
     inc_key = (_plan_sort_key(incumbent, problem), ())
 
     def branch(box):

@@ -33,7 +33,7 @@ from .model import (
     sample_random_paths,
 )
 from .planner import Plan, PlanningProblem, check_plan_ids, solve_plan
-from .sim import DEFAULT_DT, Event, SimTrace, Simulator, _class_sums, run_batch
+from .sim import DEFAULT_DT, Event, SimTrace, Simulator, _class_sums, _steps, run_batch
 from .weights import DEFAULT_GAIN, compute_weights
 
 PAPER_SCENARIOS = (
@@ -177,9 +177,10 @@ class Scenario:
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ScenarioError("events must be sorted by time")
-        for e in self.events:
-            if not (0 <= e.t <= self.duration):
-                raise ScenarioError(f"event at t={e.t} outside [0, duration]")
+        # A run applies an event after ``_steps(t, dt)`` steps and none at its horizon or later.
+        if ts and _steps(ts[-1], self.dt) >= _steps(self.duration, self.dt):
+            raise ScenarioError(f"event at t={ts[-1]} is not due before the horizon of a "
+                                f"{self.duration} s run at dt={self.dt}, which never applies it")
         # Checks the overrides, the classes and flows against the topology, and the plan's ids.
         estimate = PlanningProblem(self.topology.with_capacities(self.estimate_overrides), self.classes, self.flows)
         object.__setattr__(self, "_estimate", estimate)

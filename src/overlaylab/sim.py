@@ -21,9 +21,12 @@ There is one step of 15 ufunc calls and 2 sums, over a leading batch axis of
 B runs of one flow layout, and one run loop, ``run_batch``; ``Simulator.run``
 is a batch of one.  A batch's state is stacked once: the weights and rates
 (two rows, so one multiply forms ``[succ; loss] * [w; x]``), per-flow
-sessions, capacities and normalised gain.  Each simulator keeps views of its
-own rows, which configs and events write in place, so no stepper is rebuilt;
-a new simulator is a batch of one over its own arrays.  The loss is kept
+sessions, capacities and normalised gain.  A simulator holds state and no
+stepper: views of its own rows, which configs and events write in place; a
+new simulator is a batch of one over its own arrays.  A run is the only thing
+that steps or measures a simulator: ``run_batch`` builds one stepper per
+call, ``Simulator.step`` is a run of one step, and ``goodputs`` and
+``utility`` read the one sample of a zero-length run.  The loss is kept
 negated as ``(C - m) / m`` with ``m = max(y, C)``.  The link and route sums
 are stacked ``np.matmul(incidence[None], v[..., None])`` and
 ``np.matmul(incidence.T[None], p[..., None])``, which keep each run's per-run
@@ -42,8 +45,8 @@ start, so an event on the grid lands on time and the samples stay on the
 grid.  A sample at an event's step reads the state before the event,
 and ``SimTrace.since`` keeps the time of the event before it (or t0).
 The loop takes each free stretch (the steps up to the next sample, due
-event, horizon or, in a lone run, window test) in one ``step(k)``, and never
-calls ``Simulator.step``.  Each event applies to every run of a batch.
+event, horizon or, in a lone run, window test) in one ``step(k)``.  Each
+event applies to every run of a batch.
 
 A sample keeps only state; each run's trace gets every sample's goodputs from
 one batched ``success`` over its samples, stacked once and then dropped, and
@@ -150,7 +153,7 @@ class Event:
 
 
 def _check_rates(rates: Mapping[str, float], owner: str) -> None:
-    """Every given rate must be finite; one below ``RATE_FLOOR`` is lifted to it."""
+    """Every given rate must be finite (``install_config`` lifts one below ``RATE_FLOOR`` to it)."""
     for fid, rate in rates.items():
         if not math.isfinite(rate):
             raise ValueError(f"{owner} rate of flow {fid!r} must be finite, got {rate!r}")
@@ -298,7 +301,6 @@ class Simulator:
         # A dt that is not finite and > 0 would make ``run`` loop forever or fail.
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        _check_rates(initial_rates or {}, "initial")
         self.problem = problem
         self.dt = dt
         self.flows = problem.all_flows()
@@ -317,20 +319,20 @@ class Simulator:
 
     def _bind(self, state: tuple, b: int) -> None:
         """Take row b of a batch's stacked state (weights and rates, sessions, capacities, gain) as
-        this run's own, and a lone stepper over it.  Configs and events write into these views."""
+        this run's own.  Configs and events write into these views, and each run steps them."""
         wx, n, capacity, gain = state
-        self._rows = rows = (wx[:, b:b + 1], n[b:b + 1], capacity[b:b + 1], gain[b:b + 1])
+        self._rows = (wx[:, b:b + 1], n[b:b + 1], capacity[b:b + 1], gain[b:b + 1])
         self.w, self.x = wx[:, b, :, 0]
         self.n, self.capacity, self._gain = n[b, :, 0], capacity[b, :, 0], gain[b, :, 0]
-        self._step, self._success, self._neg_loss = _stepper(self.incidence, *rows, self.dt)
 
     # -- configuration ----------------------------------------------------
 
     def install_config(self, config: TransportConfig, rates: Mapping[str, float] | None = None) -> None:
         """Adopt new weights, session counts and gain, and move each flow in ``rates`` to its rate,
-        lifted to ``RATE_FLOOR``; the other rates carry on.  A ``ValueError`` names any flow or
-        class the simulator does not have, before anything changes."""
+        lifted to ``RATE_FLOOR``; the other rates carry on.  A ``ValueError`` names any rate that is
+        not finite and any flow or class the simulator does not have, before anything changes."""
         rates = rates or {}
+        _check_rates(rates, "install-config")
         classes = [c.id for c in self.problem.classes]
         for named, known, what in ((rates, self._flow_ids, "rates for unknown flow"),
                                    (config.weights, self._flow_ids, "weights for unknown flow"),
@@ -365,30 +367,17 @@ class Simulator:
 
     # -- dynamics ---------------------------------------------------------
 
-    def link_loss(self) -> np.ndarray:
-        self._success()
-        return np.subtract(_ZERO, self._neg_loss[0, :, 0])
-
-    def path_success(self) -> np.ndarray:
-        return self._success()[0, :, 0].copy()
-
     def step(self) -> None:
-        self._step()
-        self.t += self.dt
+        """One step of dt: a run of one step, sampled only at its ends."""
+        run_batch([self], self.dt)
 
     def goodputs(self) -> np.ndarray:
-        """Per-session goodput per flow: send rate times route success."""
-        return self.x * self._success()[0, :, 0]
+        """Per-session goodput per flow, send rate times route success: a zero-length run's one sample."""
+        return self.run(0.0).good[0]
 
     def utility(self) -> float:
-        return self._utilities(self.goodputs()[None], [self.sessions])[0]
-
-    def _utilities(self, goodputs: np.ndarray, sessions: list[dict]) -> list[float]:
-        """The utility of each row of per-session goodputs under its session counts, each a
-        ``self.sessions`` dict (keyed by class, in the problem's class order)."""
-        classes = self.problem.classes
-        good = _class_sums(goodputs, self._class_idx, len(classes)).tolist()
-        return [cumulative_utility(classes, n, dict(zip(n, g))) for n, g in zip(sessions, good)]
+        """The utility of the current state: a zero-length run's one sample."""
+        return self.run(0.0).utility[0]
 
     # -- runs -------------------------------------------------------------
 
@@ -414,26 +403,34 @@ class Simulator:
         At the end of each convergence window the run compares the rates with
         their value before the window's last step.  If that step left them
         exactly equal, the run freezes: each later step only advances the
-        clock by dt, as ``step`` would, until an event is applied.  The freeze
-        is a run's only shortcut, and it never ends a run early: the trace is
-        the same as without it, and ``trace.fixed_at`` is the time the run
-        last froze, or None if it ends unfrozen.
+        clock by dt until an event is applied.  The freeze is a run's only
+        shortcut, and it never ends a run early: the trace is the same as
+        without it, and ``trace.fixed_at`` is the time the run last froze, or
+        None if it ends unfrozen.
+
+        A run is the only thing that steps or measures a simulator: ``step``
+        is a run of one step, and ``goodputs`` and ``utility`` read the one
+        sample of a run of duration 0.
         """
         return run_batch([self], duration, events, sample_every)[0]
 
     def _trace(self, samples: list, fixed_at: float | None) -> SimTrace:
         """The trace of this run's samples, with every sample's goodputs from one batched ``success``,
-        which keeps each sample's own bits.  The samples are dropped as they are stacked, and
-        ``success`` reads no weights, so the weights row is a view of the rates: the batch holds
-        each sample's state once."""
+        which keeps each sample's own bits, and its utility under its own session counts.  The
+        samples are dropped as they are stacked, and ``success`` reads no weights, so the weights
+        row is a view of the rates: the batch holds each sample's state once."""
         times, since, x, n, capacity, sessions = zip(*samples)
         samples.clear()
         x, n, capacity = (np.stack(a)[..., None] for a in (x, n, capacity))
         success = _stepper(self.incidence, np.broadcast_to(x, (2, *x.shape)), n, capacity, _ZERO, self.dt)[1]
         x, n = x[..., 0], n[..., 0]
         good = x * success()[..., 0]
+        classes = self.problem.classes
+        class_good = _class_sums(good, self._class_idx, len(classes)).tolist()
+        # Each sample's sessions are a ``self.sessions`` dict, keyed by class in class order.
+        utility = [cumulative_utility(classes, s, dict(zip(s, g))) for s, g in zip(sessions, class_good)]
         return SimTrace(self._flow_ids, self._class_ids, self._class_idx, list(times), x, good, n,
-                        self._utilities(good, sessions), list(since), fixed_at)
+                        utility, list(since), fixed_at)
 
     def _apply(self, ev: Event) -> None:
         if ev.kind == "set-capacity":
@@ -464,9 +461,11 @@ def run_batch(sims: list[Simulator], duration: float, events: list[Event] | None
     to every run, and return each run's trace.  Each run is sampled and its events land as
     ``Simulator.run`` describes; a ``sample_every`` of None samples only the start and the horizon.
 
-    Two or more runs step as one batch: their state is stacked once, and each simulator keeps
-    views of its own rows, which its configs and events write.  Only a lone run tests for a fixed
-    point; a batch steps to the horizon, and its traces' ``fixed_at`` is None.
+    This is the only place that steps runs: each call builds one stepper, over a lone run's own
+    rows or over a batch's state.  Two or more runs step as one batch: their state is stacked
+    once, and each simulator keeps views of its own rows, which its configs and events write.
+    Only a lone run tests for a fixed point; a batch steps to the horizon, and its traces'
+    ``fixed_at`` is None.
     """
     # A NaN or negative duration would end a run at its start without a
     # step, and an infinite one would never end.
@@ -488,13 +487,14 @@ def run_batch(sims: list[Simulator], duration: float, events: list[Event] | None
     if per_sample < 1 or per_sample % 1:
         raise ValueError(f"sample_every must be a whole number of steps of dt={dt}, got {sample_every}")
     sample_steps = int(per_sample)
-    step = first._step
+    # The call's one stepper: over a lone run's own rows, or over a batch's state, stacked once.
+    state = first._rows
     if len(sims) > 1:
         wx, *rest = zip(*(s._rows for s in sims))
         state = (np.concatenate(wx, axis=1), *map(np.concatenate, rest))
         for b, sim in enumerate(sims):
             sim._bind(state, b)
-        step = _stepper(first.incidence, *state, first.dt)[0]
+    step = _stepper(first.incidence, *state, dt)[0]
     # A batch's window ends past its horizon, so it is never tested.
     window = max(1, int(round(CONVERGENCE_WINDOW / dt))) if len(sims) == 1 else total + 1
     samples, fixed_at, since, ei, i = [[] for _ in sims], None, t0, 0, 0

@@ -16,7 +16,6 @@ from overlaylab.planner import (
     PlanningProblem,
     _candidate_plan,
     _plan_sort_key,
-    _zero_plan,
 )
 
 
@@ -40,9 +39,9 @@ def _enumerate(problem, general, scalable) -> Plan:
         if best is None or key < best_key:
             best, best_key = plan, key
     if best is None:
-        return _zero_plan(problem)
+        return _candidate_plan(problem, {}, {}, [])
     if best.utility < 0.0:
-        zero = _zero_plan(problem)
+        zero = _candidate_plan(problem, {}, {}, [])
         if _plan_sort_key(zero, problem) < best_key:
             return zero
     return best

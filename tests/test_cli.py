@@ -126,6 +126,12 @@ def test_zero_duration_rejected(capsys):
     assert main(["run", "--paper", "triangle-basic", "--duration", "0"]) == 2
 
 
+def test_a_duration_that_ends_at_an_event_exits_2(capsys):
+    # failure-triangle re-plans at t = 140, which a 140 s run never reaches.
+    assert main(["run", "--paper", "failure-triangle", "--duration", "140"]) == 2
+    _one_error_line(capsys, "event at t=140.0 is not due before the horizon of a 140.0 s run at dt=0.01")
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--dt", "0"), ("--dt", "nan"), ("--gamma", "-1"), ("--duration", "inf")]
 )
@@ -165,6 +171,32 @@ def test_check_reads_session_counts_past_int64(files, capsys):
     out, err = capsys.readouterr()
     assert rc == 1 and "result: fail" in out and "Traceback" not in err
     assert "feasibility  1.000e+31" in out  # 10**30 sessions of ac:0 at 10 Mbps on a 10 Mbps link
+
+
+# A session count a float cannot hold, in each input that carries one; each was an OverflowError traceback.
+@pytest.mark.parametrize("where", ["solve-class", "check-plan", "scenario-class", "scenario-event"])
+def test_session_counts_past_the_float_range_are_input_errors(files, capsys, where):
+    tmp, topo, classes = files
+    huge, out = 10**400, str(tmp / "out")
+    if where == "solve-class":
+        args = ["solve", "--topology", topo, "--classes",
+                _write(tmp / "huge.json", _edited(CLASSES, [(("classes", 0, "max_sessions"), huge)]))]
+    elif where == "check-plan":
+        main(["solve", "--topology", topo, "--classes", classes, "--out", out])
+        plan = json.loads((tmp / "out").read_text())
+        plan["n"]["ac"] = huge
+        args = ["check", "--topology", topo, "--classes", classes, "--plan", _write(tmp / "huge.json", plan)]
+    else:
+        obj = _scenario("triangle-basic")
+        if where == "scenario-class":
+            obj["classes"][0]["max_sessions"] = huge
+        else:
+            payload = {"class": obj["classes"][0]["id"], "n": huge}
+            obj["events"] = [{"t": 10.0, "kind": "set-sessions", "payload": payload}]
+        args = ["run", "--scenario", _write(tmp / "huge.json", obj), "--out", out]
+    capsys.readouterr()
+    assert main(args) == 2
+    _one_error_line(capsys, "<= 1.7976931348623157e+308, got an integer of 401 digits")
 
 
 THRESHOLD = {"pieces": [[0, 1, 0.1, 0], [1, None, 0.01, 0.09]]}

@@ -177,13 +177,14 @@ def test_eight_classes_solve_few_inner_lps(monkeypatch):
     inner_lp = planner.inner_lp
 
     def counted(*args):
-        calls.append(1)
-        return inner_lp(*args)
+        result = inner_lp(*args)
+        calls.append(result[0] is not None)  # None: no flow had sessions, no LP
+        return result
 
     monkeypatch.setattr(planner, "inner_lp", counted)
     plan = solve_plan(threshold_problem(ABILENE, 8, 2, 8))
     assert plan.optimality == "proved-optimal"
-    assert len(calls) <= 50
+    assert sum(calls) <= 50
 
 
 def test_a_candidate_is_bounded_before_its_inner_lp(monkeypatch):
@@ -195,9 +196,10 @@ def test_a_candidate_is_bounded_before_its_inner_lp(monkeypatch):
     inner_lp = planner.inner_lp
 
     def counted(*args):
-        calls.append(1)
-        return inner_lp(*args)
+        result = inner_lp(*args)
+        calls.append(result[0] is not None)  # None: no flow had sessions, no LP
+        return result
 
     monkeypatch.setattr(planner, "inner_lp", counted)
     solve_plan(threshold_problem(ABILENE, 8, 2, 8))
-    assert len(calls) <= 12
+    assert sum(calls) <= 12

@@ -381,6 +381,19 @@ def test_install_config_event_cannot_be_written_as_json():
         replace(build_paper_scenario("triangle-basic"), events=[Event(10.0, "install-config", {"config": config})])
 
 
+@pytest.mark.parametrize("t", [220.0, 219.995])
+def test_an_event_the_run_never_applies_is_rejected(t):
+    # failure-triangle runs 220 s at dt 0.01: 22 000 steps.  An event at t is applied after
+    # _steps(t, dt) steps, and 219.995 is due at step 22 000, the horizon, as 220 is.  Such a
+    # re-plan used to be solved and listed in the result's plans, but never installed.
+    scenario = build_paper_scenario("failure-triangle")
+    drop, replan = scenario.events
+    with pytest.raises(ScenarioError, match=f"event at t={t} is not due before the horizon of a 220.0 s run"):
+        replace(scenario, events=[drop, replace(replan, t=t)])
+    # One step earlier is the last step the run takes, and applies.
+    assert replace(scenario, events=[drop, replace(replan, t=219.99)]).events[-1].t == 219.99
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ScenarioError):
         build_paper_scenario("missing-scenario")

@@ -20,7 +20,7 @@ from overlaylab.model import (
 )
 from overlaylab.planner import PlanningProblem, solve_plan
 from overlaylab.scenarios import build_paper_scenario, triangle_topology
-from overlaylab.sim import RATE_FLOOR, Event, Simulator, _steps
+from overlaylab.sim import RATE_FLOOR, Event, Simulator, _steps, run_batch
 from overlaylab.weights import TransportConfig, compute_weights
 
 
@@ -98,8 +98,8 @@ def test_shared_bottleneck_splits_by_weight():
     g = sim.goodputs()
     assert g[1] / g[0] == pytest.approx(3.0, rel=0.01)
     assert g[0] + g[1] == pytest.approx(8.0, rel=1e-6)
-    # Shared loss probability at equilibrium is 2 - sqrt(3).
-    assert sim.link_loss()[0] == pytest.approx(2.0 - math.sqrt(3.0), rel=0.01)
+    # Shared loss probability at equilibrium is 2 - sqrt(3); each route is that one link.
+    assert 1.0 - g[0] / sim.x[0] == pytest.approx(2.0 - math.sqrt(3.0), rel=0.01)
 
 
 def test_weight_scaling_invariance_of_equilibrium():
@@ -437,3 +437,60 @@ def test_rates_at_or_below_the_floor_restart_a_flow():
     trace = sim.run(duration=2.0, events=[restart])
     # The sample at t = 1 is taken before the event at t = 1 applies.
     assert [x[0] for x in trace.send] == [4.0, 4.0, RATE_FLOOR]
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_a_direct_install_checks_its_rates_before_any_change(rate):
+    # inf used to become the rate, and NaN silently restarted the flow at the floor.
+    cfg = config({"k:0": 2.0}, {"k": 1})
+    sim = Simulator(one_flow_problem(), cfg, initial_rates={"k:0": 3.0})
+    with pytest.raises(ValueError, match="install-config rate of flow 'k:0' must be finite"):
+        sim.install_config(config({"k:0": 5.0}, {"k": 4}, gain=0.01), {"k:0": rate})
+    assert sim.config is cfg and sim.x[0] == 3.0 and sim.w[0] == 2.0 and sim.n[0] == 1.0
+    assert sim.sessions == {"k": 1} and sim.gain_norm == 0.001 / 2.0
+
+
+# A run is the only thing that steps or measures a simulator: ``step`` is a run of one step,
+# and ``goodputs`` and ``utility`` read the one sample of a zero-length run.
+
+
+def failure_large_sims(caps):
+    """Simulators on failure-large (seed 7, 50 flows), one per capacity of its first dropped link."""
+    scenario = build_paper_scenario("failure-large", seed=7)
+    plan = solve_plan(scenario.problem())
+    cfg = compute_weights(scenario.problem(), plan, gain=scenario.gamma)
+    lid = scenario.events[0].payload["link"]
+    return [Simulator(scenario.problem(scenario.topology.with_capacities({lid: cap})), cfg,
+                      dt=scenario.dt, initial_rates=plan.rates) for cap in caps]
+
+
+def test_goodputs_and_utility_are_the_last_sample_of_a_run():
+    sims = failure_large_sims((1.0, 0.001, 1.0, 5.0, 20.0))
+    runs = [(sims[0], sims[0].run(30.0))] + list(zip(sims[1:], run_batch(sims[1:], 30.0)))
+    for sim, trace in runs:
+        t, x = sim.t, sim.x.copy()
+        assert np.array_equal(sim.goodputs(), trace.good[-1])
+        assert sim.utility() == trace.utility[-1]
+        # A zero-length run moves nothing.
+        assert sim.t == t == 30.0 and np.array_equal(sim.x, x)
+
+
+def test_k_steps_are_a_run_of_k_steps():
+    stepped, ran = failure_large_sims((1.0, 1.0))
+    for _ in range(40):
+        stepped.step()
+    ran.run(40 * ran.dt)
+    assert np.array_equal(stepped.x, ran.x)
+    # Forty one-step runs add dt forty times; one run reads its clock as 40 * dt.
+    assert stepped.t == pytest.approx(ran.t, rel=1e-12, abs=0)
+
+
+def test_a_step_longer_than_a_second():
+    sim = Simulator(one_flow_problem(), config({"k:0": 2.0}, {"k": 1}, gain=0.01), dt=2.0,
+                    initial_rates={"k:0": 5.0})
+    # ``run``'s default cadence of 1 s is no whole number of 2 s steps; ``step`` samples no cadence.
+    with pytest.raises(ValueError, match="whole number of steps of dt=2.0"):
+        sim.run(2.0)
+    sim.step()
+    # Unsaturated, so no loss: x + dt * (gain / w) * x * w.
+    assert sim.t == 2.0 and sim.x[0] == pytest.approx(5.0 + 2.0 * 0.005 * 5.0 * 2.0, rel=1e-12)
